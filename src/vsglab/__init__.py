@@ -8,14 +8,14 @@ from .grid import (GridImpedance, OperatingPoint, PowerPair, JacobianPQ,
                    power_flow, jacobian, scr_to_impedance, solve_operating_point)
 from .smallsignal import (VsgGains, DesignTargets, TransferFunction,
                           FrequencyResponse, schedule_gains, bode, phase_margin)
-from .sim import (VsgState, Setpoints, ScenarioEvent, SimConfig, TimeSeries,
-                  run_scenario, step_rk4, synth_waveforms, vsg_derivatives)
+from .sim import (Setpoints, ScenarioEvent, SimConfig, TimeSeries,
+                  run_scenario, synth_waveforms)
 
 __all__ = [
     "GridImpedance", "OperatingPoint", "PowerPair", "JacobianPQ",
     "power_flow", "jacobian", "scr_to_impedance", "solve_operating_point",
     "VsgGains", "DesignTargets", "TransferFunction", "FrequencyResponse",
     "schedule_gains", "bode", "phase_margin",
-    "VsgState", "Setpoints", "ScenarioEvent", "SimConfig", "TimeSeries",
-    "run_scenario", "step_rk4", "synth_waveforms", "vsg_derivatives",
+    "Setpoints", "ScenarioEvent", "SimConfig", "TimeSeries",
+    "run_scenario", "synth_waveforms",
 ]

@@ -260,17 +260,6 @@ class Normalizer:
         return np.exp(y) if self.target_transform == "log" else y
 
 
-def zscore(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    std = np.asarray(std, dtype=float)
-    if np.any(std <= 0):
-        raise NormalizationError("standard deviations must be > 0")
-    return (np.asarray(x, dtype=float) - mean) / std
-
-
-def zscore_inverse(xn: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return np.asarray(xn, dtype=float) * std + mean
-
-
 @dataclass
 class Dataset:
     """Waveform windows and impedance targets, with generation metadata."""

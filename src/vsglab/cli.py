@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import ann, presets
-from .estimator import EstimateRecord, write_estimate_log_csv
+from .estimator import EstimateRecord, ESTIMATE_LOG_COLUMNS, write_estimate_log_csv
 from .grid import (JacobianPQ, scr_to_impedance, solve_operating_point, jacobian)
 from .report import build_comparison, render_text, write_csv
 from .sim import (SimConfig, ScenarioEvent, TimeSeries, run_scenario,
-                  load_scenario, save_scenario)
+                  impedance_schedule, load_scenario, save_scenario)
 from .smallsignal import (DesignTargets, VsgGains, schedule_gains, open_loop_p,
                           bode, phase_margin, p_loop_info, q_loop_info,
                           write_frequency_response_csv)
@@ -112,7 +112,7 @@ def cmd_simulate(args) -> int:
         if args.mode:
             cfg = SimConfig(**{**cfg.__dict__, "mode": args.mode})
     else:
-        cfg = presets.benchmark_config(args.mode or "cvsg", seed=args.seed)
+        cfg = presets.benchmark_config(args.mode or "cvsg")
         events = presets.benchmark_events()
     model = norm = None
     if cfg.mode == "avsg" and cfg.estimator_kind == "ann":
@@ -129,24 +129,22 @@ def cmd_simulate(args) -> int:
 
 
 def _truth_schedule(cfg: SimConfig, events: list[ScenarioEvent]):
-    z0 = scr_to_impedance(cfg.scr, cfg.xr_ratio, cfg.v_g, cfg.s_rated, cfg.omega0)
-    sched = [(0.0, z0.r_g, z0.l_g)]
-    for ev in sorted(events, key=lambda e: e.time):
-        if ev.kind == "set_scr":
-            xr = ev.xr_ratio if ev.xr_ratio is not None else cfg.xr_ratio
-            z = scr_to_impedance(ev.value, xr, cfg.v_g, cfg.s_rated, cfg.omega0)
-            sched.append((ev.time, z.r_g, z.l_g))
-    return sched
+    """(time, R_g, L_g) rows of the impedance the simulator runs with."""
+    return [(t, z.r_g, z.l_g) for t, z in impedance_schedule(cfg, events)]
 
 
 def _read_estimate_log(path) -> list[tuple[EstimateRecord, float, float, bool]]:
     rows = []
     with open(path, newline="") as f:
-        for rec in csv.DictReader(f):
-            t = float(rec["t"])
-            rows.append((EstimateRecord(t=t, r_g_hat=float(rec["r_g_hat"]),
+        reader = csv.DictReader(f)
+        if tuple(reader.fieldnames or ()) != ESTIMATE_LOG_COLUMNS:
+            raise ValueError(f"{path}: not an estimate log with columns "
+                             f"{','.join(ESTIMATE_LOG_COLUMNS)}")
+        for rec in reader:
+            rows.append((EstimateRecord(t=float(rec["t"]), r_g_hat=float(rec["r_g_hat"]),
                                         l_g_hat=float(rec["l_g_hat"]),
-                                        window_start=t - 0.02, window_end=t),
+                                        window_start=float(rec["window_start"]),
+                                        window_end=float(rec["window_end"])),
                          float(rec["r_g_true"]), float(rec["l_g_true"]),
                          bool(int(rec["applied"]))))
     return rows
@@ -193,8 +191,8 @@ def run_paper_repro(outdir: Path, seed: int = 0, model_path: Path | None = None,
         model, norm = ann.load_model(model_path)
 
     events = presets.benchmark_events()
-    cfg_c = presets.benchmark_config("cvsg", seed=seed, dt_sim=dt_sim)
-    cfg_a = presets.benchmark_config("avsg", seed=seed, dt_sim=dt_sim)
+    cfg_c = presets.benchmark_config("cvsg", dt_sim=dt_sim)
+    cfg_a = presets.benchmark_config("avsg", dt_sim=dt_sim)
     save_scenario(outdir / "scenario_avsg.json", cfg_a, events)
     res_c = run_scenario(cfg_c, events)
     res_a = run_scenario(cfg_a, events, model=model, norm=norm)
@@ -265,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", help="scenario JSON (defaults to the 60 s benchmark)")
     s.add_argument("--mode", choices=["cvsg", "avsg"])
     s.add_argument("--model", help="model JSON for avsg mode")
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default="out")
     s.set_defaults(func=cmd_simulate)
 

@@ -41,16 +41,24 @@ class OnlineEstimator:
             raise ValueError("model input size must be twice the window length")
         self.model = model
         self.norm = norm
+        self._open_buffer(window_len, sample_dt)
+
+    def _open_buffer(self, window_len: int, sample_dt: float) -> None:
         self.window_len = window_len
         self.sample_dt = sample_dt
         self._v = np.empty(window_len)
         self._i = np.empty(window_len)
-        self._fill = 0
-        self._window_start = math.nan
+        self.reset()
 
     def reset(self) -> None:
         self._fill = 0
         self._window_start = math.nan
+
+    def _infer(self) -> tuple[float, float]:
+        """(R_g, L_g) estimate from the full window."""
+        x = np.concatenate([self._v, self._i])
+        y = self.norm.inverse_y(forward(self.model, self.norm.transform_x(x)))
+        return float(y[0]), float(y[1])
 
     def push_sample(self, t: float, v: float, i: float) -> EstimateRecord | None:
         """Append one (v, i) pair; returns an estimate when a window fills."""
@@ -65,15 +73,14 @@ class OnlineEstimator:
         self._fill += 1
         if self._fill < self.window_len:
             return None
-        x = np.concatenate([self._v, self._i])
-        y = self.norm.inverse_y(forward(self.model, self.norm.transform_x(x)))
-        rec = EstimateRecord(t=t, r_g_hat=float(y[0]), l_g_hat=float(y[1]),
+        r_g, l_g = self._infer()
+        rec = EstimateRecord(t=t, r_g_hat=r_g, l_g_hat=l_g,
                              window_start=self._window_start, window_end=t)
         self.reset()
         return rec
 
 
-class OracleEstimator:
+class OracleEstimator(OnlineEstimator):
     """Drop-in estimator that emits the true impedance at the same cadence.
 
     The scenario runner keeps `truth` = (r_g, l_g) current; used to isolate
@@ -81,26 +88,11 @@ class OracleEstimator:
     """
 
     def __init__(self, window_len: int = 100, sample_dt: float = 200e-6):
-        self.window_len = window_len
-        self.sample_dt = sample_dt
         self.truth: tuple[float, float] = (math.nan, math.nan)
-        self._fill = 0
-        self._window_start = math.nan
+        self._open_buffer(window_len, sample_dt)
 
-    def reset(self) -> None:
-        self._fill = 0
-        self._window_start = math.nan
-
-    def push_sample(self, t: float, v: float, i: float) -> EstimateRecord | None:
-        if self._fill == 0:
-            self._window_start = t - self.sample_dt
-        self._fill += 1
-        if self._fill < self.window_len:
-            return None
-        rec = EstimateRecord(t=t, r_g_hat=self.truth[0], l_g_hat=self.truth[1],
-                             window_start=self._window_start, window_end=t)
-        self.reset()
-        return rec
+    def _infer(self) -> tuple[float, float]:
+        return self.truth
 
 
 def gate_gain_update(est: EstimateRecord, prev_applied: EstimateRecord | None,
@@ -113,12 +105,20 @@ def gate_gain_update(est: EstimateRecord, prev_applied: EstimateRecord | None,
     return dr > threshold or dl > threshold
 
 
+ESTIMATE_LOG_COLUMNS = ("t", "r_g_hat", "l_g_hat", "r_g_true", "l_g_true",
+                        "window_start", "window_end", "applied")
+
+
 def write_estimate_log_csv(path: str | Path,
                            records: list[tuple[EstimateRecord, float, float, bool]]) -> None:
-    """Rows of (record, r_true, l_true, applied)."""
+    """Rows of (record, r_true, l_true, applied).
+
+    Floats are written as their shortest round-trip repr, so the log loads
+    back exactly.
+    """
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["t", "r_g_hat", "l_g_hat", "r_g_true", "l_g_true", "applied"])
-        for rec, r_true, l_true, applied in records:
-            w.writerow([f"{rec.t:.6f}", f"{rec.r_g_hat:.12g}", f"{rec.l_g_hat:.12g}",
-                        f"{r_true:.12g}", f"{l_true:.12g}", int(applied)])
+        w.writerow(ESTIMATE_LOG_COLUMNS)
+        w.writerows((rec.t, rec.r_g_hat, rec.l_g_hat, r_true, l_true,
+                     rec.window_start, rec.window_end, int(applied))
+                    for rec, r_true, l_true, applied in records)

@@ -157,12 +157,15 @@ def impedance_to_scr(z: GridImpedance, v_g: float, s_rated: float) -> float:
 
 def solve_operating_point(p_target: float, q_target: float, z: GridImpedance,
                           v_g: float, *, tol: float = 1e-9, max_iter: int = 50,
-                          scale: float | None = None) -> OperatingPoint:
+                          scale: float | None = None, d_q: float = 0.0,
+                          v_nom: float = 0.0) -> OperatingPoint:
     """Damped Newton solve of the power-flow equations for (delta, V_pcc).
 
-    Searches |delta| < pi/2, V_pcc in [0.5, 1.5] v_g.  `scale` sets the
-    power level against which the residual tolerance is relative
-    (defaults to max(|P|, |Q|, 1)).
+    Solves P = p_target and Q + d_q (V_pcc - v_nom) = q_target; a nonzero
+    Q-V droop gain `d_q` gives the steady state of the VSG outer loops,
+    and `v_nom` matters only then.  Searches |delta| < pi/2, V_pcc in
+    [0.5, 1.5] v_g.  `scale` sets the power level against which the
+    residual tolerance is relative (defaults to max(|P|, |Q|, 1)).
     """
     if scale is None:
         scale = max(abs(p_target), abs(q_target), 1.0)
@@ -170,7 +173,7 @@ def solve_operating_point(p_target: float, q_target: float, z: GridImpedance,
 
     def residual(d: float, vv: float) -> tuple[float, float, float]:
         p, q = _pf(d, vv, v_g, z.r_g, z.x_g)
-        rp, rq = p - p_target, q - q_target
+        rp, rq = p - p_target, q + d_q * (vv - v_nom) - q_target
         return rp, rq, math.hypot(rp, rq)
 
     rp, rq, rn = residual(delta, v)
@@ -178,6 +181,7 @@ def solve_operating_point(p_target: float, q_target: float, z: GridImpedance,
         if rn <= tol * scale:
             return OperatingPoint(delta0=delta, v_pcc0=v, v_g=v_g)
         a, b, c, d = _pf_jac(delta, v, v_g, z.r_g, z.x_g)
+        d += d_q
         det = a * d - b * c
         if det == 0.0 or not math.isfinite(det):
             raise InfeasibleOperatingPointError("singular Jacobian during Newton solve")

@@ -40,7 +40,7 @@ def benchmark_events(xr_ratio: float = XR_RATIO_DEFAULT) -> list[ScenarioEvent]:
 
 
 def benchmark_config(mode: str, xr_ratio: float = XR_RATIO_DEFAULT,
-                     seed: int = 0, **overrides) -> SimConfig:
+                     **overrides) -> SimConfig:
     """60 s benchmark run: SCR 2 -> 8 -> 20, P 2 -> 2.5 -> 3 kW, Q 1 -> 1.5 kVAr."""
     base = dict(
         duration=60.0,
@@ -51,7 +51,6 @@ def benchmark_config(mode: str, xr_ratio: float = XR_RATIO_DEFAULT,
         xr_ratio=xr_ratio,
         v_g=V_G,
         s_rated=S_RATED,
-        seed=seed,
     )
     base.update(overrides)
     return SimConfig(**base)

@@ -3,25 +3,25 @@
 The three slow control states (angle, frequency, voltage command) are
 integrated with classical RK4 at the converter sampling period while the
 PCC power is recomputed algebraically from the phasor power flow at every
-stage.  Inner voltage/current loops are modeled as ideal (the PCC voltage
-magnitude tracks the command instantly).  Scenario events step the SCR or
-the power setpoints mid-run; in adaptive mode the estimator is fed
-decimated waveform samples and accepted estimates reschedule the gains.
+stage, optionally through a first-order P/Q measurement filter that adds
+two states.  Inner voltage/current loops are modeled as ideal (the PCC
+voltage magnitude tracks the command instantly).  Scenario events step
+the SCR or the power setpoints mid-run; in adaptive mode the estimator is
+fed decimated waveform samples and accepted estimates reschedule the
+gains.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .grid import (GridImpedance, OperatingPoint, PowerPair, JacobianPQ,
-                   power_flow, scr_to_impedance, InfeasibleOperatingPointError,
-                   _pf, _pf_jac, OMEGA0_DEFAULT)
+from .grid import (GridImpedance, OperatingPoint, JacobianPQ, scr_to_impedance,
+                   solve_operating_point, _pf, _pf_jac, OMEGA0_DEFAULT)
 from .smallsignal import VsgGains, DesignTargets, schedule_gains, SchedulingError
 from .estimator import (OnlineEstimator, OracleEstimator, EstimateRecord,
                         gate_gain_update)
@@ -31,19 +31,6 @@ SQRT2 = math.sqrt(2.0)
 
 class NumericFailureError(RuntimeError):
     """The integrator produced a non-finite state or derivative."""
-
-
-@dataclass(frozen=True)
-class VsgState:
-    delta: float   # VSG angle relative to grid, rad
-    omega: float   # VSG angular frequency, rad/s
-    v_cmd: float   # PCC voltage-magnitude command, V RMS
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.delta, self.omega, self.v_cmd)):
-            raise ValueError("state must be finite")
-        if self.v_cmd <= 0.0:
-            raise ValueError("v_cmd must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,9 +76,10 @@ class SimConfig:
     gate_threshold: float = 0.05
     targets: DesignTargets = field(default_factory=DesignTargets)
     start_at_equilibrium: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
+        if not self.dt_sim > 0.0:
+            raise ValueError(f"dt_sim must be positive, got {self.dt_sim}")
         if self.mode not in ("cvsg", "avsg"):
             raise ValueError(f"mode must be cvsg or avsg, got {self.mode!r}")
         if self.estimator_kind not in ("ann", "oracle"):
@@ -130,17 +118,22 @@ class TimeSeries:
         return len(self.t)
 
     def to_csv(self, path: str | Path) -> None:
-        cols = [getattr(self, c) for c in TIMESERIES_COLUMNS]
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(TIMESERIES_COLUMNS)
-            for row in zip(*cols):
-                w.writerow([f"{row[0]:.6f}"] + [f"{v:.12g}" for v in row[1:]])
+        """Write every value as its shortest round-trip repr, so the file loads back exactly."""
+        rows = np.column_stack([getattr(self, c) for c in TIMESERIES_COLUMNS]).tolist()
+        with open(path, "w") as f:
+            f.write(",".join(TIMESERIES_COLUMNS) + "\n")
+            f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TimeSeries":
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        return cls(**{c: np.atleast_1d(data[c]) for c in TIMESERIES_COLUMNS})
+        with open(path) as f:
+            header = tuple(f.readline().rstrip("\r\n").split(","))
+            if header != TIMESERIES_COLUMNS:
+                raise ValueError(f"{path}: header {','.join(header)!r} is not the "
+                                 f"trace header {','.join(TIMESERIES_COLUMNS)!r}")
+            data = np.loadtxt(f, delimiter=",", ndmin=2)
+        # the transposed view has the same column layout as a trace in memory
+        return cls(**dict(zip(TIMESERIES_COLUMNS, data.T)))
 
 
 @dataclass
@@ -149,44 +142,6 @@ class SimResult:
     # (record, r_true at emission, l_true at emission, applied)
     estimates: list[tuple[EstimateRecord, float, float, bool]]
     final_gains: VsgGains
-
-
-def vsg_derivatives(state: VsgState, sp: Setpoints, meas: PowerPair,
-                    gains: VsgGains, omega_g: float | None = None) -> VsgState:
-    """Time derivative of the outer-loop state (returned in a VsgState shell).
-
-    d(delta)/dt = omega - omega_g
-    d(omega)/dt = K_ip (P_ref - P_pcc - D_p (omega - omega_nom))
-    d(v_cmd)/dt = K_iq (Q_ref - Q_pcc - D_q (v_cmd - v_nom))
-    """
-    wg = sp.omega_nom if omega_g is None else omega_g
-    dd = state.omega - wg
-    dw = gains.k_ip * (sp.p_ref - meas.p - gains.d_p * (state.omega - sp.omega_nom))
-    dv = gains.k_iq * (sp.q_ref - meas.q - gains.d_q * (state.v_cmd - sp.v_nom))
-    return _raw_state(dd, dw, dv)
-
-
-def _raw_state(delta: float, omega: float, v_cmd: float) -> VsgState:
-    # bypass validation: derivative components may be zero or negative
-    obj = object.__new__(VsgState)
-    object.__setattr__(obj, "delta", delta)
-    object.__setattr__(obj, "omega", omega)
-    object.__setattr__(obj, "v_cmd", v_cmd)
-    return obj
-
-
-def step_rk4(y, f, dt: float):
-    """Classical fourth-order Runge-Kutta step for float or ndarray state."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise NumericFailureError("non-finite state after RK4 step")
-    return out
 
 
 def synth_waveforms(op: OperatingPoint, z: GridImpedance, n: int, dt_s: float,
@@ -206,27 +161,23 @@ def synth_waveforms(op: OperatingPoint, z: GridImpedance, n: int, dt_s: float,
     return v, i
 
 
-def solve_equilibrium(sp: Setpoints, gains: VsgGains, z: GridImpedance,
-                      v_g: float, max_iter: int = 50, tol: float = 1e-10) -> VsgState:
-    """Steady state of the outer loops: P = P_ref and Q + D_q (V - v_nom) = Q_ref."""
-    scale = max(abs(sp.p_ref), abs(sp.q_ref), 1.0)
-    d, v = 0.0, v_g
-    for _ in range(max_iter):
-        p, q = _pf(d, v, v_g, z.r_g, z.x_g)
-        rp = p - sp.p_ref
-        rq = q + gains.d_q * (v - sp.v_nom) - sp.q_ref
-        if math.hypot(rp, rq) <= tol * scale:
-            return VsgState(delta=d, omega=sp.omega_nom, v_cmd=v)
-        a, b, c, dd = _pf_jac(d, v, v_g, z.r_g, z.x_g)
-        dd += gains.d_q
-        det = a * dd - b * c
-        if det == 0.0:
-            break
-        d -= (dd * rp - b * rq) / det
-        v -= (-c * rp + a * rq) / det
-        if abs(d) >= math.pi / 2 or not (0.5 * v_g < v < 1.5 * v_g):
-            break
-    raise InfeasibleOperatingPointError("no equilibrium for the given setpoints")
+def impedance_schedule(cfg: SimConfig, events: list[ScenarioEvent]
+                       ) -> list[tuple[float, GridImpedance]]:
+    """Grid impedance in force from each time on: the configured grid, then
+    one entry per set_scr event in time order.
+
+    An event without an X/R ratio keeps the last ratio given.  A bad SCR or
+    X/R raises ValueError here, before any integration.
+    """
+    xr = cfg.xr_ratio
+    sched = [(0.0, scr_to_impedance(cfg.scr, xr, cfg.v_g, cfg.s_rated, cfg.omega0))]
+    for ev in sorted(events, key=lambda e: e.time):
+        if ev.kind == "set_scr":
+            if ev.xr_ratio is not None:
+                xr = ev.xr_ratio
+            sched.append((ev.time, scr_to_impedance(ev.value, xr, cfg.v_g,
+                                                    cfg.s_rated, cfg.omega0)))
+    return sched
 
 
 def _clamped_impedance(r_hat: float, l_hat: float, omega0: float) -> GridImpedance:
@@ -238,34 +189,28 @@ def _clamped_impedance(r_hat: float, l_hat: float, omega0: float) -> GridImpedan
 
 def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
                  model=None, norm=None) -> SimResult:
-    """Integrate the scenario and return the decimated trace and estimate log."""
-    try:
-        return _run_scenario(cfg, events, model, norm)
-    except OverflowError as exc:
-        raise NumericFailureError(f"state diverged during integration: {exc}") from exc
-    except ValueError as exc:
-        # math.sin/cos raise a domain error once the state reaches inf; report
-        # that as divergence, but let validation ValueErrors propagate
-        if "math domain error" in str(exc):
-            raise NumericFailureError("state diverged during integration") from exc
-        raise
+    """Integrate the scenario and return the decimated trace and estimate log.
 
-
-def _run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
-                  model=None, norm=None) -> SimResult:
+    Raises NumericFailureError, naming the time of the step, when the state
+    leaves the finite range.
+    """
     events = sorted(events, key=lambda e: e.time)
     for ev in events:
         if not (0.0 <= ev.time <= cfg.duration):
             raise ValueError(f"event at t={ev.time} outside scenario duration")
+    sched = impedance_schedule(cfg, events)
+    z = sched[0][1]
+    later_z = (z_ev for _, z_ev in sched[1:])
 
-    z = scr_to_impedance(cfg.scr, cfg.xr_ratio, cfg.v_g, cfg.s_rated, cfg.omega0)
     sp = cfg.setpoints
     gains = cfg.gains
     if cfg.start_at_equilibrium:
-        st = solve_equilibrium(sp, gains, z, cfg.v_g)
-        d, w, v = st.delta, st.omega, st.v_cmd
+        op = solve_operating_point(sp.p_ref, sp.q_ref, z, cfg.v_g, tol=1e-10,
+                                   d_q=gains.d_q, v_nom=sp.v_nom)
+        d, v = op.delta0, op.v_pcc0
     else:
-        d, w, v = 0.0, sp.omega_nom, sp.v_nom
+        d, v = 0.0, sp.v_nom
+    w = sp.omega_nom
 
     estimator = None
     if cfg.mode == "avsg":
@@ -294,20 +239,43 @@ def _run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
     vg = cfg.v_g
     wn = sp.omega_nom
     vn = sp.v_nom
-    wg = wn  # grid-frequency events are a hook only; default scenarios keep wg = w0
     pref, qref = sp.p_ref, sp.q_ref
     dp, kip, dq, kiq = gains.d_p, gains.k_ip, gains.d_q, gains.k_iq
     r, x = z.r_g, z.x_g
     kz = 3.0 / (r * r + x * x)
     w0 = cfg.omega0
-    sin, cos = math.sin, math.cos
-    use_lpf = cfg.meas_lpf_cutoff is not None
-    wc = cfg.meas_lpf_cutoff or 0.0
-    pf_s, qf_s = _pf(d, v, vg, r, x) if use_lpf else (0.0, 0.0)
+    sin, cos, isfinite = math.sin, math.cos, math.isfinite
+    wc = cfg.meas_lpf_cutoff
+    pf, qf = _pf(d, v, vg, r, x)
+
+    def rates(d, w, v, pf, qf):
+        """Time derivatives of (delta, omega, v_cmd, P_f, Q_f).
+
+        d(delta)/dt = omega - omega_nom
+        d(omega)/dt = K_ip (P_ref - P - D_p (omega - omega_nom))
+        d(v_cmd)/dt = K_iq (Q_ref - Q - D_q (v_cmd - v_nom))
+
+        P, Q come from the phasor power flow, solved inline.  Without a
+        measurement filter the loops act on them directly and P_f, Q_f stay
+        constant; with one, the loops act on P_f, Q_f, their first-order lag
+        at cutoff `wc`.
+        """
+        sd = sin(d)
+        cd = cos(d)
+        vvg = v * vg
+        p = kz * (r * v * v - r * vvg * cd + x * vvg * sd)
+        q = kz * (x * v * v - x * vvg * cd - r * vvg * sd)
+        slip = w - wn
+        if wc is None:
+            return (slip, kip * (pref - p - dp * slip),
+                    kiq * (qref - q - dq * (v - vn)), 0.0, 0.0)
+        return (slip, kip * (pref - pf - dp * slip),
+                kiq * (qref - qf - dq * (v - vn)), wc * (p - pf), wc * (q - qf))
 
     ev_idx = 0
     out_row = 0
     half = 0.5 * h
+    s6 = h / 6.0
 
     for k in range(n_steps + 1):
         t = k * h
@@ -321,9 +289,7 @@ def _run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
             elif ev.kind == "set_q_ref":
                 qref = ev.value
             else:
-                xr = ev.xr_ratio if ev.xr_ratio is not None else (
-                    x / r if r > 0.0 else cfg.xr_ratio)
-                z = scr_to_impedance(ev.value, xr, vg, cfg.s_rated, w0)
+                z = next(later_z)
                 r, x = z.r_g, z.x_g
                 kz = 3.0 / (r * r + x * x)
                 if isinstance(estimator, OracleEstimator):
@@ -350,8 +316,6 @@ def _run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
                 r_est, l_est = rec.r_g_hat, rec.l_g_hat
 
         if k % dec_out == 0:
-            if not (math.isfinite(d) and math.isfinite(w) and math.isfinite(v)):
-                raise NumericFailureError(f"non-finite state at t = {t:.6f}")
             # log P/Q through the shared power-flow path (bit-identical to power_flow)
             p_log, q_log = _pf(d, v, vg, r, x)
             out[out_row] = (t, p_log, q_log, d, w, v, z.r_g, z.l_g,
@@ -361,71 +325,25 @@ def _run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
         if k == n_steps:
             break
 
-        if use_lpf:
-            # slower 5-state path: first-order filter on measured P/Q
-            def deriv(dd_, ww_, vv_, pf_, qf_):
-                p_, q_ = _pf(dd_, vv_, vg, r, x)
-                return (ww_ - wg,
-                        kip * (pref - pf_ - dp * (ww_ - wn)),
-                        kiq * (qref - qf_ - dq * (vv_ - vn)),
-                        wc * (p_ - pf_),
-                        wc * (q_ - qf_))
-
-            k1 = deriv(d, w, v, pf_s, qf_s)
-            k2 = deriv(d + half * k1[0], w + half * k1[1], v + half * k1[2],
-                       pf_s + half * k1[3], qf_s + half * k1[4])
-            k3 = deriv(d + half * k2[0], w + half * k2[1], v + half * k2[2],
-                       pf_s + half * k2[3], qf_s + half * k2[4])
-            k4 = deriv(d + h * k3[0], w + h * k3[1], v + h * k3[2],
-                       pf_s + h * k3[3], qf_s + h * k3[4])
-            s6 = h / 6.0
-            d += s6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            w += s6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            v += s6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            pf_s += s6 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            qf_s += s6 * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-            continue
-
-        # fast 3-state path with the power flow inlined (RK4 stages k1..k4)
-        sd = sin(d); cd = cos(d)
-        vvg = v * vg
-        p = kz * (r * v * v - r * vvg * cd + x * vvg * sd)
-        q = kz * (x * v * v - x * vvg * cd - r * vvg * sd)
-        dd1 = w - wg
-        dw1 = kip * (pref - p - dp * (w - wn))
-        dv1 = kiq * (qref - q - dq * (v - vn))
-
-        d2 = d + half * dd1; w2 = w + half * dw1; v2 = v + half * dv1
-        sd = sin(d2); cd = cos(d2)
-        vvg = v2 * vg
-        p = kz * (r * v2 * v2 - r * vvg * cd + x * vvg * sd)
-        q = kz * (x * v2 * v2 - x * vvg * cd - r * vvg * sd)
-        dd2 = w2 - wg
-        dw2 = kip * (pref - p - dp * (w2 - wn))
-        dv2 = kiq * (qref - q - dq * (v2 - vn))
-
-        d2 = d + half * dd2; w2 = w + half * dw2; v2 = v + half * dv2
-        sd = sin(d2); cd = cos(d2)
-        vvg = v2 * vg
-        p = kz * (r * v2 * v2 - r * vvg * cd + x * vvg * sd)
-        q = kz * (x * v2 * v2 - x * vvg * cd - r * vvg * sd)
-        dd3 = w2 - wg
-        dw3 = kip * (pref - p - dp * (w2 - wn))
-        dv3 = kiq * (qref - q - dq * (v2 - vn))
-
-        d2 = d + h * dd3; w2 = w + h * dw3; v2 = v + h * dv3
-        sd = sin(d2); cd = cos(d2)
-        vvg = v2 * vg
-        p = kz * (r * v2 * v2 - r * vvg * cd + x * vvg * sd)
-        q = kz * (x * v2 * v2 - x * vvg * cd - r * vvg * sd)
-        dd4 = w2 - wg
-        dw4 = kip * (pref - p - dp * (w2 - wn))
-        dv4 = kiq * (qref - q - dq * (v2 - vn))
-
-        s6 = h / 6.0
+        try:
+            dd1, dw1, dv1, dpf1, dqf1 = rates(d, w, v, pf, qf)
+            dd2, dw2, dv2, dpf2, dqf2 = rates(d + half * dd1, w + half * dw1, v + half * dv1,
+                                              pf + half * dpf1, qf + half * dqf1)
+            dd3, dw3, dv3, dpf3, dqf3 = rates(d + half * dd2, w + half * dw2, v + half * dv2,
+                                              pf + half * dpf2, qf + half * dqf2)
+            dd4, dw4, dv4, dpf4, dqf4 = rates(d + h * dd3, w + h * dw3, v + h * dv3,
+                                              pf + h * dpf3, qf + h * dqf3)
+        except (ValueError, OverflowError) as exc:
+            # sin/cos of an infinite angle
+            raise NumericFailureError(f"state diverged in the RK4 step at t = {t:.6f}") \
+                from exc
         d += s6 * (dd1 + 2.0 * dd2 + 2.0 * dd3 + dd4)
         w += s6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
         v += s6 * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+        pf += s6 * (dpf1 + 2.0 * dpf2 + 2.0 * dpf3 + dpf4)
+        qf += s6 * (dqf1 + 2.0 * dqf2 + 2.0 * dqf3 + dqf4)
+        if not isfinite(d + w + v):
+            raise NumericFailureError(f"non-finite state after the RK4 step at t = {t:.6f}")
 
     cols = out[:out_row].T
     series = TimeSeries(**dict(zip(TIMESERIES_COLUMNS, cols)))
@@ -448,7 +366,6 @@ def scenario_to_dict(cfg: SimConfig, events: list[ScenarioEvent]) -> dict:
             "estimator_kind": cfg.estimator_kind,
             "gate_threshold": cfg.gate_threshold,
             "start_at_equilibrium": cfg.start_at_equilibrium,
-            "seed": cfg.seed,
             "gains": {"d_p": cfg.gains.d_p, "k_ip": cfg.gains.k_ip,
                       "d_q": cfg.gains.d_q, "k_iq": cfg.gains.k_iq},
             "setpoints": {"p_ref": cfg.setpoints.p_ref, "q_ref": cfg.setpoints.q_ref,
@@ -471,6 +388,7 @@ def scenario_from_dict(doc: dict) -> tuple[SimConfig, list[ScenarioEvent]]:
     gains = VsgGains(**s.pop("gains"))
     setpoints = Setpoints(**s.pop("setpoints"))
     targets = DesignTargets(**s.pop("targets", {}))
+    s.pop("seed", None)  # written by older versions; the simulator draws no random numbers
     cfg = SimConfig(gains=gains, setpoints=setpoints, targets=targets, **s)
     events = [ScenarioEvent(time=e["time"], kind=e["kind"], value=e["value"],
                             xr_ratio=e.get("xr_ratio")) for e in doc.get("events", [])]

@@ -37,8 +37,8 @@ def benchmark_runs(trained):
     model, norm = trained[0], trained[1]
     events = presets.benchmark_events()
     t0 = time.perf_counter()
-    res_c = run_scenario(presets.benchmark_config("cvsg", seed=SEED), events)
-    res_a = run_scenario(presets.benchmark_config("avsg", seed=SEED), events,
+    res_c = run_scenario(presets.benchmark_config("cvsg"), events)
+    res_a = run_scenario(presets.benchmark_config("avsg"), events,
                          model=model, norm=norm)
     elapsed = time.perf_counter() - t0
     return res_c, res_a, events, elapsed

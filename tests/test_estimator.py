@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vsglab.ann import MlpModel, Normalizer
+from vsglab.cli import _read_estimate_log
 from vsglab.estimator import (EstimateRecord, OnlineEstimator, OracleEstimator,
                               gate_gain_update, write_estimate_log_csv)
 
@@ -79,6 +80,13 @@ def test_oracle_estimator_same_cadence():
     assert len(records) == 2
     assert all(r.r_g_hat == 0.7 and r.l_g_hat == 0.011 for r in records)
     assert records[0].window_end - records[0].window_start == pytest.approx(0.02, abs=1e-12)
+    # the oracle shares the window code, so a non-finite sample restarts it too
+    est.reset()
+    assert push_stream(est, 60) == []
+    assert est.push_sample(61 * DT, math.nan, 0.0) is None
+    records = push_stream(est, 100, t_start=62 * DT)
+    assert len(records) == 1
+    assert records[0].window_start == pytest.approx(61 * DT, abs=1e-12)
 
 
 def test_gate_applies_first_estimate():
@@ -106,8 +114,12 @@ def test_estimate_log_csv(tmp_path):
     rec = EstimateRecord(t=0.02, r_g_hat=0.7, l_g_hat=0.011,
                          window_start=0.0, window_end=0.02)
     path = tmp_path / "est.csv"
-    write_estimate_log_csv(path, [(rec, 0.712, 0.01133, True)])
+    records = [(rec, 0.712, 0.01133, True),
+               (EstimateRecord(t=0.04, r_g_hat=0.1 + 0.2, l_g_hat=math.pi / 3e2,
+                               window_start=0.02, window_end=0.04), 0.712, 0.01133, False)]
+    write_estimate_log_csv(path, records)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,r_g_hat,l_g_hat,r_g_true,l_g_true,applied"
-    assert lines[1].startswith("0.020000,0.7,0.011,")
+    assert lines[0] == "t,r_g_hat,l_g_hat,r_g_true,l_g_true,window_start,window_end,applied"
+    assert lines[1].startswith("0.02,0.7,0.011,")
     assert lines[1].endswith(",1")
+    assert _read_estimate_log(path) == records

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from vsglab.grid import (GridImpedance, OperatingPoint, scr_to_impedance,
-                         power_flow, InfeasibleOperatingPointError)
+                         power_flow, solve_operating_point,
+                         InfeasibleOperatingPointError)
 from vsglab.grid import _pf
-from vsglab.sim import (VsgState, Setpoints, ScenarioEvent, SimConfig, TimeSeries,
-                        SimResult, NumericFailureError, vsg_derivatives, step_rk4,
-                        synth_waveforms, solve_equilibrium, run_scenario,
-                        scenario_to_dict, scenario_from_dict, save_scenario,
-                        load_scenario)
+from vsglab.sim import (TIMESERIES_COLUMNS, Setpoints, ScenarioEvent, SimConfig,
+                        TimeSeries, SimResult, NumericFailureError, synth_waveforms,
+                        impedance_schedule, run_scenario, scenario_to_dict,
+                        scenario_from_dict, save_scenario, load_scenario)
+from vsglab.cli import _truth_schedule
 from vsglab.smallsignal import VsgGains
 
 GAINS = VsgGains(d_p=2087.0, k_ip=0.00767, d_q=0.687, k_iq=0.115)
@@ -28,39 +29,30 @@ def short_config(**overrides):
 
 # --- integrator ----------------------------------------------------------------
 
-def test_rk4_exponential_decay():
-    y, t, dt = 1.0, 0.0, 0.01
-    while t < 1.0 - 1e-12:
-        y = step_rk4(y, lambda u: -u, dt)
-        t += dt
-    assert y == pytest.approx(math.exp(-1.0), abs=1e-9)
-
-
-def test_rk4_vector_state():
-    # harmonic oscillator conserves the analytic solution to O(dt^4)
-    y = np.array([1.0, 0.0])
-    f = lambda u: np.array([u[1], -u[0]])
-    for _ in range(100):
-        y = step_rk4(y, f, 0.01)
-    assert y[0] == pytest.approx(math.cos(1.0), abs=1e-8)
-    assert y[1] == pytest.approx(-math.sin(1.0), abs=1e-8)
-
-
-def test_rk4_validation():
-    with pytest.raises(ValueError):
-        step_rk4(1.0, lambda u: -u, 0.0)
-    with pytest.raises(NumericFailureError):
-        step_rk4(1.0, lambda u: math.inf, 0.01)
+def test_rk4_order_of_accuracy():
+    # at millisecond steps truncation error dominates rounding: halving dt
+    # cuts the step-to-step trace difference by 2^4
+    events = [ScenarioEvent(time=0.0, kind="set_p_ref", value=2500.0),
+              ScenarioEvent(time=0.0, kind="set_q_ref", value=1500.0)]
+    runs = [run_scenario(short_config(duration=1.0, dt_sim=h, est_period=8e-3,
+                                      out_period=8e-3), events).series
+            for h in (8e-3, 4e-3, 2e-3)]
+    for col in ("delta", "omega", "v_cmd"):
+        coarse, mid, fine = (getattr(s, col) for s in runs)
+        ratio = np.abs(coarse - mid).max() / np.abs(mid - fine).max()
+        assert 14.0 < ratio < 19.0, (col, ratio)
 
 
 def test_vsg_derivative_signs():
-    from vsglab.grid import PowerPair
-    st = VsgState(delta=0.1, omega=OMEGA0, v_cmd=110.0)
-    sp = Setpoints(2000.0, 1000.0)
-    d = vsg_derivatives(st, sp, PowerPair(p=1500.0, q=1000.0), GAINS)
-    assert d.delta == 0.0                                     # omega == omega_g
-    assert d.omega == pytest.approx(GAINS.k_ip * 500.0)       # P deficit accelerates
-    assert d.v_cmd == pytest.approx(0.0, abs=1e-12)           # Q balanced at v_nom
+    # from the flat start (delta = 0, V = V_g) no power flows: the P deficit
+    # accelerates, the Q deficit raises the voltage, and the angle follows
+    cfg = short_config(duration=1e-3, dt_sim=1e-5, est_period=1e-4, out_period=1e-3,
+                       start_at_equilibrium=False)
+    s = run_scenario(cfg, []).series
+    assert (s.delta[0], s.omega[0], s.v_cmd[0]) == (0.0, OMEGA0, 110.0)
+    assert (s.omega[1] - OMEGA0) / 1e-3 == pytest.approx(GAINS.k_ip * 2000.0, rel=0.02)
+    assert (s.v_cmd[1] - 110.0) / 1e-3 == pytest.approx(GAINS.k_iq * 1000.0, rel=0.02)
+    assert 0.0 < s.delta[1] < (s.omega[1] - OMEGA0) * 1e-3
 
 
 # --- waveform synthesis ----------------------------------------------------------
@@ -88,17 +80,17 @@ def test_synth_waveforms_validation():
 def test_solve_equilibrium_satisfies_loop_balance():
     z = scr_to_impedance(2.0, 5.0, 110.0, 5000.0)
     sp = Setpoints(2000.0, 1000.0)
-    st = solve_equilibrium(sp, GAINS, z, 110.0)
-    pq = power_flow(OperatingPoint(st.delta, st.v_cmd, 110.0), z)
+    op = solve_operating_point(sp.p_ref, sp.q_ref, z, 110.0, tol=1e-10,
+                               d_q=GAINS.d_q, v_nom=sp.v_nom)
+    pq = power_flow(op, z)
     assert pq.p == pytest.approx(2000.0, abs=1e-5)
-    assert pq.q + GAINS.d_q * (st.v_cmd - sp.v_nom) == pytest.approx(1000.0, abs=1e-5)
-    assert st.omega == sp.omega_nom
+    assert pq.q + GAINS.d_q * (op.v_pcc0 - sp.v_nom) == pytest.approx(1000.0, abs=1e-5)
 
 
 def test_solve_equilibrium_infeasible():
     z = scr_to_impedance(2.0, 5.0, 110.0, 5000.0)
     with pytest.raises(InfeasibleOperatingPointError):
-        solve_equilibrium(Setpoints(1e8, 0.0), GAINS, z, 110.0)
+        solve_operating_point(1e8, 0.0, z, 110.0, tol=1e-10, d_q=GAINS.d_q, v_nom=110.0)
 
 
 # --- scenario runner -------------------------------------------------------------
@@ -148,6 +140,39 @@ def test_event_outside_duration_rejected():
                      [ScenarioEvent(time=2.0, kind="set_p_ref", value=2500.0)])
 
 
+def test_set_scr_without_ratio_keeps_last_explicit_ratio():
+    events = [ScenarioEvent(time=0.2, kind="set_scr", value=8.0, xr_ratio=10.0),
+              ScenarioEvent(time=0.4, kind="set_scr", value=20.0)]
+    cfg = short_config(duration=0.6)
+    res = run_scenario(cfg, events)
+    z = scr_to_impedance(20.0, 10.0, 110.0, 5000.0)
+    assert (res.series.r_g_true[-1], res.series.l_g_true[-1]) == (z.r_g, z.l_g)
+    # the truth the estimation statistics use is the impedance the run used
+    assert _truth_schedule(cfg, events)[-1] == (0.4, z.r_g, z.l_g)
+
+
+def test_bad_scr_event_fails_before_integration():
+    cfg = short_config(duration=1.0)
+    events = [ScenarioEvent(time=0.9, kind="set_scr", value=0.0)]
+    with pytest.raises(ValueError, match="scr"):
+        impedance_schedule(cfg, events)
+    with pytest.raises(ValueError, match="scr"):
+        run_scenario(cfg, events)
+
+
+def test_divergence_raises_numeric_failure():
+    # K_ip D_p = 2e5 1/s puts the P-loop pole far outside RK4's stability
+    # region at 50 us; the angle runs off to infinity inside a step
+    cfg = short_config(duration=1.0, gains=VsgGains(2087.0, 100.0, 0.687, 0.115))
+    with pytest.raises(NumericFailureError, match=r"in the RK4 step at t = 0\.\d{6}"):
+        run_scenario(cfg, [])
+    # with K_iq = 1e6 the voltage loop leaves the finite range without a
+    # domain error inside the step; the check after the step reports it
+    cfg = short_config(duration=1.0, gains=VsgGains(2087.0, 0.00767, 0.687, 1e6))
+    with pytest.raises(NumericFailureError, match=r"after the RK4 step at t = 0\.\d{6}"):
+        run_scenario(cfg, [])
+
+
 def test_avsg_ann_requires_model():
     with pytest.raises(ValueError):
         run_scenario(short_config(mode="avsg"), [])
@@ -158,6 +183,8 @@ def test_config_validation():
         short_config(mode="manual")
     with pytest.raises(ValueError):
         short_config(est_period=70e-6)  # not a multiple of dt_sim
+    with pytest.raises(ValueError):
+        short_config(dt_sim=0.0)
     with pytest.raises(ValueError):
         ScenarioEvent(time=0.0, kind="set_vg", value=1.0)
 
@@ -197,8 +224,11 @@ def test_timeseries_csv_round_trip(tmp_path):
     path = tmp_path / "ts.csv"
     res.series.to_csv(path)
     s2 = TimeSeries.from_csv(path)
-    np.testing.assert_allclose(s2.p_pcc, res.series.p_pcc, rtol=1e-11)
-    np.testing.assert_allclose(s2.t, res.series.t, atol=1e-9)
+    for col in TIMESERIES_COLUMNS:  # NaN estimate columns compare equal
+        np.testing.assert_array_equal(getattr(s2, col), getattr(res.series, col))
+    path.write_text(path.read_text().replace("p_pcc", "p", 1))
+    with pytest.raises(ValueError, match="header"):
+        TimeSeries.from_csv(path)
 
 
 def test_scenario_json_round_trip(tmp_path):
@@ -210,3 +240,7 @@ def test_scenario_json_round_trip(tmp_path):
     cfg2, events2 = load_scenario(path)
     assert cfg2 == cfg
     assert events2 == events
+    # files from older versions carry a simulator seed, which is ignored
+    doc = scenario_to_dict(cfg, events)
+    doc["sim"]["seed"] = 3
+    assert scenario_from_dict(doc) == (cfg, events)
