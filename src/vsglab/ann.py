@@ -20,6 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .grid import scr_to_impedance, solve_operating_point, InfeasibleOperatingPointError
+from .tables import read_table, write_table
 
 MODEL_FILE_VERSION = 1
 
@@ -74,10 +75,6 @@ class MlpModel:
     @property
     def n_params(self) -> int:
         return self.w1.size + self.b1.size + self.w2.size + self.b2.size
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
-                        self.hidden_activation, self.output_activation)
 
     def flat_weights(self) -> np.ndarray:
         return np.concatenate([self.w1.ravel(), self.b1, self.w2.ravel(), self.b2])
@@ -501,25 +498,22 @@ def train_on_dataset(ds_train: Dataset, ds_val: Dataset, ds_test: Dataset,
     return model, norm, report
 
 
-def save_dataset_csv(path: str | Path, ds: Dataset) -> None:
-    """CSV with 100 voltage + 100 current input columns, targets, metadata."""
-    import csv
+def _dataset_columns(n_win: int) -> list[str]:
+    """Header of a dataset CSV: voltage and current windows, targets, metadata."""
+    return ([f"v_{j:03d}" for j in range(n_win)] + [f"i_{j:03d}" for j in range(n_win)]
+            + ["r_g", "l_g", "scr", "xr_ratio", "p_ref", "q_ref", "t0"])
 
-    n_win = ds.inputs.shape[1] // 2
-    header = ([f"v_{j:03d}" for j in range(n_win)] + [f"i_{j:03d}" for j in range(n_win)]
-              + ["r_g", "l_g", "scr", "xr_ratio", "p_ref", "q_ref", "t0"])
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for k in range(len(ds)):
-            row = list(ds.inputs[k]) + list(ds.targets[k]) + [
-                ds.scr[k], ds.xr_ratio[k], ds.p_ref[k], ds.q_ref[k], ds.t0[k]]
-            w.writerow([f"{v:.17g}" for v in row])
+
+def save_dataset_csv(path: str | Path, ds: Dataset) -> None:
+    meta = np.column_stack([ds.targets, ds.scr, ds.xr_ratio, ds.p_ref, ds.q_ref, ds.t0])
+    write_table(path, _dataset_columns(ds.inputs.shape[1] // 2),
+                (x.tolist() + m.tolist() for x, m in zip(ds.inputs, meta)))
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n_win = (data.shape[1] - 7) // 2
+    with open(path) as f:  # the header's width gives the window length it must spell out
+        n_win = (f.readline().count(",") - 6) // 2
+    data = read_table(path, _dataset_columns(n_win))
     k = 2 * n_win
     return Dataset(inputs=data[:, :k], targets=data[:, k:k + 2],
                    scr=data[:, k + 2], xr_ratio=data[:, k + 3],
@@ -568,46 +562,27 @@ def load_model(path: str | Path) -> tuple[MlpModel, Normalizer]:
 
 def export_diagnostics(report: TrainReport, outdir: str | Path) -> list[Path]:
     """Write training-trace, histogram, and regression CSVs; returns paths."""
-    import csv
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    p = outdir / "training_trace.csv"
-    with open(p, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "train_mse", "val_mse", "test_mse", "grad_norm", "mu", "val_checks"])
-        for i in range(report.epochs_run):
-            w.writerow([i + 1, f"{report.train_mse[i]:.12g}", f"{report.val_mse[i]:.12g}",
-                        f"{report.test_mse[i]:.12g}", f"{report.grad_norm[i]:.12g}",
-                        f"{report.mu[i]:.12g}", report.val_checks[i]])
-    paths.append(p)
-
-    p = outdir / "error_histogram.csv"
-    with open(p, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["split", "bin_left", "bin_right", "count"])
-        for name, counts in report.hist_counts.items():
-            for j, cnt in enumerate(counts):
-                w.writerow([name, f"{report.hist_bin_edges[j]:.12g}",
-                            f"{report.hist_bin_edges[j + 1]:.12g}", int(cnt)])
-    paths.append(p)
-
-    p = outdir / "regression.csv"
-    with open(p, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["split", "slope", "intercept", "r"])
-        for name, (slope, intercept, r) in report.regression.items():
-            w.writerow([name, f"{slope:.12g}", f"{intercept:.12g}", f"{r:.12g}"])
-    paths.append(p)
-
-    p = outdir / "regression_scatter.csv"
-    with open(p, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["split", "target", "prediction"])
-        for name, (t, pr) in report.scatter.items():
-            for tv, pv in zip(t, pr):
-                w.writerow([name, f"{tv:.12g}", f"{pv:.12g}"])
-    paths.append(p)
-    return paths
+    edges = report.hist_bin_edges.tolist()
+    tables = {
+        "training_trace.csv": (
+            ["epoch", "train_mse", "val_mse", "test_mse", "grad_norm", "mu", "val_checks"],
+            zip(range(1, report.epochs_run + 1), report.train_mse, report.val_mse,
+                report.test_mse, report.grad_norm, report.mu, report.val_checks)),
+        "error_histogram.csv": (
+            ["split", "bin_left", "bin_right", "count"],
+            ((name, edges[j], edges[j + 1], cnt)
+             for name, counts in report.hist_counts.items()
+             for j, cnt in enumerate(counts.tolist()))),
+        "regression.csv": (
+            ["split", "slope", "intercept", "r"],
+            ((name, *fit) for name, fit in report.regression.items())),
+        "regression_scatter.csv": (
+            ["split", "target", "prediction"],
+            ((name, tv, pv) for name, (t, pr) in report.scatter.items()
+             for tv, pv in zip(t.tolist(), pr.tolist()))),
+    }
+    for name, (columns, rows) in tables.items():
+        write_table(outdir / name, columns, rows)
+    return [outdir / name for name in tables]

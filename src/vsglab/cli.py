@@ -8,21 +8,18 @@ and exits nonzero on error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
+import dataclasses
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import ann, presets
-from .estimator import EstimateRecord, ESTIMATE_LOG_COLUMNS, write_estimate_log_csv
+from .estimator import read_estimate_log_csv, write_estimate_log_csv
 from .grid import (JacobianPQ, scr_to_impedance, solve_operating_point, jacobian)
 from .report import build_comparison, render_text, write_csv
 from .sim import (SimConfig, ScenarioEvent, TimeSeries, run_scenario,
                   impedance_schedule, load_scenario, save_scenario)
-from .smallsignal import (DesignTargets, VsgGains, schedule_gains, open_loop_p,
+from .smallsignal import (DesignTargets, schedule_gains, open_loop_p,
                           bode, phase_margin, p_loop_info, q_loop_info,
                           write_frequency_response_csv)
 
@@ -110,7 +107,7 @@ def cmd_simulate(args) -> int:
     if args.config:
         cfg, events = load_scenario(args.config)
         if args.mode:
-            cfg = SimConfig(**{**cfg.__dict__, "mode": args.mode})
+            cfg = dataclasses.replace(cfg, mode=args.mode)
     else:
         cfg = presets.benchmark_config(args.mode or "cvsg")
         events = presets.benchmark_events()
@@ -133,23 +130,6 @@ def _truth_schedule(cfg: SimConfig, events: list[ScenarioEvent]):
     return [(t, z.r_g, z.l_g) for t, z in impedance_schedule(cfg, events)]
 
 
-def _read_estimate_log(path) -> list[tuple[EstimateRecord, float, float, bool]]:
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if tuple(reader.fieldnames or ()) != ESTIMATE_LOG_COLUMNS:
-            raise ValueError(f"{path}: not an estimate log with columns "
-                             f"{','.join(ESTIMATE_LOG_COLUMNS)}")
-        for rec in reader:
-            rows.append((EstimateRecord(t=float(rec["t"]), r_g_hat=float(rec["r_g_hat"]),
-                                        l_g_hat=float(rec["l_g_hat"]),
-                                        window_start=float(rec["window_start"]),
-                                        window_end=float(rec["window_end"])),
-                         float(rec["r_g_true"]), float(rec["l_g_true"]),
-                         bool(int(rec["applied"]))))
-    return rows
-
-
 def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,7 +137,7 @@ def cmd_evaluate(args) -> int:
         presets.benchmark_config("avsg"), presets.benchmark_events())
     cvsg = TimeSeries.from_csv(args.cvsg)
     avsg = TimeSeries.from_csv(args.avsg)
-    estimates = _read_estimate_log(args.estimates) if args.estimates else []
+    estimates = read_estimate_log_csv(args.estimates) if args.estimates else []
     rep = build_comparison(cvsg, avsg, events, estimates,
                            _truth_schedule(cfg, events), cfg.targets)
     text = render_text(rep)

@@ -8,7 +8,6 @@ worth rescheduling gains for.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .ann import MlpModel, Normalizer, forward
+from .tables import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,15 @@ ESTIMATE_LOG_COLUMNS = ("t", "r_g_hat", "l_g_hat", "r_g_true", "l_g_true",
 
 def write_estimate_log_csv(path: str | Path,
                            records: list[tuple[EstimateRecord, float, float, bool]]) -> None:
-    """Rows of (record, r_true, l_true, applied).
+    """Rows of (record, r_true, l_true, applied)."""
+    write_table(path, ESTIMATE_LOG_COLUMNS,
+                ((rec.t, rec.r_g_hat, rec.l_g_hat, r_true, l_true,
+                  rec.window_start, rec.window_end, int(applied))
+                 for rec, r_true, l_true, applied in records))
 
-    Floats are written as their shortest round-trip repr, so the log loads
-    back exactly.
-    """
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(ESTIMATE_LOG_COLUMNS)
-        w.writerows((rec.t, rec.r_g_hat, rec.l_g_hat, r_true, l_true,
-                     rec.window_start, rec.window_end, int(applied))
-                    for rec, r_true, l_true, applied in records)
+
+def read_estimate_log_csv(path: str | Path) -> list[tuple[EstimateRecord, float, float, bool]]:
+    """The rows `write_estimate_log_csv` wrote, with equal values."""
+    return [(EstimateRecord(t, r_hat, l_hat, w_start, w_end), r_true, l_true, bool(applied))
+            for t, r_hat, l_hat, r_true, l_true, w_start, w_end, applied
+            in read_table(path, ESTIMATE_LOG_COLUMNS).tolist()]

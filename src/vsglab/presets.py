@@ -25,8 +25,6 @@ INNER_LOOPS = {
     "voltage": {"response_time_s": 10e-3, "k_p": 0.0628, "k_i": 19.7392},
 }
 
-BENCHMARK_SCR_SCHEDULE = ((0.0, 2.0), (20.0, 8.0), (40.0, 20.0))
-
 
 def benchmark_events(xr_ratio: float = XR_RATIO_DEFAULT) -> list[ScenarioEvent]:
     """Three grid-strength segments with mid-segment setpoint steps."""

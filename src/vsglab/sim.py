@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .grid import (GridImpedance, OperatingPoint, JacobianPQ, scr_to_impedance,
 from .smallsignal import VsgGains, DesignTargets, schedule_gains, SchedulingError
 from .estimator import (OnlineEstimator, OracleEstimator, EstimateRecord,
                         gate_gain_update)
+from .tables import read_table, write_table
 
 SQRT2 = math.sqrt(2.0)
 
@@ -118,20 +119,12 @@ class TimeSeries:
         return len(self.t)
 
     def to_csv(self, path: str | Path) -> None:
-        """Write every value as its shortest round-trip repr, so the file loads back exactly."""
-        rows = np.column_stack([getattr(self, c) for c in TIMESERIES_COLUMNS]).tolist()
-        with open(path, "w") as f:
-            f.write(",".join(TIMESERIES_COLUMNS) + "\n")
-            f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        rows = np.column_stack([getattr(self, c) for c in TIMESERIES_COLUMNS])
+        write_table(path, TIMESERIES_COLUMNS, (row.tolist() for row in rows))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TimeSeries":
-        with open(path) as f:
-            header = tuple(f.readline().rstrip("\r\n").split(","))
-            if header != TIMESERIES_COLUMNS:
-                raise ValueError(f"{path}: header {','.join(header)!r} is not the "
-                                 f"trace header {','.join(TIMESERIES_COLUMNS)!r}")
-            data = np.loadtxt(f, delimiter=",", ndmin=2)
+        data = read_table(path, TIMESERIES_COLUMNS)
         # the transposed view has the same column layout as a trace in memory
         return cls(**dict(zip(TIMESERIES_COLUMNS, data.T)))
 
@@ -356,31 +349,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
 # ---------------------------------------------------------------------------
 
 def scenario_to_dict(cfg: SimConfig, events: list[ScenarioEvent]) -> dict:
-    doc = {
-        "sim": {
-            "duration": cfg.duration, "mode": cfg.mode, "dt_sim": cfg.dt_sim,
-            "est_period": cfg.est_period, "out_period": cfg.out_period,
-            "scr": cfg.scr, "xr_ratio": cfg.xr_ratio,
-            "v_g": cfg.v_g, "s_rated": cfg.s_rated, "omega0": cfg.omega0,
-            "meas_lpf_cutoff": cfg.meas_lpf_cutoff,
-            "estimator_kind": cfg.estimator_kind,
-            "gate_threshold": cfg.gate_threshold,
-            "start_at_equilibrium": cfg.start_at_equilibrium,
-            "gains": {"d_p": cfg.gains.d_p, "k_ip": cfg.gains.k_ip,
-                      "d_q": cfg.gains.d_q, "k_iq": cfg.gains.k_iq},
-            "setpoints": {"p_ref": cfg.setpoints.p_ref, "q_ref": cfg.setpoints.q_ref,
-                          "omega_nom": cfg.setpoints.omega_nom,
-                          "v_nom": cfg.setpoints.v_nom},
-            "targets": {"t_s": cfg.targets.t_s, "xi": cfg.targets.xi,
-                        "q_droop_divisor": cfg.targets.q_droop_divisor},
-        },
-        "events": [
-            {"time": e.time, "kind": e.kind, "value": e.value,
-             **({"xr_ratio": e.xr_ratio} if e.xr_ratio is not None else {})}
-            for e in events
-        ],
-    }
-    return doc
+    return {"sim": asdict(cfg), "events": [asdict(e) for e in events]}
 
 
 def scenario_from_dict(doc: dict) -> tuple[SimConfig, list[ScenarioEvent]]:
@@ -390,8 +359,8 @@ def scenario_from_dict(doc: dict) -> tuple[SimConfig, list[ScenarioEvent]]:
     targets = DesignTargets(**s.pop("targets", {}))
     s.pop("seed", None)  # written by older versions; the simulator draws no random numbers
     cfg = SimConfig(gains=gains, setpoints=setpoints, targets=targets, **s)
-    events = [ScenarioEvent(time=e["time"], kind=e["kind"], value=e["value"],
-                            xr_ratio=e.get("xr_ratio")) for e in doc.get("events", [])]
+    # older versions omit the xr_ratio of an event that keeps the current ratio
+    events = [ScenarioEvent(**e) for e in doc.get("events", [])]
     return cfg, events
 
 

@@ -8,12 +8,13 @@ and the reactive loop at a first-order pole with ~1% steady-state error.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .tables import write_table
 
 
 class DesignRegionError(ValueError):
@@ -139,13 +140,6 @@ def open_loop_p(gains: VsgGains, jac_a: float) -> TransferFunction:
     return control_tf_p(gains).scaled(jac_a)
 
 
-def open_loop_q(gains: VsgGains, jac_d: float) -> TransferFunction:
-    """Reactive open loop: control law times the static Q-V gain D."""
-    if jac_d <= 0.0:
-        raise DesignRegionError(f"D must be > 0, got {jac_d}")
-    return control_tf_q(gains).scaled(jac_d)
-
-
 def closed_loop_p(gains: VsgGains, jac_a: float) -> TransferFunction:
     """Active closed loop: K_ip A / (s^2 + D_p K_ip s + K_ip A)."""
     if jac_a <= 0.0:
@@ -244,8 +238,5 @@ def phase_margin(fr: FrequencyResponse) -> float:
 
 
 def write_frequency_response_csv(fr: FrequencyResponse, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["omega_rad_s", "mag_db", "phase_deg"])
-        for om, mg, ph in zip(fr.omega, fr.mag_db, fr.phase_deg):
-            w.writerow([f"{om:.12g}", f"{mg:.12g}", f"{ph:.12g}"])
+    write_table(path, ("omega_rad_s", "mag_db", "phase_deg"),
+                zip(fr.omega.tolist(), fr.mag_db.tolist(), fr.phase_deg.tolist()))

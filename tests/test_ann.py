@@ -13,6 +13,7 @@ from vsglab.ann import (MlpModel, Normalizer, NormalizationError, TrainConfig,
                         lm_step, train, train_on_dataset, generate_dataset,
                         split_dataset, save_model, load_model,
                         save_dataset_csv, load_dataset_csv, tansig)
+from vsglab.tables import read_table
 
 
 def toy_splits(seed=0, n=80, n_val=20):
@@ -225,10 +226,34 @@ def test_dataset_csv_round_trip(tmp_path):
     path = tmp_path / "ds.csv"
     save_dataset_csv(path, ds)
     ds2 = load_dataset_csv(path)
-    np.testing.assert_allclose(ds2.inputs, ds.inputs, rtol=1e-15)
-    np.testing.assert_allclose(ds2.targets, ds.targets, rtol=1e-15)
-    np.testing.assert_array_equal(ds2.scr, ds.scr)
+    for name in ("inputs", "targets", "scr", "xr_ratio", "p_ref", "q_ref", "t0"):
+        np.testing.assert_array_equal(getattr(ds2, name), getattr(ds, name))
 
+
+def test_diagnostics_csvs_load_back_exactly(tmp_path):
+    ds = generate_dataset(DatasetConfig(n_samples=30, seed=2))
+    _, _, report = train_on_dataset(*split_dataset(ds, seed=2),
+                                    TrainConfig(max_epochs=3, seed=2))
+    ann.export_diagnostics(report, tmp_path)
+    trace = read_table(tmp_path / "training_trace.csv",
+                       ["epoch", "train_mse", "val_mse", "test_mse", "grad_norm", "mu",
+                        "val_checks"])
+    np.testing.assert_array_equal(trace.T, [range(1, report.epochs_run + 1),
+                                            report.train_mse, report.val_mse,
+                                            report.test_mse, report.grad_norm,
+                                            report.mu, report.val_checks])
+
+    def rows(name):  # the split name leads; every other field is a number
+        lines = (tmp_path / name).read_text().splitlines()[1:]
+        return [(split, *map(float, rest)) for split, *rest in (ln.split(",") for ln in lines)]
+
+    edges = report.hist_bin_edges
+    assert rows("error_histogram.csv") == [
+        (name, edges[j], edges[j + 1], c)
+        for name, counts in report.hist_counts.items() for j, c in enumerate(counts)]
+    assert rows("regression.csv") == [(name, *fit) for name, fit in report.regression.items()]
+    assert rows("regression_scatter.csv") == [
+        (name, tv, pv) for name, (t, pr) in report.scatter.items() for tv, pv in zip(t, pr)]
 
 def test_model_save_load_round_trip(tmp_path):
     ds = generate_dataset(DatasetConfig(n_samples=30, seed=2))

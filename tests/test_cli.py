@@ -103,3 +103,34 @@ def test_evaluate_from_saved_traces(tmp_path):
     assert rc in (0, 1)
     assert (tmp_path / "report.txt").exists()
     assert (tmp_path / "report.csv").exists()
+
+
+def test_evaluate_rejects_header_only_trace(tmp_path, capsys):
+    sc = tmp_path / "scenario.json"
+    short_scenario(sc)
+    assert main(["simulate", "--config", str(sc), "--out", str(tmp_path)]) == 0
+    trace = tmp_path / "timeseries_cvsg.csv"
+    empty = tmp_path / "empty.csv"
+    empty.write_text(trace.read_text().splitlines()[0] + "\n")
+    assert main(["evaluate", "--cvsg", str(empty), "--avsg", str(trace),
+                 "--out", str(tmp_path)]) == 2
+    assert "no data row" in capsys.readouterr().err
+
+
+def test_train_rejects_header_only_dataset(tmp_path, capsys):
+    ds_path = tmp_path / "ds.csv"
+    assert main(["dataset", "--out", str(ds_path), "--n", "20", "--seed", "0"]) == 0
+    ds_path.write_text(ds_path.read_text().splitlines()[0] + "\n")
+    assert main(["train", "--dataset", str(ds_path), "--out", str(tmp_path)]) == 2
+    assert "no data row" in capsys.readouterr().err
+
+
+def test_train_rejects_dataset_with_foreign_header(tmp_path, capsys):
+    # nine columns parse as 1-sample windows; only the header tells them apart
+    rng = np.random.default_rng(0)
+    ds_path = tmp_path / "other.csv"
+    rows = np.column_stack([rng.normal(size=(40, 2)), rng.uniform(0.1, 1.0, (40, 7))])
+    ds_path.write_text("a,b,c,d,e,f,g,h,i\n"
+                       + "".join(",".join(map(str, r)) + "\n" for r in rows.tolist()))
+    assert main(["train", "--dataset", str(ds_path), "--out", str(tmp_path)]) == 2
+    assert "header" in capsys.readouterr().err

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from vsglab.ann import MlpModel, Normalizer
-from vsglab.cli import _read_estimate_log
 from vsglab.estimator import (EstimateRecord, OnlineEstimator, OracleEstimator,
-                              gate_gain_update, write_estimate_log_csv)
+                              gate_gain_update, read_estimate_log_csv,
+                              write_estimate_log_csv)
 
 DT = 200e-6
 
@@ -122,4 +122,4 @@ def test_estimate_log_csv(tmp_path):
     assert lines[0] == "t,r_g_hat,l_g_hat,r_g_true,l_g_true,window_start,window_end,applied"
     assert lines[1].startswith("0.02,0.7,0.011,")
     assert lines[1].endswith(",1")
-    assert _read_estimate_log(path) == records
+    assert read_estimate_log_csv(path) == records

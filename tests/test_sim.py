@@ -1,5 +1,6 @@
 """Integrator, waveform synthesis, and the quasi-static scenario runner."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from vsglab.sim import (TIMESERIES_COLUMNS, Setpoints, ScenarioEvent, SimConfig,
                         impedance_schedule, run_scenario, scenario_to_dict,
                         scenario_from_dict, save_scenario, load_scenario)
 from vsglab.cli import _truth_schedule
-from vsglab.smallsignal import VsgGains
+from vsglab.smallsignal import DesignTargets, VsgGains
 
 GAINS = VsgGains(d_p=2087.0, k_ip=0.00767, d_q=0.687, k_iq=0.115)
 OMEGA0 = 100.0 * math.pi
@@ -226,13 +227,26 @@ def test_timeseries_csv_round_trip(tmp_path):
     s2 = TimeSeries.from_csv(path)
     for col in TIMESERIES_COLUMNS:  # NaN estimate columns compare equal
         np.testing.assert_array_equal(getattr(s2, col), getattr(res.series, col))
-    path.write_text(path.read_text().replace("p_pcc", "p", 1))
+    header = path.read_text().splitlines()[0]
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match="no data row"):
+        TimeSeries.from_csv(path)
+    path.write_text(header.replace("p_pcc", "p", 1) + "\n0.0\n")
     with pytest.raises(ValueError, match="header"):
         TimeSeries.from_csv(path)
 
 
 def test_scenario_json_round_trip(tmp_path):
-    cfg = short_config(mode="avsg", estimator_kind="oracle")
+    cfg = SimConfig(duration=3.0, mode="avsg", dt_sim=100e-6, est_period=400e-6,
+                    out_period=2e-3, gains=VsgGains(1000.0, 0.01, 0.5, 0.2),
+                    setpoints=Setpoints(1500.0, 500.0, omega_nom=99.0 * math.pi, v_nom=115.0),
+                    scr=4.0, xr_ratio=7.0, v_g=120.0, s_rated=6000.0,
+                    omega0=101.0 * math.pi, meas_lpf_cutoff=200.0, estimator_kind="oracle",
+                    gate_threshold=0.1, targets=DesignTargets(2.0, 0.8, 50.0),
+                    start_at_equilibrium=False)
+    defaults = SimConfig(duration=1.0)
+    assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(SimConfig))
     events = [ScenarioEvent(time=0.5, kind="set_scr", value=8.0, xr_ratio=5.0),
               ScenarioEvent(time=1.0, kind="set_p_ref", value=2500.0)]
     path = tmp_path / "scenario.json"
@@ -240,7 +254,9 @@ def test_scenario_json_round_trip(tmp_path):
     cfg2, events2 = load_scenario(path)
     assert cfg2 == cfg
     assert events2 == events
-    # files from older versions carry a simulator seed, which is ignored
+    # files from older versions carry a simulator seed, which is ignored, and
+    # omit the ratio of an event that keeps the current one
     doc = scenario_to_dict(cfg, events)
     doc["sim"]["seed"] = 3
+    del doc["events"][1]["xr_ratio"]
     assert scenario_from_dict(doc) == (cfg, events)

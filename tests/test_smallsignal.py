@@ -13,7 +13,8 @@ from vsglab.smallsignal import (VsgGains, DesignTargets, TransferFunction,
                                 control_tf_p, control_tf_q, open_loop_p,
                                 closed_loop_p, closed_loop_q, p_loop_info,
                                 q_loop_info, schedule_gains, bode, phase_margin,
-                                default_omega_grid)
+                                default_omega_grid, write_frequency_response_csv)
+from vsglab.tables import read_table
 
 BASELINE = VsgGains(d_p=2087.0, k_ip=0.00767, d_q=0.687, k_iq=0.115)
 
@@ -132,6 +133,14 @@ def test_phase_margin_requires_crossover():
     # static gain below unity never crosses 0 dB
     with pytest.raises(NoCrossoverError):
         phase_margin(bode(TransferFunction(num=(0.5,), den=(1.0,))))
+
+
+def test_frequency_response_csv_loads_back_exactly(tmp_path):
+    fr = bode(open_loop_p(BASELINE, 10000.0))
+    path = tmp_path / "bode.csv"
+    write_frequency_response_csv(fr, path)
+    data = read_table(path, ["omega_rad_s", "mag_db", "phase_deg"])
+    np.testing.assert_array_equal(data.T, [fr.omega, fr.mag_db, fr.phase_deg])
 
 
 def test_bode_of_product_is_sum_of_factors():
