@@ -24,6 +24,12 @@ from .tables import read_table, write_table
 
 MODEL_FILE_VERSION = 1
 
+# The estimator input: one fundamental cycle (20 ms at 50 Hz) of PCC voltage
+# and current, WINDOW_LEN samples of each at SAMPLE_DT.  The dataset, both
+# estimators and the simulator's sampling all read these two constants.
+WINDOW_LEN = 100
+SAMPLE_DT = 200e-6
+
 
 class TrainingFailureError(RuntimeError):
     """Training diverged; the partial report is attached as `.report`."""
@@ -153,9 +159,9 @@ def error_jacobian(model: MlpModel, x: np.ndarray, y: np.ndarray
     return np.hstack([j_w1, j_b1, j_w2, j_b2]), e
 
 
-def _accumulate_normal_equations(model: MlpModel, x: np.ndarray, y: np.ndarray,
-                                 chunk: int = 512):
-    """(J^T J, J^T e, SSE) accumulated over sample chunks in a fixed order."""
+def _accumulate_normal_equations(model: MlpModel, x: np.ndarray, y: np.ndarray):
+    """(J^T J, J^T e, SSE) accumulated over 512-sample chunks in a fixed order."""
+    chunk = 512
     n_params = model.n_params
     g = np.zeros((n_params, n_params))
     v = np.zeros(n_params)
@@ -244,9 +250,6 @@ class Normalizer:
     def transform_x(self, x: np.ndarray) -> np.ndarray:
         return (x - self.x_mean) / self.x_std
 
-    def inverse_x(self, xn: np.ndarray) -> np.ndarray:
-        return xn * self.x_std + self.x_mean
-
     def transform_y(self, y: np.ndarray) -> np.ndarray:
         if self.target_transform == "log":
             y = np.log(y)
@@ -261,7 +264,7 @@ class Normalizer:
 class Dataset:
     """Waveform windows and impedance targets, with generation metadata."""
 
-    inputs: np.ndarray    # (N, 200): 100 voltage then 100 current samples
+    inputs: np.ndarray    # (N, 2 * WINDOW_LEN): voltage then current samples
     targets: np.ndarray   # (N, 2): R_g [ohm], L_g [H]
     scr: np.ndarray       # (N,)
     xr_ratio: np.ndarray  # (N,)
@@ -295,8 +298,6 @@ class DatasetConfig:
     v_g: float = 110.0
     s_rated: float = 5000.0
     omega0: float = 100.0 * math.pi
-    window_len: int = 100
-    sample_dt: float = 200e-6
     # "aligned": windows start where the online tumbling buffer does (first
     # sample one period into the cycle); "random": uniform start phase.
     window_phase: str = "aligned"
@@ -317,7 +318,7 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
     rng = np.random.default_rng(cfg.seed)
     cycle = 2.0 * math.pi / cfg.omega0
     n = cfg.n_samples
-    inputs = np.empty((n, 2 * cfg.window_len))
+    inputs = np.empty((n, 2 * WINDOW_LEN))
     targets = np.empty((n, 2))
     scr_col = np.empty(n)
     xr_col = np.empty(n)
@@ -333,18 +334,18 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
         if cfg.window_phase == "random":
             t0 = float(rng.uniform(0.0, cycle))
         else:
-            t0 = cfg.sample_dt
+            t0 = SAMPLE_DT
         z = scr_to_impedance(scr, xr, cfg.v_g, cfg.s_rated, cfg.omega0)
         try:
             op = solve_operating_point(p_ref, q_ref, z, cfg.v_g)
         except InfeasibleOperatingPointError:
             continue  # resample
-        v_s, i_s = synth_waveforms(op, z, cfg.window_len, cfg.sample_dt, t0)
+        v_s, i_s = synth_waveforms(op, z, WINDOW_LEN, SAMPLE_DT, t0)
         if cfg.noise_std > 0.0:
-            v_s = v_s + rng.normal(0.0, cfg.noise_std, cfg.window_len)
-            i_s = i_s + rng.normal(0.0, cfg.noise_std, cfg.window_len)
-        inputs[i, :cfg.window_len] = v_s
-        inputs[i, cfg.window_len:] = i_s
+            v_s = v_s + rng.normal(0.0, cfg.noise_std, WINDOW_LEN)
+            i_s = i_s + rng.normal(0.0, cfg.noise_std, WINDOW_LEN)
+        inputs[i, :WINDOW_LEN] = v_s
+        inputs[i, WINDOW_LEN:] = i_s
         targets[i] = (z.r_g, z.l_g)
         scr_col[i], xr_col[i] = scr, xr
         p_col[i], q_col[i], t0_col[i] = p_ref, q_ref, t0
@@ -352,15 +353,12 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
     return Dataset(inputs, targets, scr_col, xr_col, p_col, q_col, t0_col)
 
 
-def split_dataset(ds: Dataset, fractions: tuple[float, float, float] = (0.7, 0.15, 0.15),
-                  seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
-    """Seeded shuffle, then contiguous train/val/test split."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+def split_dataset(ds: Dataset, seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
+    """Seeded shuffle, then contiguous 70/15/15 % train/val/test split."""
     n = len(ds)
     perm = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(0.7 * n))
+    n_val = int(round(0.15 * n))
     if n_train == 0 or n_val == 0 or n - n_train - n_val == 0:
         raise ValueError("a split would be empty")
     return (ds.take(perm[:n_train]), ds.take(perm[n_train:n_train + n_val]),
@@ -390,11 +388,11 @@ def _mse(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _finalize_report(report: TrainReport, model: MlpModel,
-                     splits: dict[str, tuple[np.ndarray, np.ndarray]],
-                     n_bins: int = 20) -> None:
+                     splits: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
+    """Error histogram (20 bins shared by all splits), regression fits and scatter."""
     errors = {name: (forward(model, x) - y).ravel() for name, (x, y) in splits.items()}
     all_err = np.concatenate(list(errors.values()))
-    edges = np.histogram_bin_edges(all_err, bins=n_bins)
+    edges = np.histogram_bin_edges(all_err, bins=20)
     report.hist_bin_edges = edges
     for name, (x, y) in splits.items():
         report.hist_counts[name] = np.histogram(errors[name], bins=edges)[0]
@@ -409,9 +407,9 @@ def _finalize_report(report: TrainReport, model: MlpModel,
 def train(train_split: tuple[np.ndarray, np.ndarray],
           val_split: tuple[np.ndarray, np.ndarray],
           test_split: tuple[np.ndarray, np.ndarray],
-          cfg: TrainConfig = TrainConfig(),
-          model: MlpModel | None = None) -> tuple[MlpModel, TrainReport]:
-    """Full-batch LM training on already-normalized splits.
+          cfg: TrainConfig = TrainConfig()) -> tuple[MlpModel, TrainReport]:
+    """Full-batch LM training on already-normalized splits, from the seeded
+    initial weights of :func:`init_model`.
 
     Callers normalize with a :class:`Normalizer` fitted on the training
     split; :func:`train_on_dataset` wraps both steps.
@@ -420,8 +418,7 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
         if np.atleast_2d(x).shape[0] == 0:
             raise ValueError(f"{name} split is empty")
     x_tr, y_tr = (np.atleast_2d(a) for a in train_split)
-    if model is None:
-        model = init_model(x_tr.shape[1], cfg.n_hidden, y_tr.shape[1], cfg.seed)
+    model = init_model(x_tr.shape[1], cfg.n_hidden, y_tr.shape[1], cfg.seed)
     splits = {"train": (x_tr, y_tr),
               "val": tuple(np.atleast_2d(a) for a in val_split),
               "test": tuple(np.atleast_2d(a) for a in test_split)}
@@ -488,33 +485,30 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
 
 
 def train_on_dataset(ds_train: Dataset, ds_val: Dataset, ds_test: Dataset,
-                     cfg: TrainConfig = TrainConfig(),
-                     target_transform: str = "log"
+                     cfg: TrainConfig = TrainConfig()
                      ) -> tuple[MlpModel, Normalizer, TrainReport]:
-    """Fit the normalizer on the training split, z-score, and train."""
-    norm = Normalizer.fit(ds_train.inputs, ds_train.targets, target_transform)
+    """Fit the normalizer (log targets) on the training split, z-score, and train."""
+    norm = Normalizer.fit(ds_train.inputs, ds_train.targets)
     mk = lambda d: (norm.transform_x(d.inputs), norm.transform_y(d.targets))
     model, report = train(mk(ds_train), mk(ds_val), mk(ds_test), cfg)
     return model, norm, report
 
 
-def _dataset_columns(n_win: int) -> list[str]:
-    """Header of a dataset CSV: voltage and current windows, targets, metadata."""
-    return ([f"v_{j:03d}" for j in range(n_win)] + [f"i_{j:03d}" for j in range(n_win)]
-            + ["r_g", "l_g", "scr", "xr_ratio", "p_ref", "q_ref", "t0"])
+# header of a dataset CSV: voltage and current windows, targets, metadata
+DATASET_COLUMNS = tuple([f"v_{j:03d}" for j in range(WINDOW_LEN)]
+                        + [f"i_{j:03d}" for j in range(WINDOW_LEN)]
+                        + ["r_g", "l_g", "scr", "xr_ratio", "p_ref", "q_ref", "t0"])
 
 
 def save_dataset_csv(path: str | Path, ds: Dataset) -> None:
     meta = np.column_stack([ds.targets, ds.scr, ds.xr_ratio, ds.p_ref, ds.q_ref, ds.t0])
-    write_table(path, _dataset_columns(ds.inputs.shape[1] // 2),
+    write_table(path, DATASET_COLUMNS,
                 (x.tolist() + m.tolist() for x, m in zip(ds.inputs, meta)))
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:
-    with open(path) as f:  # the header's width gives the window length it must spell out
-        n_win = (f.readline().count(",") - 6) // 2
-    data = read_table(path, _dataset_columns(n_win))
-    k = 2 * n_win
+    data = read_table(path, DATASET_COLUMNS)
+    k = 2 * WINDOW_LEN
     return Dataset(inputs=data[:, :k], targets=data[:, k:k + 2],
                    scr=data[:, k + 2], xr_ratio=data[:, k + 3],
                    p_ref=data[:, k + 4], q_ref=data[:, k + 5], t0=data[:, k + 6])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ann import MlpModel, Normalizer, forward
+from .ann import SAMPLE_DT, WINDOW_LEN, MlpModel, Normalizer, forward
 from .tables import read_table, write_table
 
 
@@ -31,23 +31,21 @@ class OnlineEstimator:
     """Single-producer buffer-and-infer pipeline (not thread-safe).
 
     Samples must arrive at the estimator sample period (one accepted
-    sample per `sample_dt`); a non-finite sample invalidates the current
+    sample per `SAMPLE_DT`); a non-finite sample invalidates the current
     window and the fill restarts.
     """
 
-    def __init__(self, model: MlpModel, norm: Normalizer,
-                 window_len: int = 100, sample_dt: float = 200e-6):
-        if model.w1.shape[1] != 2 * window_len:
-            raise ValueError("model input size must be twice the window length")
+    def __init__(self, model: MlpModel, norm: Normalizer):
+        if model.w1.shape[1] != 2 * WINDOW_LEN:
+            raise ValueError(f"model takes {model.w1.shape[1]} inputs, the estimator "
+                             f"window gives {2 * WINDOW_LEN} ({WINDOW_LEN} of v and of i)")
         self.model = model
         self.norm = norm
-        self._open_buffer(window_len, sample_dt)
+        self._open_buffer()
 
-    def _open_buffer(self, window_len: int, sample_dt: float) -> None:
-        self.window_len = window_len
-        self.sample_dt = sample_dt
-        self._v = np.empty(window_len)
-        self._i = np.empty(window_len)
+    def _open_buffer(self) -> None:
+        self._v = np.empty(WINDOW_LEN)
+        self._i = np.empty(WINDOW_LEN)
         self.reset()
 
     def reset(self) -> None:
@@ -67,11 +65,11 @@ class OnlineEstimator:
             return None
         if self._fill == 0:
             # the window opens one sample period before its first sample
-            self._window_start = t - self.sample_dt
+            self._window_start = t - SAMPLE_DT
         self._v[self._fill] = v
         self._i[self._fill] = i
         self._fill += 1
-        if self._fill < self.window_len:
+        if self._fill < WINDOW_LEN:
             return None
         r_g, l_g = self._infer()
         rec = EstimateRecord(t=t, r_g_hat=r_g, l_g_hat=l_g,
@@ -87,9 +85,9 @@ class OracleEstimator(OnlineEstimator):
     control correctness from estimation error.
     """
 
-    def __init__(self, window_len: int = 100, sample_dt: float = 200e-6):
+    def __init__(self):
         self.truth: tuple[float, float] = (math.nan, math.nan)
-        self._open_buffer(window_len, sample_dt)
+        self._open_buffer()
 
     def _infer(self) -> tuple[float, float]:
         return self.truth

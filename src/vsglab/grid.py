@@ -53,10 +53,6 @@ class GridImpedance:
     def from_rx(cls, r_g: float, x_g: float, omega0: float = OMEGA0_DEFAULT) -> "GridImpedance":
         return cls(r_g=r_g, x_g=x_g, l_g=x_g / omega0, omega0=omega0)
 
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.r_g, self.x_g)
-
 
 @dataclass(frozen=True)
 class OperatingPoint:
@@ -150,25 +146,19 @@ def scr_to_impedance(scr: float, xr_ratio: float, v_g: float, s_rated: float,
     return GridImpedance(r_g=r_g, x_g=x_g, l_g=x_g / omega0, omega0=omega0)
 
 
-def impedance_to_scr(z: GridImpedance, v_g: float, s_rated: float) -> float:
-    """Inverse of :func:`scr_to_impedance` (magnitude only)."""
-    return 3.0 * v_g * v_g / (z.magnitude * s_rated)
-
-
 def solve_operating_point(p_target: float, q_target: float, z: GridImpedance,
-                          v_g: float, *, tol: float = 1e-9, max_iter: int = 50,
-                          scale: float | None = None, d_q: float = 0.0,
+                          v_g: float, *, tol: float = 1e-9, d_q: float = 0.0,
                           v_nom: float = 0.0) -> OperatingPoint:
     """Damped Newton solve of the power-flow equations for (delta, V_pcc).
 
     Solves P = p_target and Q + d_q (V_pcc - v_nom) = q_target; a nonzero
     Q-V droop gain `d_q` gives the steady state of the VSG outer loops,
     and `v_nom` matters only then.  Searches |delta| < pi/2, V_pcc in
-    [0.5, 1.5] v_g.  `scale` sets the power level against which the
-    residual tolerance is relative (defaults to max(|P|, |Q|, 1)).
+    [0.5, 1.5] v_g for at most 50 Newton steps.  The residual tolerance
+    `tol` is relative to max(|P|, |Q|, 1).
     """
-    if scale is None:
-        scale = max(abs(p_target), abs(q_target), 1.0)
+    max_iter = 50
+    scale = max(abs(p_target), abs(q_target), 1.0)
     delta, v = 0.0, v_g
 
     def residual(d: float, vv: float) -> tuple[float, float, float]:

@@ -76,11 +76,10 @@ def percent_overshoot(t: np.ndarray, y: np.ndarray, t_event: float,
     return max(float(rel.max()), 0.0) * 100.0
 
 
-def steady_value(t: np.ndarray, y: np.ndarray, t_start: float, t_end: float,
-                 tail_frac: float = 0.25) -> float:
-    """Mean of the last `tail_frac` of the window; the measured final value."""
+def steady_value(t: np.ndarray, y: np.ndarray, t_start: float, t_end: float) -> float:
+    """Mean of the last quarter of the window; the measured final value."""
     tw, yw = _window(t, y, t_start, t_end)
-    n = max(1, int(round(tail_frac * len(yw))))
+    n = max(1, int(round(0.25 * len(yw))))
     return float(yw[-n:].mean())
 
 
@@ -123,14 +122,15 @@ class SegmentEstimationStats:
 
 def estimation_metrics(estimates: list[tuple[EstimateRecord, float, float, bool]],
                        truth_schedule: list[tuple[float, float, float]],
-                       t_end: float, tolerance: float = 0.10
-                       ) -> list[SegmentEstimationStats]:
+                       t_end: float) -> list[SegmentEstimationStats]:
     """Per constant-impedance segment error statistics.
 
     `truth_schedule` is a list of (segment start time, r_true, l_true);
     steady-state errors use the median estimate over the second half of
     each segment (clean windows only: window fully inside the segment).
+    The detection delay runs to the first estimate within 10 % in both R and L.
     """
+    tolerance = 0.10
     stats = []
     for si, (t0, r_true, l_true) in enumerate(truth_schedule):
         t1 = truth_schedule[si + 1][0] if si + 1 < len(truth_schedule) else t_end

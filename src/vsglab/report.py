@@ -6,8 +6,6 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .estimator import EstimateRecord
 from .metrics import (StepMetrics, step_metrics, oscillation_energy,
                       estimation_metrics, SegmentEstimationStats)
@@ -48,18 +46,16 @@ def build_comparison(cvsg: TimeSeries, avsg: TimeSeries,
                      events: list[ScenarioEvent],
                      estimates: list[tuple[EstimateRecord, float, float, bool]],
                      truth_schedule: list[tuple[float, float, float]],
-                     targets: DesignTargets = DesignTargets(),
-                     band: float = 0.02,
-                     settling_tol_frac: float = 0.10,
-                     overshoot_tol_pp: float = 1.0) -> ComparisonReport:
+                     targets: DesignTargets = DesignTargets()) -> ComparisonReport:
     """Per-event metrics for both modes plus estimation statistics.
 
-    AVSG passes when every later P-step settles within `settling_tol_frac`
-    of its weak-grid P-step value, Q-steps settle within the same fraction
-    of the analytic first-order value, and overshoot is consistent to
-    `overshoot_tol_pp` percentage points per loop.  Oscillation energy is
+    Settling times are to a 2 % band.  AVSG passes when every later P-step
+    settles within 10 % of its weak-grid P-step value, Q-steps settle within
+    the same fraction of the analytic first-order value, and overshoot is
+    consistent to 1 percentage point per loop.  Oscillation energy is
     reported per event but does not gate the verdict.
     """
+    band, settling_tol_frac, overshoot_tol_pp = 0.02, 0.10, 1.0
     events = sorted(events, key=lambda e: e.time)
     duration = float(avsg.t[-1])
     rows: list[EventComparison] = []

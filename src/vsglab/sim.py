@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ann import SAMPLE_DT
 from .grid import (GridImpedance, OperatingPoint, JacobianPQ, scr_to_impedance,
                    solve_operating_point, _pf, _pf_jac, OMEGA0_DEFAULT)
 from .smallsignal import VsgGains, DesignTargets, schedule_gains, SchedulingError
@@ -63,7 +64,6 @@ class SimConfig:
     duration: float
     mode: str = "cvsg"                  # cvsg | avsg
     dt_sim: float = 50e-6
-    est_period: float = 200e-6
     out_period: float = 1e-3
     gains: VsgGains = field(default_factory=lambda: VsgGains(2087.0, 0.00767, 0.687, 0.115))
     setpoints: Setpoints = field(default_factory=lambda: Setpoints(2000.0, 1000.0))
@@ -85,7 +85,11 @@ class SimConfig:
             raise ValueError(f"mode must be cvsg or avsg, got {self.mode!r}")
         if self.estimator_kind not in ("ann", "oracle"):
             raise ValueError(f"estimator_kind must be ann or oracle")
-        for period, name in ((self.est_period, "est_period"), (self.out_period, "out_period")):
+        # only avsg feeds the estimator, which samples every SAMPLE_DT
+        periods = [(self.out_period, "out_period")]
+        if self.mode == "avsg":
+            periods.append((SAMPLE_DT, f"the estimator sample period {SAMPLE_DT * 1e6:g} us"))
+        for period, name in periods:
             k = period / self.dt_sim
             if abs(k - round(k)) > 1e-9 or round(k) < 1:
                 raise ValueError(f"{name} must be an integer multiple of dt_sim")
@@ -207,19 +211,17 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
 
     estimator = None
     if cfg.mode == "avsg":
-        win = 100
         if cfg.estimator_kind == "oracle":
-            estimator = OracleEstimator(window_len=win, sample_dt=cfg.est_period)
+            estimator = OracleEstimator()
             estimator.truth = (z.r_g, z.l_g)
         else:
             if model is None or norm is None:
                 raise ValueError("avsg mode with the ann estimator needs model and norm")
-            estimator = OnlineEstimator(model, norm, window_len=win,
-                                        sample_dt=cfg.est_period)
+            estimator = OnlineEstimator(model, norm)
 
     h = cfg.dt_sim
     n_steps = int(round(cfg.duration / h))
-    dec_est = int(round(cfg.est_period / h))
+    dec_est = int(round(SAMPLE_DT / h))
     dec_out = int(round(cfg.out_period / h))
     n_out = n_steps // dec_out + 1
 
@@ -358,6 +360,11 @@ def scenario_from_dict(doc: dict) -> tuple[SimConfig, list[ScenarioEvent]]:
     setpoints = Setpoints(**s.pop("setpoints"))
     targets = DesignTargets(**s.pop("targets", {}))
     s.pop("seed", None)  # written by older versions; the simulator draws no random numbers
+    # older versions wrote the estimator sample period, which is now fixed
+    est_period = s.pop("est_period", SAMPLE_DT)
+    if est_period != SAMPLE_DT:
+        raise ValueError(f"est_period {est_period} s is not supported: the estimator "
+                         f"samples every {SAMPLE_DT * 1e6:g} us ({SAMPLE_DT} s)")
     cfg = SimConfig(gains=gains, setpoints=setpoints, targets=targets, **s)
     # older versions omit the xr_ratio of an event that keeps the current ratio
     events = [ScenarioEvent(**e) for e in doc.get("events", [])]

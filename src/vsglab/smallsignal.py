@@ -9,7 +9,7 @@ and the reactive loop at a first-order pole with ~1% steady-state error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -128,11 +128,6 @@ def control_tf_p(gains: VsgGains) -> TransferFunction:
     return TransferFunction(num=(gains.k_ip,), den=(0.0, gains.d_p * gains.k_ip, 1.0))
 
 
-def control_tf_q(gains: VsgGains) -> TransferFunction:
-    """Reactive control law: K_iq / (s + D_q K_iq)."""
-    return TransferFunction(num=(gains.k_iq,), den=(gains.d_q * gains.k_iq, 1.0))
-
-
 def open_loop_p(gains: VsgGains, jac_a: float) -> TransferFunction:
     """Active open loop: control law times the static P-delta gain A."""
     if jac_a <= 0.0:
@@ -154,14 +149,6 @@ def p_loop_info(gains: VsgGains, jac_a: float) -> SecondOrderInfo:
     omega_n = math.sqrt(gains.k_ip * jac_a)
     xi = gains.d_p * gains.k_ip / (2.0 * omega_n)
     return SecondOrderInfo(omega_n=omega_n, xi=xi, t_s_rule=4.0 / (xi * omega_n))
-
-
-def closed_loop_q(gains: VsgGains, jac_d: float) -> TransferFunction:
-    """Reactive closed loop: K_iq D / (s + (D_q + D) K_iq)."""
-    if jac_d <= 0.0:
-        raise DesignRegionError(f"D must be > 0, got {jac_d}")
-    return TransferFunction(num=(gains.k_iq * jac_d,),
-                            den=((gains.d_q + jac_d) * gains.k_iq, 1.0))
 
 
 def q_loop_info(gains: VsgGains, jac_d: float) -> FirstOrderInfo:

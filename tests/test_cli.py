@@ -1,13 +1,20 @@
 """Command-line interface smoke tests on short scenarios."""
 
-import math
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vsglab.ann import DatasetConfig, generate_dataset
 from vsglab.cli import main
-from vsglab.sim import SimConfig, ScenarioEvent, Setpoints, TimeSeries, save_scenario
+from vsglab.sim import (SimConfig, ScenarioEvent, Setpoints, TimeSeries, save_scenario,
+                        scenario_to_dict)
 from vsglab.smallsignal import VsgGains
+from vsglab.tables import write_table
+
+# a trained 200 -> 8 -> 2 estimator kept with the benchmark
+MODEL_FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "model.json"
 
 
 def short_scenario(path, mode="cvsg", duration=2.0, estimator_kind="oracle"):
@@ -134,3 +141,33 @@ def test_train_rejects_dataset_with_foreign_header(tmp_path, capsys):
                        + "".join(",".join(map(str, r)) + "\n" for r in rows.tolist()))
     assert main(["train", "--dataset", str(ds_path), "--out", str(tmp_path)]) == 2
     assert "header" in capsys.readouterr().err
+
+
+def test_train_rejects_dataset_with_another_window_length(tmp_path, capsys):
+    # a well-formed dataset of 50-sample windows (every other sample of the
+    # real one) would train a network the 100-sample estimator cannot use
+    ds = generate_dataset(DatasetConfig(n_samples=40, seed=0))
+    meta = np.column_stack([ds.targets, ds.scr, ds.xr_ratio, ds.p_ref, ds.q_ref, ds.t0])
+    columns = ([f"v_{j:03d}" for j in range(50)] + [f"i_{j:03d}" for j in range(50)]
+               + ["r_g", "l_g", "scr", "xr_ratio", "p_ref", "q_ref", "t0"])
+    ds_path = tmp_path / "ds50.csv"
+    write_table(ds_path, columns, np.hstack([ds.inputs[:, ::2], meta]).tolist())
+    assert main(["train", "--dataset", str(ds_path), "--out", str(tmp_path)]) == 2
+    assert "header" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_simulate_rejects_scenario_with_another_estimator_period(tmp_path, capsys):
+    # sampling every 100 us fills the 100-sample window in half a cycle; the
+    # network then reads R_g about 60 times too low and schedules gains from it
+    cfg = SimConfig(duration=2.0, mode="avsg", dt_sim=50e-6,
+                    gains=VsgGains(2087.0, 0.00767, 0.687, 0.115),
+                    setpoints=Setpoints(2000.0, 1000.0), scr=2.0)
+    doc = scenario_to_dict(cfg, [ScenarioEvent(time=0.5, kind="set_p_ref", value=2500.0)])
+    doc["sim"]["est_period"] = 100e-6
+    sc = tmp_path / "scenario.json"
+    sc.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(sc), "--model", str(MODEL_FIXTURE),
+                 "--out", str(tmp_path)]) == 2
+    assert "every 200 us" in capsys.readouterr().err
+    assert not (tmp_path / "timeseries_avsg.csv").exists()

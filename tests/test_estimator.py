@@ -13,14 +13,13 @@ from vsglab.estimator import (EstimateRecord, OnlineEstimator, OracleEstimator,
 DT = 200e-6
 
 
-def dummy_estimator(window_len=100):
+def dummy_estimator(n_in=200):
     """Identity-free model; only the buffering behavior matters here."""
-    n_in = 2 * window_len
     model = MlpModel(np.zeros((2, n_in)), np.zeros(2), np.zeros((2, 2)),
                      np.array([0.5, 0.01]), hidden_activation="linear")
     norm = Normalizer(np.zeros(n_in), np.ones(n_in), np.zeros(2), np.ones(2),
                       target_transform="identity")
-    return OnlineEstimator(model, norm, window_len=window_len, sample_dt=DT)
+    return OnlineEstimator(model, norm)
 
 
 def push_stream(est, n, t_start=DT):
@@ -64,9 +63,9 @@ def test_non_finite_sample_restarts_window():
 
 
 def test_model_window_size_mismatch_rejected():
-    est = dummy_estimator()
-    with pytest.raises(ValueError):
-        OnlineEstimator(est.model, est.norm, window_len=50)
+    # a network for 50-sample windows cannot read the 100 + 100 sample window
+    with pytest.raises(ValueError, match="100 inputs"):
+        dummy_estimator(n_in=100)
 
 
 def test_oracle_estimator_same_cadence():

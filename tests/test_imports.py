@@ -1,0 +1,44 @@
+"""Every module of the package uses each name it imports (no linter needed)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vsglab"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement that the module never reads.
+
+    A name is read when it is loaded as an identifier anywhere in the module
+    or listed in `__all__`; `from __future__` imports bind no name.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_reported():
+    source = ("from __future__ import annotations\nimport math\nimport numpy as np\n"
+              "from os import path, sep\n__all__ = ['sep']\nprint(np.pi)\n")
+    assert unused_imports(source) == ["math (line 2)", "path (line 4)"]

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from vsglab.grid import (GridImpedance, OperatingPoint, scr_to_impedance,
+from vsglab.grid import (OperatingPoint, scr_to_impedance,
                          power_flow, solve_operating_point,
                          InfeasibleOperatingPointError)
 from vsglab.grid import _pf
 from vsglab.sim import (TIMESERIES_COLUMNS, Setpoints, ScenarioEvent, SimConfig,
-                        TimeSeries, SimResult, NumericFailureError, synth_waveforms,
+                        TimeSeries, NumericFailureError, synth_waveforms,
                         impedance_schedule, run_scenario, scenario_to_dict,
                         scenario_from_dict, save_scenario, load_scenario)
 from vsglab.cli import _truth_schedule
@@ -35,8 +35,8 @@ def test_rk4_order_of_accuracy():
     # cuts the step-to-step trace difference by 2^4
     events = [ScenarioEvent(time=0.0, kind="set_p_ref", value=2500.0),
               ScenarioEvent(time=0.0, kind="set_q_ref", value=1500.0)]
-    runs = [run_scenario(short_config(duration=1.0, dt_sim=h, est_period=8e-3,
-                                      out_period=8e-3), events).series
+    runs = [run_scenario(short_config(duration=1.0, dt_sim=h, out_period=8e-3),
+                         events).series
             for h in (8e-3, 4e-3, 2e-3)]
     for col in ("delta", "omega", "v_cmd"):
         coarse, mid, fine = (getattr(s, col) for s in runs)
@@ -47,7 +47,7 @@ def test_rk4_order_of_accuracy():
 def test_vsg_derivative_signs():
     # from the flat start (delta = 0, V = V_g) no power flows: the P deficit
     # accelerates, the Q deficit raises the voltage, and the angle follows
-    cfg = short_config(duration=1e-3, dt_sim=1e-5, est_period=1e-4, out_period=1e-3,
+    cfg = short_config(duration=1e-3, dt_sim=1e-5, out_period=1e-3,
                        start_at_equilibrium=False)
     s = run_scenario(cfg, []).series
     assert (s.delta[0], s.omega[0], s.v_cmd[0]) == (0.0, OMEGA0, 110.0)
@@ -182,8 +182,11 @@ def test_avsg_ann_requires_model():
 def test_config_validation():
     with pytest.raises(ValueError):
         short_config(mode="manual")
-    with pytest.raises(ValueError):
-        short_config(est_period=70e-6)  # not a multiple of dt_sim
+    with pytest.raises(ValueError, match="sample period 200 us"):
+        # the estimator samples every 200 us, which 125 us steps cannot hit
+        short_config(mode="avsg", estimator_kind="oracle", dt_sim=125e-6)
+    # cvsg feeds no estimator, so only the output period must be a multiple
+    assert short_config(dt_sim=125e-6).dt_sim == 125e-6
     with pytest.raises(ValueError):
         short_config(dt_sim=0.0)
     with pytest.raises(ValueError):
@@ -237,8 +240,8 @@ def test_timeseries_csv_round_trip(tmp_path):
 
 
 def test_scenario_json_round_trip(tmp_path):
-    cfg = SimConfig(duration=3.0, mode="avsg", dt_sim=100e-6, est_period=400e-6,
-                    out_period=2e-3, gains=VsgGains(1000.0, 0.01, 0.5, 0.2),
+    cfg = SimConfig(duration=3.0, mode="avsg", dt_sim=100e-6, out_period=2e-3,
+                    gains=VsgGains(1000.0, 0.01, 0.5, 0.2),
                     setpoints=Setpoints(1500.0, 500.0, omega_nom=99.0 * math.pi, v_nom=115.0),
                     scr=4.0, xr_ratio=7.0, v_g=120.0, s_rated=6000.0,
                     omega0=101.0 * math.pi, meas_lpf_cutoff=200.0, estimator_kind="oracle",
@@ -255,8 +258,13 @@ def test_scenario_json_round_trip(tmp_path):
     assert cfg2 == cfg
     assert events2 == events
     # files from older versions carry a simulator seed, which is ignored, and
-    # omit the ratio of an event that keeps the current one
+    # the estimator sample period, which must be the fixed 200 us; they omit
+    # the ratio of an event that keeps the current one
     doc = scenario_to_dict(cfg, events)
     doc["sim"]["seed"] = 3
+    doc["sim"]["est_period"] = 0.0002
     del doc["events"][1]["xr_ratio"]
     assert scenario_from_dict(doc) == (cfg, events)
+    doc["sim"]["est_period"] = 400e-6
+    with pytest.raises(ValueError, match="every 200 us"):
+        scenario_from_dict(doc)

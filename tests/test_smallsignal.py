@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from vsglab.grid import JacobianPQ, scr_to_impedance, solve_operating_point, jacobian
 from vsglab.smallsignal import (VsgGains, DesignTargets, TransferFunction,
                                 DesignRegionError, SchedulingError, NoCrossoverError,
-                                control_tf_p, control_tf_q, open_loop_p,
-                                closed_loop_p, closed_loop_q, p_loop_info,
+                                control_tf_p, open_loop_p, closed_loop_p, p_loop_info,
                                 q_loop_info, schedule_gains, bode, phase_margin,
                                 default_omega_grid, write_frequency_response_csv)
 from vsglab.tables import read_table
@@ -46,12 +45,6 @@ def test_control_tf_p_integrates_at_dc():
     assert abs(tf(1e-9j)) > 1e8
 
 
-def test_control_tf_q_coefficients():
-    tf = control_tf_q(VsgGains(d_p=1.0, k_ip=1.0, d_q=3.0, k_iq=2.0))
-    assert tf.num == (2.0,)
-    assert tf.den == (6.0, 1.0)
-
-
 def test_transfer_function_validation():
     with pytest.raises(ValueError):
         TransferFunction(num=(1.0,), den=(1.0, 0.0))
@@ -63,7 +56,7 @@ def test_open_loop_requires_positive_static_gain():
     with pytest.raises(DesignRegionError):
         open_loop_p(BASELINE, 0.0)
     with pytest.raises(DesignRegionError):
-        closed_loop_q(BASELINE, -5.0)
+        q_loop_info(BASELINE, -5.0)
 
 
 # --- gain scheduling ---------------------------------------------------------
