@@ -4,8 +4,11 @@ The production network is 200 -> 8 -> 2 (tansig hidden, linear output),
 mapping one cycle of sampled PCC voltage and current (100 + 100 points at
 200 us) to (R_g, L_g).  Inputs and targets are z-scored with statistics
 fitted on the training split only.  Training is full-batch LM with the
-standard accept/reject damping schedule and validation-check early
-stopping.
+standard accept/reject damping schedule, whose constants (MU_INIT,
+MU_DECREASE, MU_INCREASE, MU_MAX, VAL_PATIENCE) are fixed and hashed into
+`TrainConfig.fingerprint`, and validation-check early stopping.  `lm_step`
+and `train` take the same damped step, over the one forward pass that
+`forward` and `error_jacobian` share.
 """
 
 from __future__ import annotations
@@ -105,6 +108,14 @@ def init_model(n_in: int, n_hidden: int, n_out: int, seed: int,
     return MlpModel(w1, b1, w2, b2, hidden_activation=hidden_activation)
 
 
+def _layers(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations (N, H) and outputs (N, K) for an (N, n_in) batch."""
+    act_h = _ACTIVATIONS[model.hidden_activation][0]
+    act_o = _ACTIVATIONS[model.output_activation][0]
+    a1 = act_h(x @ model.w1.T + model.b1)
+    return a1, act_o(a1 @ model.w2.T + model.b2)
+
+
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Network output for a single input vector or an (N, n_in) batch."""
     x = np.asarray(x, dtype=float)
@@ -112,21 +123,8 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     xb = x[None, :] if single else x
     if xb.shape[1] != model.w1.shape[1]:
         raise ValueError(f"expected {model.w1.shape[1]} inputs, got {xb.shape[1]}")
-    act_h = _ACTIVATIONS[model.hidden_activation][0]
-    act_o = _ACTIVATIONS[model.output_activation][0]
-    a1 = act_h(xb @ model.w1.T + model.b1)
-    out = act_o(a1 @ model.w2.T + model.b2)
+    out = _layers(model, xb)[1]
     return out[0] if single else out
-
-
-def _jacobian_blocks(model: MlpModel, x: np.ndarray):
-    """Shared forward pass returning (a1, residual-free out, hidden derivative)."""
-    act_h, dact_h = _ACTIVATIONS[model.hidden_activation]
-    act_o, dact_o = _ACTIVATIONS[model.output_activation]
-    a1 = act_h(x @ model.w1.T + model.b1)        # (N, H)
-    z2 = a1 @ model.w2.T + model.b2              # (N, K)
-    out = act_o(z2)
-    return a1, out, dact_h(a1), dact_o(out)
 
 
 def error_jacobian(model: MlpModel, x: np.ndarray, y: np.ndarray
@@ -143,7 +141,9 @@ def error_jacobian(model: MlpModel, x: np.ndarray, y: np.ndarray
     n, n_in = x.shape
     h = model.w1.shape[0]
     k = model.w2.shape[0]
-    a1, out, g1, g2 = _jacobian_blocks(model, x)
+    a1, out = _layers(model, x)
+    g1 = _ACTIVATIONS[model.hidden_activation][1](a1)   # (N, H)
+    g2 = _ACTIVATIONS[model.output_activation][1](out)  # (N, K)
     e = (out - y).reshape(n * k)
     # sensitivity of output k to hidden pre-activation j: g2[n,k]*W2[k,j]*g1[n,j]
     s = g2[:, :, None] * model.w2[None, :, :] * g1[:, None, :]   # (N, K, H)
@@ -160,53 +160,60 @@ def error_jacobian(model: MlpModel, x: np.ndarray, y: np.ndarray
 
 
 def _accumulate_normal_equations(model: MlpModel, x: np.ndarray, y: np.ndarray):
-    """(J^T J, J^T e, SSE) accumulated over 512-sample chunks in a fixed order."""
+    """(J^T J, J^T e) accumulated over 512-sample chunks in a fixed order."""
     chunk = 512
     n_params = model.n_params
     g = np.zeros((n_params, n_params))
     v = np.zeros(n_params)
-    sse = 0.0
     for lo in range(0, x.shape[0], chunk):
         j, e = error_jacobian(model, x[lo:lo + chunk], y[lo:lo + chunk])
         g += j.T @ j
         v += j.T @ e
-        sse += float(e @ e)
-    return g, v, sse
+    return g, v
+
+
+def _damped_step(model: MlpModel, g: np.ndarray, v: np.ndarray, mu: float) -> MlpModel:
+    """The model at w - (g + mu I)^-1 v; raises LinAlgError if g + mu I is not SPD."""
+    gd = g.copy()
+    gd[np.diag_indices_from(gd)] += mu
+    delta = cho_solve(cho_factor(gd, lower=True), v)
+    return model.with_flat_weights(model.flat_weights() - delta)
 
 
 def lm_step(model: MlpModel, x: np.ndarray, y: np.ndarray, mu: float) -> MlpModel:
-    """One Levenberg-Marquardt update: w -= (J^T J + mu I)^-1 J^T e."""
+    """One Levenberg-Marquardt update, the step `train` takes: w -= (J^T J + mu I)^-1 J^T e."""
     if mu <= 0.0:
         raise ValueError(f"mu must be > 0, got {mu}")
-    g, v, _ = _accumulate_normal_equations(model, np.atleast_2d(x), np.atleast_2d(y))
-    g[np.diag_indices_from(g)] += mu
-    try:
-        delta = cho_solve(cho_factor(g, lower=True), v)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - needs pathological input
-        raise FloatingPointError(f"damped normal equations not SPD at mu={mu}") from exc
-    return model.with_flat_weights(model.flat_weights() - delta)
+    g, v = _accumulate_normal_equations(model, np.atleast_2d(x), np.atleast_2d(y))
+    return _damped_step(model, g, v, mu)
+
+
+# Damping schedule of `train` (Hagan & Menhaj, IEEE TNN 1994): x MU_DECREASE
+# after an accepted step, x MU_INCREASE after a rejected one, no accepted step
+# by MU_MAX ends training, as do VAL_PATIENCE epochs without a new best val MSE.
+MU_INIT = 1e-6
+MU_DECREASE = 0.1
+MU_INCREASE = 10.0
+MU_MAX = 1e10
+VAL_PATIENCE = 6
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 500
     goal_mse: float = 1e-5
-    mu_init: float = 1e-6
-    mu_decrease: float = 0.1
-    mu_increase: float = 10.0
-    mu_max: float = 1e10
-    val_patience: int = 6
     seed: int = 0
     n_hidden: int = 8
 
     def __post_init__(self) -> None:
-        if not (0 < self.mu_decrease < 1 < self.mu_increase):
-            raise ValueError("require mu_decrease < 1 < mu_increase")
-        if self.mu_init <= 0 or self.mu_max <= 0 or self.goal_mse <= 0:
-            raise ValueError("mu and goal must be positive")
+        if self.goal_mse <= 0:
+            raise ValueError("goal_mse must be positive")
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()[:16]
+        """Hash of the whole training recipe: these fields and the damping schedule."""
+        recipe = dict(asdict(self), mu_init=MU_INIT, mu_decrease=MU_DECREASE,
+                      mu_increase=MU_INCREASE, mu_max=MU_MAX, val_patience=VAL_PATIENCE)
+        return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -423,35 +430,29 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
               "val": tuple(np.atleast_2d(a) for a in val_split),
               "test": tuple(np.atleast_2d(a) for a in test_split)}
     report = TrainReport()
-    mu = cfg.mu_init
+    mu = MU_INIT
     mse = _mse(model, x_tr, y_tr)
     best_val = math.inf
     val_checks = 0
     n_res = x_tr.shape[0] * y_tr.shape[1]
 
     for epoch in range(cfg.max_epochs):
-        g, v, sse = _accumulate_normal_equations(model, x_tr, y_tr)
+        g, v = _accumulate_normal_equations(model, x_tr, y_tr)
         grad_norm = float(np.linalg.norm(2.0 * v / n_res))
         accepted = False
-        while mu <= cfg.mu_max:
-            gd = g.copy()
-            gd[np.diag_indices_from(gd)] += mu
+        while mu <= MU_MAX:
             try:
-                delta = cho_solve(cho_factor(gd, lower=True), v)
+                candidate = _damped_step(model, g, v, mu)
             except np.linalg.LinAlgError:
-                mu *= cfg.mu_increase
+                mu *= MU_INCREASE
                 continue
-            candidate = model.with_flat_weights(model.flat_weights() - delta)
             cand_mse = _mse(candidate, x_tr, y_tr)
-            if not math.isfinite(cand_mse):
-                mu *= cfg.mu_increase
-                continue
-            if cand_mse < mse:
+            if cand_mse < mse:  # a NaN or inf candidate MSE never compares below
                 model, mse = candidate, cand_mse
-                mu = max(mu * cfg.mu_decrease, 1e-20)
+                mu = max(mu * MU_DECREASE, 1e-20)
                 accepted = True
                 break
-            mu *= cfg.mu_increase
+            mu *= MU_INCREASE
         if not math.isfinite(mse):
             raise TrainingFailureError("training loss diverged", report)
 
@@ -475,7 +476,7 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
         if not accepted:
             report.stop_reason = "mu_ceiling"
             break
-        if val_checks >= cfg.val_patience:
+        if val_checks >= VAL_PATIENCE:
             report.stop_reason = "val_patience"
             break
     else:

@@ -83,14 +83,14 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ds = ann.load_dataset_csv(args.dataset)
     tr, va, te = ann.split_dataset(ds, seed=args.seed)
     cfg = ann.TrainConfig(seed=args.seed)
     t0 = time.perf_counter()
     model, norm, report = ann.train_on_dataset(tr, va, te, cfg)
     dt = time.perf_counter() - t0
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     ann.save_model(out / "model.json", model, norm, cfg.fingerprint())
     ann.export_diagnostics(report, out)
     print(f"trained {report.epochs_run} epochs in {dt:.1f} s, stop: {report.stop_reason}")
@@ -102,8 +102,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.config:
         cfg, events = load_scenario(args.config)
         if args.mode:
@@ -118,6 +116,8 @@ def cmd_simulate(args) -> int:
             return 2
         model, norm = ann.load_model(args.model)
     result = run_scenario(cfg, events, model=model, norm=norm)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     result.series.to_csv(out / f"timeseries_{cfg.mode}.csv")
     if result.estimates:
         write_estimate_log_csv(out / "estimates.csv", result.estimates)
@@ -131,8 +131,6 @@ def _truth_schedule(cfg: SimConfig, events: list[ScenarioEvent]):
 
 
 def cmd_evaluate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg, events = load_scenario(args.scenario) if args.scenario else (
         presets.benchmark_config("avsg"), presets.benchmark_events())
     cvsg = TimeSeries.from_csv(args.cvsg)
@@ -141,6 +139,8 @@ def cmd_evaluate(args) -> int:
     rep = build_comparison(cvsg, avsg, events, estimates,
                            _truth_schedule(cfg, events), cfg.targets)
     text = render_text(rep)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(text)
     write_csv(rep, out / "report.csv")
     print(text)

@@ -75,18 +75,6 @@ class TransferFunction:
         if not all(math.isfinite(c) for c in self.num + self.den):
             raise ValueError("coefficients must be finite")
 
-    def __call__(self, s: complex) -> complex:
-        num = complex(np.polynomial.polynomial.polyval(s, np.asarray(self.num)))
-        den = complex(np.polynomial.polynomial.polyval(s, np.asarray(self.den)))
-        if den == 0:
-            raise ExcludedPointError(f"pole at s = {s}")
-        return num / den
-
-    def __mul__(self, other: "TransferFunction") -> "TransferFunction":
-        num = np.polynomial.polynomial.polymul(self.num, other.num)
-        den = np.polynomial.polynomial.polymul(self.den, other.den)
-        return TransferFunction(num=tuple(num), den=tuple(den))
-
     def scaled(self, k: float) -> "TransferFunction":
         return TransferFunction(num=tuple(k * c for c in self.num), den=self.den)
 
@@ -183,8 +171,9 @@ def schedule_gains(jac, targets: DesignTargets = DesignTargets()) -> VsgGains:
     return VsgGains(d_p=d_p, k_ip=k_ip, d_q=d_q, k_iq=k_iq)
 
 
-def default_omega_grid(n: int = 400, lo: float = 1e-2, hi: float = 1e3) -> np.ndarray:
-    return np.logspace(math.log10(lo), math.log10(hi), n)
+def default_omega_grid() -> np.ndarray:
+    """400 log-spaced points from 1e-2 to 1e3 rad/s."""
+    return np.logspace(-2.0, 3.0, 400)
 
 
 def bode(tf: TransferFunction, omega: np.ndarray | None = None) -> FrequencyResponse:

@@ -20,8 +20,7 @@ from vsglab import ann
 from vsglab.cli import run_paper_repro, _truth_schedule
 from vsglab.grid import (GridImpedance, OperatingPoint, JacobianPQ, power_flow,
                          jacobian, scr_to_impedance, solve_operating_point)
-from vsglab.metrics import (settling_time, percent_overshoot, oscillation_energy,
-                            estimation_metrics, step_metrics)
+from vsglab.metrics import settling_time, percent_overshoot, estimation_metrics
 from vsglab.report import build_comparison
 from vsglab.smallsignal import (VsgGains, schedule_gains, closed_loop_p,
                                 p_loop_info, q_loop_info, open_loop_p, bode,

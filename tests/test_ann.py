@@ -148,9 +148,25 @@ def test_goal_stop_on_easy_problem():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(mu_decrease=2.0)
-    with pytest.raises(ValueError):
-        TrainConfig(mu_init=0.0)
+        TrainConfig(goal_mse=0.0)
+
+
+def test_train_takes_the_lm_step():
+    # one epoch moves the seeded weights by exactly one lm_step, taken at the
+    # damping of the trial the epoch accepted (replayed from the schedule)
+    (x, y), val, test = toy_splits()
+    model, report = train((x, y), val, test, TrainConfig(max_epochs=1, seed=0, n_hidden=4))
+    mu = ann.MU_INIT
+    while mu * ann.MU_DECREASE < report.mu[0]:
+        mu *= ann.MU_INCREASE
+    assert mu * ann.MU_DECREASE == report.mu[0]
+    step = lm_step(init_model(1, 4, 1, seed=0), x, y, mu)
+    np.testing.assert_array_equal(model.flat_weights(), step.flat_weights())
+
+
+def test_train_config_fingerprint_covers_the_damping_schedule():
+    # model.json files saved while the schedule was five config fields carry this hash
+    assert TrainConfig(seed=0).fingerprint() == "b9c378960bd460f6"
 
 
 # --- normalization -------------------------------------------------------------

@@ -90,6 +90,20 @@ def test_simulate_avsg_without_model_fails(tmp_path):
     assert main(["simulate", "--config", str(sc), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("case", ["train", "simulate", "simulate-avsg-no-model", "evaluate"])
+def test_rejected_input_leaves_no_out_directory(tmp_path, case):
+    missing = str(tmp_path / "missing.csv")
+    sc = tmp_path / "scenario.json"
+    short_scenario(sc, mode="avsg", estimator_kind="ann")
+    argv = {"train": ["train", "--dataset", missing],
+            "simulate": ["simulate", "--config", str(tmp_path / "missing.json")],
+            "simulate-avsg-no-model": ["simulate", "--config", str(sc)],
+            "evaluate": ["evaluate", "--cvsg", missing, "--avsg", missing]}[case]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_simulate_mode_override_with_oracle(tmp_path):
     sc = tmp_path / "scenario.json"
     short_scenario(sc, mode="avsg", estimator_kind="oracle")

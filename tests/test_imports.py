@@ -1,11 +1,12 @@
-"""Every module of the package uses each name it imports (no linter needed)."""
+"""Every module of the package and of its tests uses each name it imports (no linter needed)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vsglab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "vsglab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +34,8 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
