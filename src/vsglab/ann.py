@@ -2,7 +2,7 @@
 
 The production network is 200 -> 8 -> 2 (tansig hidden, linear output),
 mapping one cycle of sampled PCC voltage and current (100 + 100 points at
-200 us) to (R_g, L_g).  Inputs and targets are z-scored with statistics
+200 us) to (R_g, L_g).  Inputs and log targets are z-scored with statistics
 fitted on the training split only.  Training is full-batch LM with the
 standard accept/reject damping schedule, whose constants (MU_INIT,
 MU_DECREASE, MU_INCREASE, MU_MAX, VAL_PATIENCE) are fixed and hashed into
@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .grid import scr_to_impedance, solve_operating_point, InfeasibleOperatingPointError
+from .grid import (S_RATED, V_G, scr_to_impedance, solve_operating_point,
+                   InfeasibleOperatingPointError)
 from .tables import read_table, write_table
 
 MODEL_FILE_VERSION = 1
@@ -220,51 +221,43 @@ class TrainConfig:
 class Normalizer:
     """Per-feature z-score statistics fitted on the training split.
 
-    Targets are optionally log-transformed before z-scoring
-    (`target_transform="log"`, the default): impedances span nearly a
-    decade per unit of SCR, and the log geometry extrapolates far better
-    to grids outside the training range.
+    Targets are log-transformed before z-scoring, so `y_mean` and `y_std`
+    are statistics of log(R_g), log(L_g): impedances span nearly a decade
+    per unit of SCR, and the log geometry extrapolates far better to grids
+    outside the training range.
     """
 
     x_mean: np.ndarray
     x_std: np.ndarray
     y_mean: np.ndarray
     y_std: np.ndarray
-    target_transform: str = "log"
 
     def __post_init__(self) -> None:
         for s in (self.x_std, self.y_std):
             if np.any(np.asarray(s) <= 0):
                 raise NormalizationError("standard deviations must be > 0")
-        if self.target_transform not in ("log", "identity"):
-            raise ValueError(f"unknown target_transform {self.target_transform!r}")
 
     @classmethod
-    def fit(cls, x: np.ndarray, y: np.ndarray,
-            target_transform: str = "log") -> "Normalizer":
-        if target_transform == "log":
-            if np.any(y <= 0):
-                raise NormalizationError("log target transform needs positive targets")
-            y = np.log(y)
+    def fit(cls, x: np.ndarray, y: np.ndarray) -> "Normalizer":
+        if np.any(y <= 0):
+            raise NormalizationError("log target transform needs positive targets")
+        y = np.log(y)
         x_mean, x_std = x.mean(axis=0), x.std(axis=0)
         y_mean, y_std = y.mean(axis=0), y.std(axis=0)
         # essentially-constant columns make z-scores explode
         if (np.any(x_std <= 1e-12 * np.maximum(np.abs(x_mean), 1.0))
                 or np.any(y_std <= 1e-12 * np.maximum(np.abs(y_mean), 1.0))):
             raise NormalizationError("constant feature or target on the fit split")
-        return cls(x_mean, x_std, y_mean, y_std, target_transform)
+        return cls(x_mean, x_std, y_mean, y_std)
 
     def transform_x(self, x: np.ndarray) -> np.ndarray:
         return (x - self.x_mean) / self.x_std
 
     def transform_y(self, y: np.ndarray) -> np.ndarray:
-        if self.target_transform == "log":
-            y = np.log(y)
-        return (y - self.y_mean) / self.y_std
+        return (np.log(y) - self.y_mean) / self.y_std
 
     def inverse_y(self, yn: np.ndarray) -> np.ndarray:
-        y = yn * self.y_std + self.y_mean
-        return np.exp(y) if self.target_transform == "log" else y
+        return np.exp(yn * self.y_std + self.y_mean)
 
 
 @dataclass
@@ -295,35 +288,29 @@ class Dataset:
                        self.xr_ratio[idx], self.p_ref[idx], self.q_ref[idx], self.t0[idx])
 
 
+# The training grids and operating points: SCR and X/R drawn from these values,
+# P and Q uniform over these fractions of S_RATED, on a V_G grid at 50 Hz.
+DATASET_SCR_VALUES = (2.0, 4.5, 7.0, 9.5, 15.0)
+DATASET_XR_VALUES = (5.0,)
+DATASET_P_FRAC_RANGE = (0.2, 0.8)
+DATASET_Q_FRAC_RANGE = (0.0, 0.4)
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
-    scr_values: tuple[float, ...] = (2.0, 4.5, 7.0, 9.5, 15.0)
-    xr_values: tuple[float, ...] = (5.0,)
-    p_frac_range: tuple[float, float] = (0.2, 0.8)   # of s_rated
-    q_frac_range: tuple[float, float] = (0.0, 0.4)
     n_samples: int = 5000
-    v_g: float = 110.0
-    s_rated: float = 5000.0
-    omega0: float = 100.0 * math.pi
-    # "aligned": windows start where the online tumbling buffer does (first
-    # sample one period into the cycle); "random": uniform start phase.
-    window_phase: str = "aligned"
     noise_std: float = 0.0   # additive Gaussian, volts/amps
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.window_phase not in ("aligned", "random"):
-            raise ValueError("window_phase must be 'aligned' or 'random'")
-
 
 def generate_dataset(cfg: DatasetConfig) -> Dataset:
-    """Steady-state windows over randomized SCR / operating point / phase."""
+    """Steady-state windows over randomized SCR and operating point, each
+    starting at t0 = SAMPLE_DT, where the online tumbling buffer does."""
     from .sim import synth_waveforms  # local import: sim depends on this module
 
     if cfg.n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(cfg.seed)
-    cycle = 2.0 * math.pi / cfg.omega0
     n = cfg.n_samples
     inputs = np.empty((n, 2 * WINDOW_LEN))
     targets = np.empty((n, 2))
@@ -331,23 +318,18 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
     xr_col = np.empty(n)
     p_col = np.empty(n)
     q_col = np.empty(n)
-    t0_col = np.empty(n)
     i = 0
     while i < n:
-        scr = float(rng.choice(cfg.scr_values))
-        xr = float(rng.choice(cfg.xr_values))
-        p_ref = float(rng.uniform(*cfg.p_frac_range)) * cfg.s_rated
-        q_ref = float(rng.uniform(*cfg.q_frac_range)) * cfg.s_rated
-        if cfg.window_phase == "random":
-            t0 = float(rng.uniform(0.0, cycle))
-        else:
-            t0 = SAMPLE_DT
-        z = scr_to_impedance(scr, xr, cfg.v_g, cfg.s_rated, cfg.omega0)
+        scr = float(rng.choice(DATASET_SCR_VALUES))
+        xr = float(rng.choice(DATASET_XR_VALUES))
+        p_ref = float(rng.uniform(*DATASET_P_FRAC_RANGE)) * S_RATED
+        q_ref = float(rng.uniform(*DATASET_Q_FRAC_RANGE)) * S_RATED
+        z = scr_to_impedance(scr, xr, V_G, S_RATED)
         try:
-            op = solve_operating_point(p_ref, q_ref, z, cfg.v_g)
+            op = solve_operating_point(p_ref, q_ref, z, V_G)
         except InfeasibleOperatingPointError:
             continue  # resample
-        v_s, i_s = synth_waveforms(op, z, WINDOW_LEN, SAMPLE_DT, t0)
+        v_s, i_s = synth_waveforms(op, z, WINDOW_LEN, SAMPLE_DT, SAMPLE_DT)
         if cfg.noise_std > 0.0:
             v_s = v_s + rng.normal(0.0, cfg.noise_std, WINDOW_LEN)
             i_s = i_s + rng.normal(0.0, cfg.noise_std, WINDOW_LEN)
@@ -355,9 +337,9 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
         inputs[i, WINDOW_LEN:] = i_s
         targets[i] = (z.r_g, z.l_g)
         scr_col[i], xr_col[i] = scr, xr
-        p_col[i], q_col[i], t0_col[i] = p_ref, q_ref, t0
+        p_col[i], q_col[i] = p_ref, q_ref
         i += 1
-    return Dataset(inputs, targets, scr_col, xr_col, p_col, q_col, t0_col)
+    return Dataset(inputs, targets, scr_col, xr_col, p_col, q_col, np.full(n, SAMPLE_DT))
 
 
 def split_dataset(ds: Dataset, seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
@@ -397,14 +379,15 @@ def _mse(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
 def _finalize_report(report: TrainReport, model: MlpModel,
                      splits: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
     """Error histogram (20 bins shared by all splits), regression fits and scatter."""
-    errors = {name: (forward(model, x) - y).ravel() for name, (x, y) in splits.items()}
+    preds = {name: forward(model, x) for name, (x, _) in splits.items()}
+    errors = {name: (preds[name] - y).ravel() for name, (_, y) in splits.items()}
     all_err = np.concatenate(list(errors.values()))
     edges = np.histogram_bin_edges(all_err, bins=20)
     report.hist_bin_edges = edges
-    for name, (x, y) in splits.items():
+    for name, (_, y) in splits.items():
         report.hist_counts[name] = np.histogram(errors[name], bins=edges)[0]
         t = y.ravel()
-        p = forward(model, x).ravel()
+        p = preds[name].ravel()
         slope, intercept = np.polyfit(t, p, 1)
         r = float(np.corrcoef(t, p)[0, 1])
         report.regression[name] = (float(slope), float(intercept), r)
@@ -534,24 +517,29 @@ def save_model(path: str | Path, model: MlpModel, norm: Normalizer,
         "x_std": norm.x_std.tolist(),
         "y_mean": norm.y_mean.tolist(),
         "y_std": norm.y_std.tolist(),
-        "target_transform": norm.target_transform,
+        "target_transform": "log",
         "train_config_fingerprint": config_fingerprint,
     }
     Path(path).write_text(json.dumps(doc))
 
 
 def load_model(path: str | Path) -> tuple[MlpModel, Normalizer]:
+    """What `save_model` wrote; ValueError names a missing key or another version."""
     doc = json.loads(Path(path).read_text())
-    if doc["version"] != MODEL_FILE_VERSION:
-        raise ValueError(f"unsupported model file version {doc['version']}")
-    n_in, h, k = doc["dims"]
-    model = MlpModel(
-        np.array(doc["w1"]).reshape(h, n_in), np.array(doc["b1"]),
-        np.array(doc["w2"]).reshape(k, h), np.array(doc["b2"]),
-        doc["hidden_activation"], doc["output_activation"])
-    norm = Normalizer(np.array(doc["x_mean"]), np.array(doc["x_std"]),
-                      np.array(doc["y_mean"]), np.array(doc["y_std"]),
-                      doc.get("target_transform", "identity"))
+    try:
+        if doc["version"] != MODEL_FILE_VERSION:
+            raise ValueError(f"unsupported model file version {doc['version']}")
+        if doc["target_transform"] != "log":
+            raise ValueError(f"unsupported target_transform {doc['target_transform']!r}")
+        n_in, h, k = doc["dims"]
+        model = MlpModel(
+            np.array(doc["w1"]).reshape(h, n_in), np.array(doc["b1"]),
+            np.array(doc["w2"]).reshape(k, h), np.array(doc["b2"]),
+            doc["hidden_activation"], doc["output_activation"])
+        norm = Normalizer(np.array(doc["x_mean"]), np.array(doc["x_std"]),
+                          np.array(doc["y_mean"]), np.array(doc["y_std"]))
+    except KeyError as exc:
+        raise ValueError(f"model file has no {exc} key") from None
     return model, norm
 
 

@@ -53,23 +53,18 @@ def cmd_gains(args) -> int:
 
 
 def cmd_bode(args) -> int:
+    tag = "scheduled" if args.scheduled else "fixed"
+    curves = []
+    for scr in (float(s) for s in args.scr_list.split(",")):
+        jac = _jac_from_grid(scr, args.xr, args.p, args.q, args.vg, args.srated)
+        g = schedule_gains(jac) if args.scheduled else presets.BASELINE_GAINS
+        fr = bode(open_loop_p(g, jac.a))
+        curves.append((scr, fr, phase_margin(fr)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scrs = [float(s) for s in args.scr_list.split(",")]
-    margins = []
-    for scr in scrs:
-        jac = _jac_from_grid(scr, args.xr, args.p, args.q, args.vg, args.srated)
-        if args.scheduled:
-            g = schedule_gains(jac)
-            tag = "scheduled"
-        else:
-            g = presets.BASELINE_GAINS
-            tag = "fixed"
-        fr = bode(open_loop_p(g, jac.a))
-        pm = phase_margin(fr)
-        margins.append((scr, pm))
+    for scr, fr, _ in curves:
         write_frequency_response_csv(fr, out / f"bode_p_{tag}_scr{scr:g}.csv")
-    for scr, pm in margins:
+    for scr, _, pm in curves:
         print(f"SCR {scr:g}: phase margin {pm:.3f} deg")
     return 0
 
@@ -152,15 +147,15 @@ def run_paper_repro(outdir: Path, seed: int = 0, model_path: Path | None = None,
     """Full benchmark pipeline: dataset, training, both modes, comparison.
 
     Returns the ComparisonReport.  `quick` shrinks the dataset and coarsens
-    the integration step for smoke runs.
+    the integration step for smoke runs.  `outdir` is created only once the
+    model has loaded or the dataset is built.
     """
-    outdir.mkdir(parents=True, exist_ok=True)
     n = 600 if quick else 5000
     dt_sim = 200e-6 if quick else 50e-6
 
     if model_path is None:
-        ds_cfg = ann.DatasetConfig(n_samples=n, seed=seed)
-        ds = ann.generate_dataset(ds_cfg)
+        ds = ann.generate_dataset(ann.DatasetConfig(n_samples=n, seed=seed))
+        outdir.mkdir(parents=True, exist_ok=True)
         ann.save_dataset_csv(outdir / "dataset.csv", ds)
         tr, va, te = ann.split_dataset(ds, seed=seed)
         t_cfg = ann.TrainConfig(seed=seed)
@@ -169,6 +164,7 @@ def run_paper_repro(outdir: Path, seed: int = 0, model_path: Path | None = None,
         ann.export_diagnostics(t_report, outdir)
     else:
         model, norm = ann.load_model(model_path)
+        outdir.mkdir(parents=True, exist_ok=True)
 
     events = presets.benchmark_events()
     cfg_c = presets.benchmark_config("cvsg", dt_sim=dt_sim)

@@ -2,8 +2,8 @@
 
 Tumbling one-cycle windows of decimated PCC voltage/current samples are
 buffered, z-scored, pushed through the trained network, and de-normalized
-into (R_g, L_g) estimates.  A hysteresis gate decides when an estimate is
-worth rescheduling gains for.
+into (R_g, L_g) estimates.  A hysteresis gate (`GATE_THRESHOLD`) decides
+when an estimate is worth rescheduling gains for.
 """
 
 from __future__ import annotations
@@ -93,14 +93,16 @@ class OracleEstimator(OnlineEstimator):
         return self.truth
 
 
-def gate_gain_update(est: EstimateRecord, prev_applied: EstimateRecord | None,
-                     threshold: float = 0.05) -> bool:
-    """Apply scheduling on the first estimate or a >threshold relative change."""
+GATE_THRESHOLD = 0.05  # relative change of R_g or L_g that reschedules the gains
+
+
+def gate_gain_update(est: EstimateRecord, prev_applied: EstimateRecord | None) -> bool:
+    """Apply scheduling on the first estimate or a > GATE_THRESHOLD relative change."""
     if prev_applied is None:
         return True
     dr = abs(est.r_g_hat - prev_applied.r_g_hat) / max(abs(prev_applied.r_g_hat), 1e-12)
     dl = abs(est.l_g_hat - prev_applied.l_g_hat) / max(abs(prev_applied.l_g_hat), 1e-12)
-    return dr > threshold or dl > threshold
+    return dr > GATE_THRESHOLD or dl > GATE_THRESHOLD
 
 
 ESTIMATE_LOG_COLUMNS = ("t", "r_g_hat", "l_g_hat", "r_g_true", "l_g_true",

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 OMEGA0_DEFAULT = 100.0 * math.pi  # 50 Hz nominal
+V_G = 110.0       # plant rating: grid voltage, V RMS per phase
+S_RATED = 5000.0  # plant rating: converter power, VA
 
 
 class DegenerateImpedanceError(ValueError):

@@ -4,16 +4,16 @@ The fixed-gain (CVSG) baseline uses the published controller gains
 verbatim; the adaptive mode (AVSG) starts from the same gains and
 reschedules them from impedance estimates.  Inner current/voltage loop
 gains are recorded for documentation only; the simulation models the
-inner loops as ideal.
+inner loops as ideal.  The plant rating `V_G`, `S_RATED` is `vsglab.grid`'s,
+re-exported here.
 """
 
 from __future__ import annotations
 
+from .grid import S_RATED, V_G
 from .sim import SimConfig, ScenarioEvent, Setpoints
 from .smallsignal import VsgGains
 
-S_RATED = 5000.0        # VA
-V_G = 110.0             # V RMS per phase
 XR_RATIO_DEFAULT = 5.0
 
 # fixed CVSG baseline gains

@@ -22,9 +22,9 @@ import numpy as np
 
 from .ann import SAMPLE_DT
 from .grid import (GridImpedance, OperatingPoint, JacobianPQ, scr_to_impedance,
-                   solve_operating_point, _pf, _pf_jac, OMEGA0_DEFAULT)
+                   solve_operating_point, _pf, _pf_jac, OMEGA0_DEFAULT, S_RATED, V_G)
 from .smallsignal import VsgGains, DesignTargets, schedule_gains, SchedulingError
-from .estimator import (OnlineEstimator, OracleEstimator, EstimateRecord,
+from .estimator import (GATE_THRESHOLD, OnlineEstimator, OracleEstimator, EstimateRecord,
                         gate_gain_update)
 from .tables import read_table, write_table
 
@@ -40,7 +40,7 @@ class Setpoints:
     p_ref: float                    # W
     q_ref: float                    # var
     omega_nom: float = OMEGA0_DEFAULT
-    v_nom: float = 110.0            # V RMS
+    v_nom: float = V_G              # V RMS
 
     def __post_init__(self) -> None:
         if self.omega_nom <= 0 or self.v_nom <= 0:
@@ -69,14 +69,12 @@ class SimConfig:
     setpoints: Setpoints = field(default_factory=lambda: Setpoints(2000.0, 1000.0))
     scr: float = 2.0
     xr_ratio: float = 5.0
-    v_g: float = 110.0
-    s_rated: float = 5000.0
+    v_g: float = V_G
+    s_rated: float = S_RATED
     omega0: float = OMEGA0_DEFAULT
     meas_lpf_cutoff: float | None = None  # rad/s; None disables the P/Q filter
     estimator_kind: str = "ann"           # ann | oracle (avsg only)
-    gate_threshold: float = 0.05
     targets: DesignTargets = field(default_factory=DesignTargets)
-    start_at_equilibrium: bool = True
 
     def __post_init__(self) -> None:
         if not self.dt_sim > 0.0:
@@ -84,7 +82,8 @@ class SimConfig:
         if self.mode not in ("cvsg", "avsg"):
             raise ValueError(f"mode must be cvsg or avsg, got {self.mode!r}")
         if self.estimator_kind not in ("ann", "oracle"):
-            raise ValueError(f"estimator_kind must be ann or oracle")
+            raise ValueError(f"estimator_kind must be ann or oracle, "
+                             f"got {self.estimator_kind!r}")
         # only avsg feeds the estimator, which samples every SAMPLE_DT
         periods = [(self.out_period, "out_period")]
         if self.mode == "avsg":
@@ -201,12 +200,9 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
 
     sp = cfg.setpoints
     gains = cfg.gains
-    if cfg.start_at_equilibrium:
-        op = solve_operating_point(sp.p_ref, sp.q_ref, z, cfg.v_g, tol=1e-10,
-                                   d_q=gains.d_q, v_nom=sp.v_nom)
-        d, v = op.delta0, op.v_pcc0
-    else:
-        d, v = 0.0, sp.v_nom
+    op = solve_operating_point(sp.p_ref, sp.q_ref, z, cfg.v_g, tol=1e-10,
+                               d_q=gains.d_q, v_nom=sp.v_nom)
+    d, v = op.delta0, op.v_pcc0
     w = sp.omega_nom
 
     estimator = None
@@ -297,7 +293,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
             i_inst = SQRT2 * abs(ibar) * sin(w0 * t + math.atan2(ibar.imag, ibar.real))
             rec = estimator.push_sample(t, v_inst, i_inst)
             if rec is not None:
-                applied = gate_gain_update(rec, prev_applied, cfg.gate_threshold)
+                applied = gate_gain_update(rec, prev_applied)
                 if applied:
                     z_hat = _clamped_impedance(rec.r_g_hat, rec.l_g_hat, w0)
                     ja, jb, jc, jd = _pf_jac(d, v, vg, z_hat.r_g, z_hat.x_g)
@@ -354,20 +350,34 @@ def scenario_to_dict(cfg: SimConfig, events: list[ScenarioEvent]) -> dict:
     return {"sim": asdict(cfg), "events": [asdict(e) for e in events]}
 
 
+# Keys older versions wrote for settings that are now fixed.  A file loads only
+# if it carries the one value in use: key -> (that value, the reason shown).
+RETIRED_SCENARIO_KEYS = {
+    "est_period": (SAMPLE_DT, f"the estimator samples every {SAMPLE_DT * 1e6:g} us"),
+    "gate_threshold": (GATE_THRESHOLD, f"gains reschedule on a {GATE_THRESHOLD:.0%} change"),
+    "start_at_equilibrium": (True, "every run starts at the solved equilibrium"),
+}
+
+
 def scenario_from_dict(doc: dict) -> tuple[SimConfig, list[ScenarioEvent]]:
-    s = dict(doc["sim"])
-    gains = VsgGains(**s.pop("gains"))
-    setpoints = Setpoints(**s.pop("setpoints"))
-    targets = DesignTargets(**s.pop("targets", {}))
-    s.pop("seed", None)  # written by older versions; the simulator draws no random numbers
-    # older versions wrote the estimator sample period, which is now fixed
-    est_period = s.pop("est_period", SAMPLE_DT)
-    if est_period != SAMPLE_DT:
-        raise ValueError(f"est_period {est_period} s is not supported: the estimator "
-                         f"samples every {SAMPLE_DT * 1e6:g} us ({SAMPLE_DT} s)")
-    cfg = SimConfig(gains=gains, setpoints=setpoints, targets=targets, **s)
-    # older versions omit the xr_ratio of an event that keeps the current ratio
-    events = [ScenarioEvent(**e) for e in doc.get("events", [])]
+    """What `scenario_to_dict` wrote; ValueError names a missing, unknown or retired key."""
+    try:
+        s = dict(doc["sim"])
+        s.pop("seed", None)  # written by older versions; the simulator draws no random numbers
+        for key, (value, reason) in RETIRED_SCENARIO_KEYS.items():
+            got = s.pop(key, value)
+            if got != value:
+                raise ValueError(f"{key} {got!r} is not supported: {reason}")
+        gains = VsgGains(**s.pop("gains"))
+        setpoints = Setpoints(**s.pop("setpoints"))
+        targets = DesignTargets(**s.pop("targets", {}))
+        cfg = SimConfig(gains=gains, setpoints=setpoints, targets=targets, **s)
+        # older versions omit the xr_ratio of an event that keeps the current ratio
+        events = [ScenarioEvent(**e) for e in doc.get("events", [])]
+    except KeyError as exc:
+        raise ValueError(f"scenario has no {exc} key") from None
+    except TypeError as exc:  # a missing or unknown field, named in the message
+        raise ValueError(f"scenario: {exc}") from None
     return cfg, events
 
 

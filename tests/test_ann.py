@@ -1,5 +1,6 @@
 """Network forward/Jacobian math, LM training mechanics, and data plumbing."""
 
+import json
 import math
 
 import numpy as np
@@ -171,24 +172,17 @@ def test_train_config_fingerprint_covers_the_damping_schedule():
 
 # --- normalization -------------------------------------------------------------
 
-def test_normalizer_round_trip_identity():
-    rng = np.random.default_rng(0)
-    x, y = rng.normal(size=(40, 6)), rng.uniform(0.5, 2.0, (40, 2))
-    norm = Normalizer.fit(x, y, target_transform="identity")
-    np.testing.assert_allclose(norm.inverse_y(norm.transform_y(y)), y, atol=1e-12)
-    zx = norm.transform_x(x)
-    np.testing.assert_allclose(zx.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(zx.std(axis=0), 1.0, atol=1e-12)
-
-
 def test_normalizer_log_targets_round_trip():
     rng = np.random.default_rng(1)
     x, y = rng.normal(size=(40, 6)), rng.uniform(0.05, 5.0, (40, 2))
     norm = Normalizer.fit(x, y)
-    assert norm.target_transform == "log"
     np.testing.assert_allclose(norm.inverse_y(norm.transform_y(y)), y, rtol=1e-12)
     # z-scoring happens in log space
     np.testing.assert_allclose(norm.transform_y(y).mean(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(norm.y_mean, np.log(y).mean(axis=0), rtol=1e-12)
+    zx = norm.transform_x(x)
+    np.testing.assert_allclose(zx.mean(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(zx.std(axis=0), 1.0, atol=1e-12)
 
 
 def test_normalizer_rejects_bad_inputs():
@@ -197,8 +191,8 @@ def test_normalizer_rejects_bad_inputs():
         Normalizer.fit(x, np.full((10, 2), 3.0))          # constant target
     with pytest.raises(NormalizationError):
         Normalizer.fit(x, np.full((10, 2), -1.0) * np.linspace(1, 2, 10)[:, None])
-    with pytest.raises(ValueError):
-        Normalizer(np.zeros(3), np.ones(3), np.zeros(2), np.ones(2), "sqrt")
+    with pytest.raises(NormalizationError):
+        Normalizer(np.zeros(3), np.ones(3), np.zeros(2), np.array([1.0, 0.0]))
 
 
 # --- dataset generation and persistence ----------------------------------------
@@ -210,19 +204,14 @@ def test_generate_dataset_invariants():
     assert ds.inputs.shape == (40, 200)
     assert ds.targets.shape == (40, 2)
     assert np.all(ds.targets > 0)
-    assert set(np.unique(ds.scr)) <= set(cfg.scr_values)
-    assert np.all(ds.t0 == SAMPLE_DT)  # aligned window phase
-
-
-def test_generate_dataset_random_phase():
-    ds = generate_dataset(DatasetConfig(n_samples=30, seed=3, window_phase="random"))
-    assert np.unique(ds.t0).size > 1
-    assert np.all((ds.t0 >= 0.0) & (ds.t0 < 0.02))
+    assert set(np.unique(ds.scr)) <= set(ann.DATASET_SCR_VALUES)
+    assert set(np.unique(ds.xr_ratio)) <= set(ann.DATASET_XR_VALUES)
+    assert np.all(ds.t0 == SAMPLE_DT)  # every window starts where the online buffer does
 
 
 def test_dataset_config_validation():
-    with pytest.raises(ValueError):
-        DatasetConfig(window_phase="jittered")
+    with pytest.raises(ValueError, match="n_samples"):
+        generate_dataset(DatasetConfig(n_samples=0))
 
 
 def test_split_dataset_partitions():
@@ -277,10 +266,11 @@ def test_model_save_load_round_trip(tmp_path):
     model, norm, _ = train_on_dataset(tr, va, te, cfg)
     path = tmp_path / "model.json"
     save_model(path, model, norm, cfg.fingerprint())
+    assert json.loads(path.read_text())["target_transform"] == "log"
     model2, norm2 = load_model(path)
     np.testing.assert_array_equal(model2.flat_weights(), model.flat_weights())
-    assert norm2.target_transform == "log"
     x = tr.inputs[0]
     np.testing.assert_array_equal(
         norm2.inverse_y(forward(model2, norm2.transform_x(x))),
         norm.inverse_y(forward(model, norm.transform_x(x))))
+

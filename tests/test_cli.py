@@ -90,7 +90,8 @@ def test_simulate_avsg_without_model_fails(tmp_path):
     assert main(["simulate", "--config", str(sc), "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("case", ["train", "simulate", "simulate-avsg-no-model", "evaluate"])
+@pytest.mark.parametrize("case", ["train", "simulate", "simulate-avsg-no-model", "evaluate",
+                                  "bode", "paper-repro"])
 def test_rejected_input_leaves_no_out_directory(tmp_path, case):
     missing = str(tmp_path / "missing.csv")
     sc = tmp_path / "scenario.json"
@@ -98,9 +99,56 @@ def test_rejected_input_leaves_no_out_directory(tmp_path, case):
     argv = {"train": ["train", "--dataset", missing],
             "simulate": ["simulate", "--config", str(tmp_path / "missing.json")],
             "simulate-avsg-no-model": ["simulate", "--config", str(sc)],
-            "evaluate": ["evaluate", "--cvsg", missing, "--avsg", missing]}[case]
+            "evaluate": ["evaluate", "--cvsg", missing, "--avsg", missing],
+            # SCR 0.3 is too weak a grid for the 2 kW operating point
+            "bode": ["bode", "--scr-list", "2,0.3"],
+            "paper-repro": ["paper-repro", "--quick", "--model",
+                            str(tmp_path / "missing.json")]}[case]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _drop(key):
+    return lambda d: d.pop(key)
+
+
+# (file, edit of its JSON document, text the error must contain)
+MALFORMED_INPUTS = {
+    "model-without-dims": ("model", _drop("dims"), "'dims'"),
+    "model-with-identity-targets": ("model", lambda d: d.update(target_transform="identity"),
+                                    "target_transform 'identity'"),
+    "model-without-target_transform": ("model", _drop("target_transform"),
+                                       "'target_transform'"),
+    "scenario-without-sim": ("scenario", _drop("sim"), "'sim'"),
+    "scenario-without-setpoints": ("scenario", lambda d: d["sim"].pop("setpoints"),
+                                   "'setpoints'"),
+    "gains-without-k_iq": ("scenario", lambda d: d["sim"]["gains"].pop("k_iq"), "'k_iq'"),
+    "unknown-sim-key": ("scenario", lambda d: d["sim"].update(dt_step=1e-4), "'dt_step'"),
+    "unknown-estimator-kind": ("scenario", lambda d: d["sim"].update(estimator_kind="kalman"),
+                               "'kalman'"),
+    "another-gate-threshold": ("scenario", lambda d: d["sim"].update(gate_threshold=0.1),
+                               "gate_threshold"),
+    "cold-start": ("scenario", lambda d: d["sim"].update(start_at_equilibrium=False),
+                   "start_at_equilibrium"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INPUTS)
+def test_malformed_input_file_exits_2_naming_the_key(tmp_path, capsys, case):
+    which, edit, named = MALFORMED_INPUTS[case]
+    sc = tmp_path / "scenario.json"
+    short_scenario(sc, mode="avsg", estimator_kind="ann")
+    model = tmp_path / "model.json"
+    model.write_text(MODEL_FIXTURE.read_text())
+    path = {"model": model, "scenario": sc}[which]
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sc), "--model", str(model),
+                 "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -17,8 +17,7 @@ def dummy_estimator(n_in=200):
     """Identity-free model; only the buffering behavior matters here."""
     model = MlpModel(np.zeros((2, n_in)), np.zeros(2), np.zeros((2, 2)),
                      np.array([0.5, 0.01]), hidden_activation="linear")
-    norm = Normalizer(np.zeros(n_in), np.ones(n_in), np.zeros(2), np.ones(2),
-                      target_transform="identity")
+    norm = Normalizer(np.zeros(n_in), np.ones(n_in), np.zeros(2), np.ones(2))
     return OnlineEstimator(model, norm)
 
 
@@ -103,10 +102,12 @@ def test_gate_blocks_repeats_and_passes_changes():
                            window_start=0.02, window_end=0.04)
     big = EstimateRecord(t=0.04, r_g_hat=0.7, l_g_hat=0.011 * 1.2,
                          window_start=0.02, window_end=0.04)
+    r_step = EstimateRecord(t=0.04, r_g_hat=0.7 * 1.06, l_g_hat=0.011,
+                            window_start=0.02, window_end=0.04)
     assert not gate_gain_update(same, prev)
     assert not gate_gain_update(small, prev)
     assert gate_gain_update(big, prev)
-    assert gate_gain_update(small, prev, threshold=0.01)
+    assert gate_gain_update(r_step, prev)  # 6 % > GATE_THRESHOLD in R alone
 
 
 def test_estimate_log_csv(tmp_path):

@@ -1,6 +1,7 @@
 """Integrator, waveform synthesis, and the quasi-static scenario runner."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -45,15 +46,19 @@ def test_rk4_order_of_accuracy():
 
 
 def test_vsg_derivative_signs():
-    # from the flat start (delta = 0, V = V_g) no power flows: the P deficit
-    # accelerates, the Q deficit raises the voltage, and the angle follows
-    cfg = short_config(duration=1e-3, dt_sim=1e-5, out_period=1e-3,
-                       start_at_equilibrium=False)
-    s = run_scenario(cfg, []).series
-    assert (s.delta[0], s.omega[0], s.v_cmd[0]) == (0.0, OMEGA0, 110.0)
+    # set-point steps of +2000 W and +1000 var at t = 0 from the equilibrium:
+    # the P deficit accelerates, the Q deficit raises the voltage, and the
+    # angle follows
+    events = [ScenarioEvent(time=0.0, kind="set_p_ref", value=2000.0 + 2000.0),
+              ScenarioEvent(time=0.0, kind="set_q_ref", value=1000.0 + 1000.0)]
+    cfg = short_config(duration=1e-3, dt_sim=1e-5, out_period=1e-3)
+    s = run_scenario(cfg, events).series
+    assert s.omega[0] == OMEGA0
+    assert (s.p_pcc[0], s.q_pcc[0] + GAINS.d_q * (s.v_cmd[0] - 110.0)) \
+        == pytest.approx((2000.0, 1000.0), rel=1e-9)
     assert (s.omega[1] - OMEGA0) / 1e-3 == pytest.approx(GAINS.k_ip * 2000.0, rel=0.02)
-    assert (s.v_cmd[1] - 110.0) / 1e-3 == pytest.approx(GAINS.k_iq * 1000.0, rel=0.02)
-    assert 0.0 < s.delta[1] < (s.omega[1] - OMEGA0) * 1e-3
+    assert (s.v_cmd[1] - s.v_cmd[0]) / 1e-3 == pytest.approx(GAINS.k_iq * 1000.0, rel=0.02)
+    assert 0.0 < s.delta[1] - s.delta[0] < (s.omega[1] - OMEGA0) * 1e-3
 
 
 # --- waveform synthesis ----------------------------------------------------------
@@ -245,8 +250,7 @@ def test_scenario_json_round_trip(tmp_path):
                     setpoints=Setpoints(1500.0, 500.0, omega_nom=99.0 * math.pi, v_nom=115.0),
                     scr=4.0, xr_ratio=7.0, v_g=120.0, s_rated=6000.0,
                     omega0=101.0 * math.pi, meas_lpf_cutoff=200.0, estimator_kind="oracle",
-                    gate_threshold=0.1, targets=DesignTargets(2.0, 0.8, 50.0),
-                    start_at_equilibrium=False)
+                    targets=DesignTargets(2.0, 0.8, 50.0))
     defaults = SimConfig(duration=1.0)
     assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
                for f in dataclasses.fields(SimConfig))
@@ -258,13 +262,20 @@ def test_scenario_json_round_trip(tmp_path):
     assert cfg2 == cfg
     assert events2 == events
     # files from older versions carry a simulator seed, which is ignored, and
-    # the estimator sample period, which must be the fixed 200 us; they omit
-    # the ratio of an event that keeps the current one
+    # settings that are now fixed, which must have the one value in use; they
+    # omit the ratio of an event that keeps the current one
     doc = scenario_to_dict(cfg, events)
-    doc["sim"]["seed"] = 3
-    doc["sim"]["est_period"] = 0.0002
+    doc["sim"].update(seed=3, est_period=0.0002, gate_threshold=0.05,
+                      start_at_equilibrium=True)
     del doc["events"][1]["xr_ratio"]
     assert scenario_from_dict(doc) == (cfg, events)
+    for key, other in (("est_period", 400e-6), ("gate_threshold", 0.1),
+                       ("start_at_equilibrium", False)):
+        bad = json.loads(json.dumps(doc))
+        bad["sim"][key] = other
+        with pytest.raises(ValueError, match=f"^{key} "):
+            scenario_from_dict(bad)
     doc["sim"]["est_period"] = 400e-6
     with pytest.raises(ValueError, match="every 200 us"):
         scenario_from_dict(doc)
+

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from vsglab.grid import JacobianPQ, scr_to_impedance, solve_operating_point, jacobian
 from vsglab.smallsignal import (VsgGains, DesignTargets, TransferFunction,
                                 DesignRegionError, SchedulingError, NoCrossoverError,
+                                ExcludedPointError,
                                 control_tf_p, open_loop_p, closed_loop_p, p_loop_info,
                                 q_loop_info, schedule_gains, bode, phase_margin,
                                 default_omega_grid, write_frequency_response_csv)
@@ -144,6 +145,12 @@ def test_bode_of_product_is_sum_of_factors():
     fr1, fr2, fr12 = bode(f1, w), bode(f2, w), bode(f12, w)
     np.testing.assert_allclose(fr12.mag_db, fr1.mag_db + fr2.mag_db, atol=1e-9)
     np.testing.assert_allclose(fr12.phase_deg, fr1.phase_deg + fr2.phase_deg, atol=1e-9)
+
+
+def test_bode_rejects_a_grid_point_on_an_imaginary_axis_pole():
+    # 1 / (1 + s^2) has its poles at s = +-j; the grid hits omega = 1 exactly
+    with pytest.raises(ExcludedPointError):
+        bode(TransferFunction((1.0,), (1.0, 0.0, 1.0)), np.array([0.5, 1.0, 2.0]))
 
 
 def test_unwrapped_phase_is_continuous():
