@@ -8,7 +8,9 @@ standard accept/reject damping schedule, whose constants (MU_INIT,
 MU_DECREASE, MU_INCREASE, MU_MAX, VAL_PATIENCE) are fixed and hashed into
 `TrainConfig.fingerprint`, and validation-check early stopping.  `lm_step`
 and `train` take the same damped step, over the one forward pass that
-`forward` and `error_jacobian` share.
+`forward` and `error_jacobian` share.  `train` takes that step in the span
+of its training inputs: one cycle of two sinusoids has rank 4, so its
+epochs solve for 58 weights rather than 1626, with the same iterates.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +366,7 @@ class TrainReport:
     val_checks: list[int] = field(default_factory=list)
     stop_reason: str = ""
     epochs_run: int = 0
+    input_rank: int = 0   # input directions LM trained in: the rank of the training inputs
     # populated at the end of training
     hist_bin_edges: np.ndarray | None = None
     hist_counts: dict[str, np.ndarray] = field(default_factory=dict)
@@ -394,6 +397,17 @@ def _finalize_report(report: TrainReport, model: MlpModel,
         report.scatter[name] = (t, p)
 
 
+def _input_basis(x: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis (n_in, rank) of the row space of `x`, or None at full rank.
+
+    The rank is numpy's `matrix_rank` default: singular values above
+    s_1 * max(N, n_in) * eps.
+    """
+    _, s, vt = np.linalg.svd(x, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(x.shape) * np.finfo(float).eps))
+    return None if rank == x.shape[1] else vt[:rank].T
+
+
 def train(train_split: tuple[np.ndarray, np.ndarray],
           val_split: tuple[np.ndarray, np.ndarray],
           test_split: tuple[np.ndarray, np.ndarray],
@@ -403,6 +417,12 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
 
     Callers normalize with a :class:`Normalizer` fitted on the training
     split; :func:`train_on_dataset` wraps both steps.
+
+    LM moves W1 only inside the row space of the training inputs, so when
+    they are rank-deficient the epochs run on the inputs projected onto an
+    orthonormal basis q of that space, with W1 q in place of W1.  The damping
+    term is the same in both coordinates, so the iterates are the full-space
+    ones; the returned W1 is the seed plus the reduced step lifted by q^T.
     """
     for name, (x, y) in (("train", train_split), ("val", val_split), ("test", test_split)):
         if np.atleast_2d(x).shape[0] == 0:
@@ -412,7 +432,14 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
     splits = {"train": (x_tr, y_tr),
               "val": tuple(np.atleast_2d(a) for a in val_split),
               "test": tuple(np.atleast_2d(a) for a in test_split)}
-    report = TrainReport()
+    seed_w1 = model.w1
+    q = _input_basis(x_tr)
+    lm_splits = splits
+    if q is not None:
+        model = replace(model, w1=seed_w1 @ q)
+        lm_splits = {name: (x @ q, y) for name, (x, y) in splits.items()}
+    x_tr = lm_splits["train"][0]
+    report = TrainReport(input_rank=model.w1.shape[1])
     mu = MU_INIT
     mse = _mse(model, x_tr, y_tr)
     best_val = math.inf
@@ -439,7 +466,7 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
         if not math.isfinite(mse):
             raise TrainingFailureError("training loss diverged", report)
 
-        vmse = _mse(model, *splits["val"])
+        vmse = _mse(model, *lm_splits["val"])
         if vmse < best_val:
             best_val = vmse
             val_checks = 0
@@ -447,7 +474,7 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
             val_checks += 1
         report.train_mse.append(mse)
         report.val_mse.append(vmse)
-        report.test_mse.append(_mse(model, *splits["test"]))
+        report.test_mse.append(_mse(model, *lm_splits["test"]))
         report.grad_norm.append(grad_norm)
         report.mu.append(mu)
         report.val_checks.append(val_checks)
@@ -464,6 +491,8 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
             break
     else:
         report.stop_reason = "max_epochs"
+    if q is not None:
+        model = replace(model, w1=seed_w1 + (model.w1 - seed_w1 @ q) @ q.T)
     _finalize_report(report, model, splits)
     return model, report
 

@@ -88,7 +88,8 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ann.save_model(out / "model.json", model, norm, cfg.fingerprint())
     ann.export_diagnostics(report, out)
-    print(f"trained {report.epochs_run} epochs in {dt:.1f} s, stop: {report.stop_reason}")
+    print(f"trained {report.epochs_run} epochs in {dt:.1f} s on {report.input_rank} of "
+          f"{model.w1.shape[1]} input directions, stop: {report.stop_reason}")
     print(f"final MSE train/val/test = {report.train_mse[-1]:.3e} / "
           f"{report.val_mse[-1]:.3e} / {report.test_mse[-1]:.3e}")
     for name, (slope, intercept, r) in report.regression.items():

@@ -213,6 +213,11 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
         else:
             if model is None or norm is None:
                 raise ValueError("avsg mode with the ann estimator needs model and norm")
+            # the network reads impedance only at the rating it was trained on
+            for name, rated in (("v_g", V_G), ("s_rated", S_RATED)):
+                if getattr(cfg, name) != rated:
+                    raise ValueError(f"{name} {getattr(cfg, name):g} is not the ann "
+                                     f"estimator's training rating {rated:g}")
             estimator = OnlineEstimator(model, norm)
 
     h = cfg.dt_sim

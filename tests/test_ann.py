@@ -165,6 +165,58 @@ def test_train_takes_the_lm_step():
     np.testing.assert_array_equal(model.flat_weights(), step.flat_weights())
 
 
+# the 1-D toy inputs laid along one unit vector of a 3-input space: rank 1 of 3
+EMBED = np.array([2.0, -1.0, 2.0]) / 3.0
+
+
+def embedded_toy_splits(seed=0):
+    return tuple((x * EMBED, y) for x, y in toy_splits(seed))
+
+
+def test_rank_deficient_epoch_takes_the_full_space_lm_step():
+    # an epoch in the span of the inputs moves the seeded 3-input weights as one
+    # full-space lm_step does.  The reference is only as exact as its own solve:
+    # at seed 0 the accepted mu is 1e-3, cond(J^T J + mu I) is about 1e5, and
+    # reordering the rows of the full-space step alone moves it by 2.8e-12, so
+    # this seed, accepted at mu = 1e-2, keeps that rounding below the tolerance
+    splits = embedded_toy_splits()
+    model, report = train(*splits, TrainConfig(max_epochs=1, seed=1, n_hidden=4))
+    assert report.input_rank == 1
+    mu = ann.MU_INIT
+    while mu * ann.MU_DECREASE < report.mu[0]:
+        mu *= ann.MU_INCREASE
+    assert mu == 1e-2
+    step = lm_step(init_model(3, 4, 1, seed=1), *splits[0], mu).flat_weights()
+    np.testing.assert_allclose(model.flat_weights(), step, rtol=0,
+                               atol=1e-12 * np.linalg.norm(step))
+
+
+def test_rank_deficient_training_keeps_off_span_weights_at_their_seed():
+    splits = embedded_toy_splits()
+    model, report = train(*splits, TrainConfig(max_epochs=20, seed=0, n_hidden=4))
+    assert report.epochs_run > 5
+    off_span = np.eye(3) - np.outer(EMBED, EMBED)
+    seed_w1 = init_model(3, 4, 1, seed=0).w1
+    np.testing.assert_allclose(model.w1 @ off_span, seed_w1 @ off_span, rtol=0, atol=1e-15)
+    assert np.linalg.norm((model.w1 - seed_w1) @ EMBED) > 0.1   # the span did train
+    # the report describes the lifted model on the 3-input splits
+    for name, (x, y) in zip(("train", "val", "test"), splits):
+        np.testing.assert_array_equal(report.scatter[name][1], forward(model, x).ravel())
+    assert report.train_mse[-1] == pytest.approx(
+        np.mean((forward(model, splits[0][0]) - splits[0][1]) ** 2), rel=1e-10)
+
+
+def test_input_rank_counts_the_directions_lm_trained_in():
+    assert train(*toy_splits(), TrainConfig(max_epochs=1, n_hidden=4))[1].input_rank == 1
+    # one cycle of two sinusoids is four numbers: the phasors of v and i
+    cfg = TrainConfig(max_epochs=1)
+    clean = generate_dataset(DatasetConfig(n_samples=40, seed=0))
+    assert train_on_dataset(*split_dataset(clean), cfg)[2].input_rank == 4
+    # noise spans every direction the 28 z-scored (centred) training rows can
+    noisy = generate_dataset(DatasetConfig(n_samples=40, seed=0, noise_std=0.5))
+    assert train_on_dataset(*split_dataset(noisy), cfg)[2].input_rank == 27
+
+
 def test_train_config_fingerprint_covers_the_damping_schedule():
     # model.json files saved while the schedule was five config fields carry this hash
     assert TrainConfig(seed=0).fingerprint() == "b9c378960bd460f6"

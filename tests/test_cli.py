@@ -1,5 +1,6 @@
 """Command-line interface smoke tests on short scenarios."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -68,7 +69,7 @@ def test_dataset_then_train(tmp_path, capsys):
     assert main(["train", "--dataset", str(ds_path), "--out", str(tmp_path),
                  "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert "trained" in out
+    assert "on 4 of 200 input directions" in out
     assert (tmp_path / "model.json").exists()
     assert (tmp_path / "training_trace.csv").exists()
     assert (tmp_path / "error_histogram.csv").exists()
@@ -233,3 +234,19 @@ def test_simulate_rejects_scenario_with_another_estimator_period(tmp_path, capsy
                  "--out", str(tmp_path)]) == 2
     assert "every 200 us" in capsys.readouterr().err
     assert not (tmp_path / "timeseries_avsg.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [("v_g", 120.0), ("s_rated", 6000.0)])
+def test_simulate_rejects_ann_estimator_off_its_training_rating(tmp_path, capsys, field, value):
+    # the network, trained at 110 V / 5 kVA, reads impedance 16-20 % wrong off that
+    # rating; the oracle reads the true impedance at any rating
+    sc = tmp_path / "scenario.json"
+    cfg, events = short_scenario(sc, mode="avsg")
+    for kind in ("oracle", "ann"):
+        save_scenario(sc, dataclasses.replace(cfg, estimator_kind=kind, **{field: value}),
+                      events)
+        out = tmp_path / kind
+        rc = main(["simulate", "--config", str(sc), "--model", str(MODEL_FIXTURE),
+                   "--out", str(out)])
+        assert (rc, out.exists()) == ((0, True) if kind == "oracle" else (2, False))
+    assert f"{field} {value:g} is not" in capsys.readouterr().err
