@@ -423,6 +423,10 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
     orthonormal basis q of that space, with W1 q in place of W1.  The damping
     term is the same in both coordinates, so the iterates are the full-space
     ones; the returned W1 is the seed plus the reduced step lifted by q^T.
+    The validation and test splits need not lie in that span, so they are
+    scored each epoch with the lifted model in their own coordinates.
+    Full-rank inputs skip the basis altogether, which keeps their results
+    bit-identical to training without it.
     """
     for name, (x, y) in (("train", train_split), ("val", val_split), ("test", test_split)):
         if np.atleast_2d(x).shape[0] == 0:
@@ -434,11 +438,12 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
               "test": tuple(np.atleast_2d(a) for a in test_split)}
     seed_w1 = model.w1
     q = _input_basis(x_tr)
-    lm_splits = splits
+    lift = lambda m: m
     if q is not None:
-        model = replace(model, w1=seed_w1 @ q)
-        lm_splits = {name: (x @ q, y) for name, (x, y) in splits.items()}
-    x_tr = lm_splits["train"][0]
+        seed_q = seed_w1 @ q
+        model = replace(model, w1=seed_q)
+        x_tr = x_tr @ q
+        lift = lambda m: replace(m, w1=seed_w1 + (m.w1 - seed_q) @ q.T)
     report = TrainReport(input_rank=model.w1.shape[1])
     mu = MU_INIT
     mse = _mse(model, x_tr, y_tr)
@@ -466,7 +471,8 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
         if not math.isfinite(mse):
             raise TrainingFailureError("training loss diverged", report)
 
-        vmse = _mse(model, *lm_splits["val"])
+        lifted = lift(model)
+        vmse = _mse(lifted, *splits["val"])
         if vmse < best_val:
             best_val = vmse
             val_checks = 0
@@ -474,7 +480,7 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
             val_checks += 1
         report.train_mse.append(mse)
         report.val_mse.append(vmse)
-        report.test_mse.append(_mse(model, *lm_splits["test"]))
+        report.test_mse.append(_mse(lifted, *splits["test"]))
         report.grad_norm.append(grad_norm)
         report.mu.append(mu)
         report.val_checks.append(val_checks)
@@ -491,8 +497,7 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
             break
     else:
         report.stop_reason = "max_epochs"
-    if q is not None:
-        model = replace(model, w1=seed_w1 + (model.w1 - seed_w1 @ q) @ q.T)
+    model = lift(model)
     _finalize_report(report, model, splits)
     return model, report
 

@@ -206,6 +206,18 @@ def test_rank_deficient_training_keeps_off_span_weights_at_their_seed():
         np.mean((forward(model, splits[0][0]) - splits[0][1]) ** 2), rel=1e-10)
 
 
+def test_rank_deficient_training_scores_val_and_test_with_the_returned_model():
+    # 28 noisy training rows span 27 of 200 directions; the val and test rows
+    # carry noise off that span, which the returned model's seeded weights see
+    noisy = generate_dataset(DatasetConfig(n_samples=40, seed=0, noise_std=0.5))
+    parts = split_dataset(noisy)
+    model, norm, report = train_on_dataset(*parts, TrainConfig(max_epochs=3))
+    assert report.input_rank == 27 and report.epochs_run == 3
+    for name, d in zip(("train", "val", "test"), parts):
+        e = forward(model, norm.transform_x(d.inputs)) - norm.transform_y(d.targets)
+        assert getattr(report, f"{name}_mse")[-1] == pytest.approx(np.mean(e * e), rel=1e-9)
+
+
 def test_input_rank_counts_the_directions_lm_trained_in():
     assert train(*toy_splits(), TrainConfig(max_epochs=1, n_hidden=4))[1].input_rank == 1
     # one cycle of two sinusoids is four numbers: the phasors of v and i
