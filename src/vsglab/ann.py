@@ -11,6 +11,8 @@ and `train` take the same damped step, over the one forward pass that
 `forward` and `error_jacobian` share.  `train` takes that step in the span
 of its training inputs: one cycle of two sinusoids has rank 4, so its
 epochs solve for 58 weights rather than 1626, with the same iterates.
+Full-rank (noisy) inputs train the same way, in a rotated basis of all 200
+input coordinates.
 """
 
 from __future__ import annotations
@@ -397,15 +399,15 @@ def _finalize_report(report: TrainReport, model: MlpModel,
         report.scatter[name] = (t, p)
 
 
-def _input_basis(x: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis (n_in, rank) of the row space of `x`, or None at full rank.
+def _input_basis(x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (n_in, rank) of the row space of `x`; square at full rank.
 
     The rank is numpy's `matrix_rank` default: singular values above
     s_1 * max(N, n_in) * eps.
     """
     _, s, vt = np.linalg.svd(x, full_matrices=False)
     rank = int(np.sum(s > s[0] * max(x.shape) * np.finfo(float).eps))
-    return None if rank == x.shape[1] else vt[:rank].T
+    return vt[:rank].T
 
 
 def train(train_split: tuple[np.ndarray, np.ndarray],
@@ -418,15 +420,14 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
     Callers normalize with a :class:`Normalizer` fitted on the training
     split; :func:`train_on_dataset` wraps both steps.
 
-    LM moves W1 only inside the row space of the training inputs, so when
-    they are rank-deficient the epochs run on the inputs projected onto an
-    orthonormal basis q of that space, with W1 q in place of W1.  The damping
-    term is the same in both coordinates, so the iterates are the full-space
-    ones; the returned W1 is the seed plus the reduced step lifted by q^T.
-    The validation and test splits need not lie in that span, so they are
-    scored each epoch with the lifted model in their own coordinates.
-    Full-rank inputs skip the basis altogether, which keeps their results
-    bit-identical to training without it.
+    LM moves W1 only inside the row space of the training inputs, so the
+    epochs run on the inputs projected onto an orthonormal basis q of that
+    space, with W1 q in place of W1; at full rank q is a rotation of all the
+    input coordinates.  The damping term is the same in both coordinates,
+    so the iterates are the full-space ones; the returned W1 is the seed
+    plus the reduced step lifted by q^T.  The validation and test splits
+    need not lie in that span, so they are scored each epoch with the
+    lifted model in their own coordinates.
     """
     for name, (x, y) in (("train", train_split), ("val", val_split), ("test", test_split)):
         if np.atleast_2d(x).shape[0] == 0:
@@ -438,12 +439,10 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
               "test": tuple(np.atleast_2d(a) for a in test_split)}
     seed_w1 = model.w1
     q = _input_basis(x_tr)
-    lift = lambda m: m
-    if q is not None:
-        seed_q = seed_w1 @ q
-        model = replace(model, w1=seed_q)
-        x_tr = x_tr @ q
-        lift = lambda m: replace(m, w1=seed_w1 + (m.w1 - seed_q) @ q.T)
+    seed_q = seed_w1 @ q
+    model = replace(model, w1=seed_q)
+    x_tr = x_tr @ q
+    lift = lambda m: replace(m, w1=seed_w1 + (m.w1 - seed_q) @ q.T)
     report = TrainReport(input_rank=model.w1.shape[1])
     mu = MU_INIT
     mse = _mse(model, x_tr, y_tr)

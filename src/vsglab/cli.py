@@ -2,7 +2,10 @@
 
 Subcommands: gains, bode, dataset, train, simulate, evaluate, paper-repro.
 Each reads flags and/or a JSON scenario config, writes CSV/report files,
-and exits nonzero on error.
+and exits nonzero on error.  The dataset, train, simulate and evaluate
+subcommands each write their files through one stage function, which
+creates the output directory once its inputs have loaded; paper-repro is
+those stages run in order.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from pathlib import Path
 from . import ann, presets
 from .estimator import read_estimate_log_csv, write_estimate_log_csv
 from .grid import (JacobianPQ, scr_to_impedance, solve_operating_point, jacobian)
-from .report import build_comparison, render_text, write_csv
-from .sim import (SimConfig, ScenarioEvent, TimeSeries, run_scenario,
+from .report import ComparisonReport, build_comparison, render_text, write_csv
+from .sim import (SimConfig, ScenarioEvent, SimResult, TimeSeries, run_scenario,
                   impedance_schedule, load_scenario, save_scenario)
 from .smallsignal import (DesignTargets, schedule_gains, open_loop_p,
                           bode, phase_margin, p_loop_info, q_loop_info,
@@ -69,25 +72,63 @@ def cmd_bode(args) -> int:
     return 0
 
 
+def _truth_schedule(cfg: SimConfig, events: list[ScenarioEvent]):
+    """(time, R_g, L_g) rows of the impedance the simulator runs with."""
+    return [(t, z.r_g, z.l_g) for t, z in impedance_schedule(cfg, events)]
+
+
+def _dataset_stage(path: Path, n: int, seed: int, noise: float = 0.0) -> ann.Dataset:
+    """Generate the dataset and write it to `path`, creating its directory."""
+    ds = ann.generate_dataset(ann.DatasetConfig(n_samples=n, seed=seed, noise_std=noise))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    ann.save_dataset_csv(path, ds)
+    return ds
+
+
+def _train_stage(ds: ann.Dataset, seed: int, out: Path):
+    """Split, train, and write model.json and the diagnostics CSVs under `out`."""
+    tr, va, te = ann.split_dataset(ds, seed=seed)
+    cfg = ann.TrainConfig(seed=seed)
+    model, norm, report = ann.train_on_dataset(tr, va, te, cfg)
+    out.mkdir(parents=True, exist_ok=True)
+    ann.save_model(out / "model.json", model, norm, cfg.fingerprint())
+    ann.export_diagnostics(report, out)
+    return model, norm, report
+
+
+def _simulate_stage(cfg: SimConfig, events: list[ScenarioEvent], model, norm,
+                    out: Path) -> SimResult:
+    """Run the scenario; write its trace and, if any, its estimate log under `out`."""
+    result = run_scenario(cfg, events, model=model, norm=norm)
+    out.mkdir(parents=True, exist_ok=True)
+    result.series.to_csv(out / f"timeseries_{cfg.mode}.csv")
+    if result.estimates:
+        write_estimate_log_csv(out / "estimates.csv", result.estimates)
+    return result
+
+
+def _evaluate_stage(cvsg: TimeSeries, avsg: TimeSeries, estimates, cfg: SimConfig,
+                    events: list[ScenarioEvent], out: Path) -> ComparisonReport:
+    """Compare the two runs; write report.txt and report.csv under `out`."""
+    rep = build_comparison(cvsg, avsg, events, estimates, _truth_schedule(cfg, events),
+                           cfg.targets)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.txt").write_text(render_text(rep))
+    write_csv(rep, out / "report.csv")
+    return rep
+
+
 def cmd_dataset(args) -> int:
-    cfg = ann.DatasetConfig(n_samples=args.n, seed=args.seed, noise_std=args.noise)
-    ds = ann.generate_dataset(cfg)
-    ann.save_dataset_csv(args.out, ds)
+    ds = _dataset_stage(Path(args.out), args.n, args.seed, args.noise)
     print(f"wrote {len(ds)} samples to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
     ds = ann.load_dataset_csv(args.dataset)
-    tr, va, te = ann.split_dataset(ds, seed=args.seed)
-    cfg = ann.TrainConfig(seed=args.seed)
     t0 = time.perf_counter()
-    model, norm, report = ann.train_on_dataset(tr, va, te, cfg)
+    model, _, report = _train_stage(ds, args.seed, Path(args.out))
     dt = time.perf_counter() - t0
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ann.save_model(out / "model.json", model, norm, cfg.fingerprint())
-    ann.export_diagnostics(report, out)
     print(f"trained {report.epochs_run} epochs in {dt:.1f} s on {report.input_rank} of "
           f"{model.w1.shape[1]} input directions, stop: {report.stop_reason}")
     print(f"final MSE train/val/test = {report.train_mse[-1]:.3e} / "
@@ -111,19 +152,10 @@ def cmd_simulate(args) -> int:
             print("error: avsg mode needs --model", file=sys.stderr)
             return 2
         model, norm = ann.load_model(args.model)
-    result = run_scenario(cfg, events, model=model, norm=norm)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result.series.to_csv(out / f"timeseries_{cfg.mode}.csv")
-    if result.estimates:
-        write_estimate_log_csv(out / "estimates.csv", result.estimates)
+    result = _simulate_stage(cfg, events, model, norm, out)
     print(f"wrote {len(result.series)} rows to {out / f'timeseries_{cfg.mode}.csv'}")
     return 0
-
-
-def _truth_schedule(cfg: SimConfig, events: list[ScenarioEvent]):
-    """(time, R_g, L_g) rows of the impedance the simulator runs with."""
-    return [(t, z.r_g, z.l_g) for t, z in impedance_schedule(cfg, events)]
 
 
 def cmd_evaluate(args) -> int:
@@ -132,56 +164,31 @@ def cmd_evaluate(args) -> int:
     cvsg = TimeSeries.from_csv(args.cvsg)
     avsg = TimeSeries.from_csv(args.avsg)
     estimates = read_estimate_log_csv(args.estimates) if args.estimates else []
-    rep = build_comparison(cvsg, avsg, events, estimates,
-                           _truth_schedule(cfg, events), cfg.targets)
-    text = render_text(rep)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(text)
-    write_csv(rep, out / "report.csv")
-    print(text)
+    rep = _evaluate_stage(cvsg, avsg, estimates, cfg, events, Path(args.out))
+    print(render_text(rep))
     return 0 if rep.passed else 1
 
 
 def run_paper_repro(outdir: Path, seed: int = 0, model_path: Path | None = None,
-                    quick: bool = False) -> "object":
-    """Full benchmark pipeline: dataset, training, both modes, comparison.
+                    quick: bool = False) -> ComparisonReport:
+    """Full benchmark pipeline: the dataset, train, simulate (cvsg, then avsg)
+    and evaluate stages in order, all writing under `outdir`.
 
-    Returns the ComparisonReport.  `quick` shrinks the dataset and coarsens
-    the integration step for smoke runs.  `outdir` is created only once the
-    model has loaded or the dataset is built.
+    `quick` shrinks the dataset and coarsens the integration step for smoke
+    runs.  `outdir` is created only once the model has loaded or the dataset
+    is built.
     """
-    n = 600 if quick else 5000
-    dt_sim = 200e-6 if quick else 50e-6
-
     if model_path is None:
-        ds = ann.generate_dataset(ann.DatasetConfig(n_samples=n, seed=seed))
-        outdir.mkdir(parents=True, exist_ok=True)
-        ann.save_dataset_csv(outdir / "dataset.csv", ds)
-        tr, va, te = ann.split_dataset(ds, seed=seed)
-        t_cfg = ann.TrainConfig(seed=seed)
-        model, norm, t_report = ann.train_on_dataset(tr, va, te, t_cfg)
-        ann.save_model(outdir / "model.json", model, norm, t_cfg.fingerprint())
-        ann.export_diagnostics(t_report, outdir)
+        ds = _dataset_stage(outdir / "dataset.csv", 600 if quick else 5000, seed)
+        model, norm, _ = _train_stage(ds, seed, outdir)
     else:
         model, norm = ann.load_model(model_path)
-        outdir.mkdir(parents=True, exist_ok=True)
-
+    cfg = presets.benchmark_config("avsg", dt_sim=200e-6 if quick else 50e-6)
     events = presets.benchmark_events()
-    cfg_c = presets.benchmark_config("cvsg", dt_sim=dt_sim)
-    cfg_a = presets.benchmark_config("avsg", dt_sim=dt_sim)
-    save_scenario(outdir / "scenario_avsg.json", cfg_a, events)
-    res_c = run_scenario(cfg_c, events)
-    res_a = run_scenario(cfg_a, events, model=model, norm=norm)
-    res_c.series.to_csv(outdir / "timeseries_cvsg.csv")
-    res_a.series.to_csv(outdir / "timeseries_avsg.csv")
-    write_estimate_log_csv(outdir / "estimates.csv", res_a.estimates)
-
-    rep = build_comparison(res_c.series, res_a.series, events, res_a.estimates,
-                           _truth_schedule(cfg_a, events), cfg_a.targets)
-    (outdir / "report.txt").write_text(render_text(rep))
-    write_csv(rep, outdir / "report.csv")
-    return rep
+    res_c = _simulate_stage(dataclasses.replace(cfg, mode="cvsg"), events, None, None, outdir)
+    res_a = _simulate_stage(cfg, events, model, norm, outdir)
+    save_scenario(outdir / "scenario_avsg.json", cfg, events)
+    return _evaluate_stage(res_c.series, res_a.series, res_a.estimates, cfg, events, outdir)
 
 
 def cmd_paper_repro(args) -> int:

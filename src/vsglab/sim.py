@@ -30,6 +30,11 @@ from .tables import read_table, write_table
 
 SQRT2 = math.sqrt(2.0)
 
+# The 60 s benchmark's initial grid and the fixed CVSG baseline gains, which
+# the adaptive mode also starts from; `SimConfig` defaults to both.
+XR_RATIO_DEFAULT = 5.0
+BASELINE_GAINS = VsgGains(d_p=2087.0, k_ip=0.00767, d_q=0.687, k_iq=0.115)
+
 
 class NumericFailureError(RuntimeError):
     """The integrator produced a non-finite state or derivative."""
@@ -65,10 +70,10 @@ class SimConfig:
     mode: str = "cvsg"                  # cvsg | avsg
     dt_sim: float = 50e-6
     out_period: float = 1e-3
-    gains: VsgGains = field(default_factory=lambda: VsgGains(2087.0, 0.00767, 0.687, 0.115))
-    setpoints: Setpoints = field(default_factory=lambda: Setpoints(2000.0, 1000.0))
+    gains: VsgGains = BASELINE_GAINS
+    setpoints: Setpoints = Setpoints(p_ref=2000.0, q_ref=1000.0)
     scr: float = 2.0
-    xr_ratio: float = 5.0
+    xr_ratio: float = XR_RATIO_DEFAULT
     v_g: float = V_G
     s_rated: float = S_RATED
     omega0: float = OMEGA0_DEFAULT
@@ -174,13 +179,6 @@ def impedance_schedule(cfg: SimConfig, events: list[ScenarioEvent]
             sched.append((ev.time, scr_to_impedance(ev.value, xr, cfg.v_g,
                                                     cfg.s_rated, cfg.omega0)))
     return sched
-
-
-def _clamped_impedance(r_hat: float, l_hat: float, omega0: float) -> GridImpedance:
-    # estimates can stray slightly negative during transients
-    r = max(r_hat, 0.0)
-    x = max(omega0 * l_hat, 1e-9)
-    return GridImpedance(r_g=r, x_g=x, l_g=x / omega0, omega0=omega0)
 
 
 def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
@@ -300,7 +298,9 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
             if rec is not None:
                 applied = gate_gain_update(rec, prev_applied)
                 if applied:
-                    z_hat = _clamped_impedance(rec.r_g_hat, rec.l_g_hat, w0)
+                    # estimates can stray slightly negative during transients
+                    z_hat = GridImpedance.from_rx(max(rec.r_g_hat, 0.0),
+                                                  max(w0 * rec.l_g_hat, 1e-9), w0)
                     ja, jb, jc, jd = _pf_jac(d, v, vg, z_hat.r_g, z_hat.x_g)
                     try:
                         g_new = schedule_gains(JacobianPQ(ja, jb, jc, jd), cfg.targets)

@@ -76,6 +76,12 @@ def test_dataset_then_train(tmp_path, capsys):
     assert (tmp_path / "regression.csv").exists()
 
 
+def test_dataset_creates_the_directory_of_out(tmp_path):
+    ds_path = tmp_path / "sub" / "ds.csv"
+    assert main(["dataset", "--out", str(ds_path), "--n", "20", "--seed", "0"]) == 0
+    assert ds_path.exists()
+
+
 def test_simulate_from_config(tmp_path):
     sc = tmp_path / "scenario.json"
     short_scenario(sc)
@@ -250,3 +256,23 @@ def test_simulate_rejects_ann_estimator_off_its_training_rating(tmp_path, capsys
                    "--out", str(out)])
         assert (rc, out.exists()) == ((0, True) if kind == "oracle" else (2, False))
     assert f"{field} {value:g} is not" in capsys.readouterr().err
+
+
+def test_paper_repro_writes_what_the_subcommand_chain_writes(tmp_path):
+    repro, chain = tmp_path / "repro", tmp_path / "chain"
+    assert main(["paper-repro", "--quick", "--seed", "0", "--out", str(repro)]) == 0
+    scenario = str(repro / "scenario_avsg.json")
+    ds_path = str(chain / "dataset.csv")
+    assert main(["dataset", "--out", ds_path, "--n", "600", "--seed", "0"]) == 0
+    assert main(["train", "--dataset", ds_path, "--out", str(chain), "--seed", "0"]) == 0
+    assert main(["simulate", "--config", scenario, "--mode", "cvsg", "--out", str(chain)]) == 0
+    assert main(["simulate", "--config", scenario, "--model", str(chain / "model.json"),
+                 "--out", str(chain)]) == 0
+    assert main(["evaluate", "--cvsg", str(chain / "timeseries_cvsg.csv"),
+                 "--avsg", str(chain / "timeseries_avsg.csv"),
+                 "--estimates", str(chain / "estimates.csv"), "--scenario", scenario,
+                 "--out", str(chain)]) == 0
+    written = sorted(p.name for p in chain.iterdir())
+    assert written == sorted(p.name for p in repro.iterdir() if p.name != "scenario_avsg.json")
+    for name in written:
+        assert (chain / name).read_bytes() == (repro / name).read_bytes(), name
