@@ -306,6 +306,10 @@ class DatasetConfig:
     noise_std: float = 0.0   # additive Gaussian, volts/amps
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+
 
 def generate_dataset(cfg: DatasetConfig) -> Dataset:
     """Steady-state windows over randomized SCR and operating point, each

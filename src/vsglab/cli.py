@@ -18,19 +18,19 @@ from pathlib import Path
 
 from . import ann, presets
 from .estimator import read_estimate_log_csv, write_estimate_log_csv
-from .grid import (JacobianPQ, scr_to_impedance, solve_operating_point, jacobian)
+from .grid import (JacobianPQ, S_RATED, V_G, scr_to_impedance, solve_operating_point,
+                   jacobian)
 from .report import ComparisonReport, build_comparison, render_text, write_csv
-from .sim import (SimConfig, ScenarioEvent, SimResult, TimeSeries, run_scenario,
-                  impedance_schedule, load_scenario, save_scenario)
+from .sim import (BASELINE_GAINS, XR_RATIO_DEFAULT, SimConfig, ScenarioEvent, SimResult,
+                  TimeSeries, run_scenario, impedance_schedule, load_scenario, save_scenario)
 from .smallsignal import (DesignTargets, schedule_gains, open_loop_p,
                           bode, phase_margin, p_loop_info, q_loop_info,
                           write_frequency_response_csv)
 
 
-def _jac_from_grid(scr: float, xr: float, p: float, q: float,
-                   v_g: float, s_rated: float) -> JacobianPQ:
-    z = scr_to_impedance(scr, xr, v_g, s_rated)
-    op = solve_operating_point(p, q, z, v_g)
+def _jac_from_grid(scr: float, xr: float, p: float, q: float) -> JacobianPQ:
+    z = scr_to_impedance(scr, xr, V_G, S_RATED)
+    op = solve_operating_point(p, q, z, V_G)
     return jacobian(op, z)
 
 
@@ -38,7 +38,7 @@ def cmd_gains(args) -> int:
     if args.a is not None and args.d is not None:
         jac = JacobianPQ(a=args.a, b=0.0, c=0.0, d=args.d)
     else:
-        jac = _jac_from_grid(args.scr, args.xr, args.p, args.q, args.vg, args.srated)
+        jac = _jac_from_grid(args.scr, args.xr, args.p, args.q)
     targets = DesignTargets(t_s=args.ts, xi=args.xi, q_droop_divisor=args.divisor)
     g = schedule_gains(jac, targets)
     pinfo = p_loop_info(g, jac.a)
@@ -59,8 +59,8 @@ def cmd_bode(args) -> int:
     tag = "scheduled" if args.scheduled else "fixed"
     curves = []
     for scr in (float(s) for s in args.scr_list.split(",")):
-        jac = _jac_from_grid(scr, args.xr, args.p, args.q, args.vg, args.srated)
-        g = schedule_gains(jac) if args.scheduled else presets.BASELINE_GAINS
+        jac = _jac_from_grid(scr, args.xr, args.p, args.q)
+        g = schedule_gains(jac) if args.scheduled else BASELINE_GAINS
         fr = bode(open_loop_p(g, jac.a))
         curves.append((scr, fr, phase_margin(fr)))
     out = Path(args.out)
@@ -208,11 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--a", type=float, help="static P-delta gain A [W/rad]")
     g.add_argument("--d", type=float, help="static Q-V gain D [var/V]")
     g.add_argument("--scr", type=float, default=2.0)
-    g.add_argument("--xr", type=float, default=presets.XR_RATIO_DEFAULT)
+    g.add_argument("--xr", type=float, default=XR_RATIO_DEFAULT)
     g.add_argument("--p", type=float, default=2000.0)
     g.add_argument("--q", type=float, default=1000.0)
-    g.add_argument("--vg", type=float, default=presets.V_G)
-    g.add_argument("--srated", type=float, default=presets.S_RATED)
     g.add_argument("--ts", type=float, default=1.0)
     g.add_argument("--xi", type=float, default=1.0)
     g.add_argument("--divisor", type=float, default=100.0)
@@ -222,11 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--scr-list", default="2,8,20")
     b.add_argument("--scheduled", action="store_true",
                    help="use scheduled gains instead of the fixed baseline")
-    b.add_argument("--xr", type=float, default=presets.XR_RATIO_DEFAULT)
+    b.add_argument("--xr", type=float, default=XR_RATIO_DEFAULT)
     b.add_argument("--p", type=float, default=2000.0)
     b.add_argument("--q", type=float, default=1000.0)
-    b.add_argument("--vg", type=float, default=presets.V_G)
-    b.add_argument("--srated", type=float, default=presets.S_RATED)
     b.add_argument("--out", default="out")
     b.set_defaults(func=cmd_bode)
 

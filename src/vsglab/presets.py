@@ -1,21 +1,17 @@
 """The 60 s three-segment benchmark scenario and the inner-loop record.
 
 The benchmark's initial grid, set-points and the fixed-gain (CVSG)
-baseline are `SimConfig`'s defaults; `BASELINE_GAINS` and
-`XR_RATIO_DEFAULT` are defined in `vsglab.sim` next to it and re-exported
-here, as is the plant rating `V_G`, `S_RATED` of `vsglab.grid`.  The
-adaptive mode (AVSG) starts from the same gains and reschedules them from
-impedance estimates.  Inner current/voltage loop gains are recorded for
-documentation only; the simulation models the inner loops as ideal.
+baseline are `SimConfig`'s defaults, defined in `vsglab.sim` with
+`BASELINE_GAINS` and `XR_RATIO_DEFAULT`; the plant (110 V, 5 kVA, 50 Hz)
+is the constants of `vsglab.grid`.  The adaptive mode (AVSG) starts from
+the same gains and reschedules them from impedance estimates.  Inner
+current/voltage loop gains are recorded for documentation only; the
+simulation models the inner loops as ideal.
 """
 
 from __future__ import annotations
 
-from .grid import S_RATED, V_G
-from .sim import BASELINE_GAINS, XR_RATIO_DEFAULT, SimConfig, ScenarioEvent
-
-__all__ = ["BASELINE_GAINS", "INNER_LOOPS", "S_RATED", "V_G", "XR_RATIO_DEFAULT",
-           "benchmark_config", "benchmark_events"]
+from .sim import XR_RATIO_DEFAULT, SimConfig, ScenarioEvent
 
 # inner-loop parameters, documentation only (inner loops modeled as ideal)
 INNER_LOOPS = {

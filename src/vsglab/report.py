@@ -53,10 +53,16 @@ def build_comparison(cvsg: TimeSeries, avsg: TimeSeries,
     settles within 10 % of its weak-grid P-step value, Q-steps settle within
     the same fraction of the analytic first-order value, and overshoot is
     consistent to 1 percentage point per loop.  Oscillation energy is
-    reported per event but does not gate the verdict.
+    reported per event but does not gate the verdict.  A trace that ends
+    before an event raises ValueError.
     """
     band, settling_tol_frac, overshoot_tol_pp = 0.02, 0.10, 1.0
     events = sorted(events, key=lambda e: e.time)
+    for name, trace in (("cvsg", cvsg), ("avsg", avsg)):
+        late = [ev.time for ev in events if ev.time > trace.t[-1]]
+        if late:
+            raise ValueError(f"the {name} trace ends at t = {trace.t[-1]:g} s, before the "
+                             f"event at t = {late[0]:g} s")
     duration = float(avsg.t[-1])
     rows: list[EventComparison] = []
     for i, ev in enumerate(events):

@@ -9,6 +9,10 @@ voltage magnitude tracks the command instantly).  Scenario events step
 the SCR or the power setpoints mid-run; in adaptive mode the estimator is
 fed decimated waveform samples and accepted estimates reschedule the
 gains.
+
+The plant is the one the estimator was trained at, no scenario's setting:
+`grid.V_G`, `S_RATED` and `OMEGA0_DEFAULT` (110 V, 5 kVA, 50 Hz), which are
+also the VSG's nominal voltage and frequency.
 """
 
 from __future__ import annotations
@@ -44,12 +48,6 @@ class NumericFailureError(RuntimeError):
 class Setpoints:
     p_ref: float                    # W
     q_ref: float                    # var
-    omega_nom: float = OMEGA0_DEFAULT
-    v_nom: float = V_G              # V RMS
-
-    def __post_init__(self) -> None:
-        if self.omega_nom <= 0 or self.v_nom <= 0:
-            raise ValueError("omega_nom and v_nom must be positive")
 
 
 @dataclass(frozen=True)
@@ -74,16 +72,16 @@ class SimConfig:
     setpoints: Setpoints = Setpoints(p_ref=2000.0, q_ref=1000.0)
     scr: float = 2.0
     xr_ratio: float = XR_RATIO_DEFAULT
-    v_g: float = V_G
-    s_rated: float = S_RATED
-    omega0: float = OMEGA0_DEFAULT
     meas_lpf_cutoff: float | None = None  # rad/s; None disables the P/Q filter
     estimator_kind: str = "ann"           # ann | oracle (avsg only)
     targets: DesignTargets = field(default_factory=DesignTargets)
 
     def __post_init__(self) -> None:
-        if not self.dt_sim > 0.0:
-            raise ValueError(f"dt_sim must be positive, got {self.dt_sim}")
+        lpf = self.meas_lpf_cutoff
+        for name, value in (("duration", self.duration), ("dt_sim", self.dt_sim),
+                            ("meas_lpf_cutoff", 1.0 if lpf is None else lpf)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.mode not in ("cvsg", "avsg"):
             raise ValueError(f"mode must be cvsg or avsg, got {self.mode!r}")
         if self.estimator_kind not in ("ann", "oracle"):
@@ -171,13 +169,12 @@ def impedance_schedule(cfg: SimConfig, events: list[ScenarioEvent]
     X/R raises ValueError here, before any integration.
     """
     xr = cfg.xr_ratio
-    sched = [(0.0, scr_to_impedance(cfg.scr, xr, cfg.v_g, cfg.s_rated, cfg.omega0))]
+    sched = [(0.0, scr_to_impedance(cfg.scr, xr, V_G, S_RATED))]
     for ev in sorted(events, key=lambda e: e.time):
         if ev.kind == "set_scr":
             if ev.xr_ratio is not None:
                 xr = ev.xr_ratio
-            sched.append((ev.time, scr_to_impedance(ev.value, xr, cfg.v_g,
-                                                    cfg.s_rated, cfg.omega0)))
+            sched.append((ev.time, scr_to_impedance(ev.value, xr, V_G, S_RATED)))
     return sched
 
 
@@ -198,10 +195,10 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
 
     sp = cfg.setpoints
     gains = cfg.gains
-    op = solve_operating_point(sp.p_ref, sp.q_ref, z, cfg.v_g, tol=1e-10,
-                               d_q=gains.d_q, v_nom=sp.v_nom)
+    op = solve_operating_point(sp.p_ref, sp.q_ref, z, V_G, tol=1e-10,
+                               d_q=gains.d_q, v_nom=V_G)
     d, v = op.delta0, op.v_pcc0
-    w = sp.omega_nom
+    w = OMEGA0_DEFAULT
 
     estimator = None
     if cfg.mode == "avsg":
@@ -211,11 +208,6 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
         else:
             if model is None or norm is None:
                 raise ValueError("avsg mode with the ann estimator needs model and norm")
-            # the network reads impedance only at the rating it was trained on
-            for name, rated in (("v_g", V_G), ("s_rated", S_RATED)):
-                if getattr(cfg, name) != rated:
-                    raise ValueError(f"{name} {getattr(cfg, name):g} is not the ann "
-                                     f"estimator's training rating {rated:g}")
             estimator = OnlineEstimator(model, norm)
 
     h = cfg.dt_sim
@@ -230,14 +222,12 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
     r_est = l_est = math.nan
 
     # locals for the hot loop
-    vg = cfg.v_g
-    wn = sp.omega_nom
-    vn = sp.v_nom
+    vg = V_G
+    w0 = OMEGA0_DEFAULT
     pref, qref = sp.p_ref, sp.q_ref
     dp, kip, dq, kiq = gains.d_p, gains.k_ip, gains.d_q, gains.k_iq
     r, x = z.r_g, z.x_g
     kz = 3.0 / (r * r + x * x)
-    w0 = cfg.omega0
     sin, cos, isfinite = math.sin, math.cos, math.isfinite
     wc = cfg.meas_lpf_cutoff
     pf, qf = _pf(d, v, vg, r, x)
@@ -249,22 +239,22 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
         d(omega)/dt = K_ip (P_ref - P - D_p (omega - omega_nom))
         d(v_cmd)/dt = K_iq (Q_ref - Q - D_q (v_cmd - v_nom))
 
-        P, Q come from the phasor power flow, solved inline.  Without a
-        measurement filter the loops act on them directly and P_f, Q_f stay
-        constant; with one, the loops act on P_f, Q_f, their first-order lag
-        at cutoff `wc`.
+        omega_nom and v_nom are the grid's w0 and vg.  P, Q come from the
+        phasor power flow, solved inline.  Without a measurement filter the
+        loops act on them directly and P_f, Q_f stay constant; with one, the
+        loops act on P_f, Q_f, their first-order lag at cutoff `wc`.
         """
         sd = sin(d)
         cd = cos(d)
         vvg = v * vg
         p = kz * (r * v * v - r * vvg * cd + x * vvg * sd)
         q = kz * (x * v * v - x * vvg * cd - r * vvg * sd)
-        slip = w - wn
+        slip = w - w0
         if wc is None:
             return (slip, kip * (pref - p - dp * slip),
-                    kiq * (qref - q - dq * (v - vn)), 0.0, 0.0)
+                    kiq * (qref - q - dq * (v - vg)), 0.0, 0.0)
         return (slip, kip * (pref - pf - dp * slip),
-                kiq * (qref - qf - dq * (v - vn)), wc * (p - pf), wc * (q - qf))
+                kiq * (qref - qf - dq * (v - vg)), wc * (p - pf), wc * (q - qf))
 
     ev_idx = 0
     out_row = 0
@@ -355,12 +345,17 @@ def scenario_to_dict(cfg: SimConfig, events: list[ScenarioEvent]) -> dict:
     return {"sim": asdict(cfg), "events": [asdict(e) for e in events]}
 
 
-# Keys older versions wrote for settings that are now fixed.  A file loads only
-# if it carries the one value in use: key -> (that value, the reason shown).
+# Keys older versions wrote in "sim" or "setpoints" for settings now fixed.  A file
+# loads only if it carries the one value in use: key -> (that value, the reason shown).
 RETIRED_SCENARIO_KEYS = {
     "est_period": (SAMPLE_DT, f"the estimator samples every {SAMPLE_DT * 1e6:g} us"),
     "gate_threshold": (GATE_THRESHOLD, f"gains reschedule on a {GATE_THRESHOLD:.0%} change"),
     "start_at_equilibrium": (True, "every run starts at the solved equilibrium"),
+    "v_g": (V_G, f"the grid is {V_G:g} V"),
+    "s_rated": (S_RATED, f"the plant is rated {S_RATED:g} VA"),
+    "omega0": (OMEGA0_DEFAULT, "the grid runs at 50 Hz"),
+    "omega_nom": (OMEGA0_DEFAULT, "the VSG's nominal frequency is the grid's 50 Hz"),
+    "v_nom": (V_G, f"the VSG's nominal voltage is the grid's {V_G:g} V"),
 }
 
 
@@ -368,13 +363,15 @@ def scenario_from_dict(doc: dict) -> tuple[SimConfig, list[ScenarioEvent]]:
     """What `scenario_to_dict` wrote; ValueError names a missing, unknown or retired key."""
     try:
         s = dict(doc["sim"])
+        setpoints = dict(s.pop("setpoints"))
         s.pop("seed", None)  # written by older versions; the simulator draws no random numbers
-        for key, (value, reason) in RETIRED_SCENARIO_KEYS.items():
-            got = s.pop(key, value)
-            if got != value:
-                raise ValueError(f"{key} {got!r} is not supported: {reason}")
+        for part in (s, setpoints):
+            for key, (value, reason) in RETIRED_SCENARIO_KEYS.items():
+                got = part.pop(key, value)
+                if got != value:
+                    raise ValueError(f"{key} {got!r} is not supported: {reason}")
         gains = VsgGains(**s.pop("gains"))
-        setpoints = Setpoints(**s.pop("setpoints"))
+        setpoints = Setpoints(**setpoints)
         targets = DesignTargets(**s.pop("targets", {}))
         cfg = SimConfig(gains=gains, setpoints=setpoints, targets=targets, **s)
         # older versions omit the xr_ratio of an event that keeps the current ratio

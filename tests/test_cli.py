@@ -1,7 +1,7 @@
 """Command-line interface smoke tests on short scenarios."""
 
-import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +138,21 @@ MALFORMED_INPUTS = {
                                "gate_threshold"),
     "cold-start": ("scenario", lambda d: d["sim"].update(start_at_equilibrium=False),
                    "start_at_equilibrium"),
+    # the plant is the one the network was trained at, for either estimator; on a
+    # 60 Hz grid the network reads R and L about 98 % wrong
+    "another-v_g": ("scenario", lambda d: d["sim"].update(v_g=120.0),
+                    "v_g 120.0 is not supported"),
+    "another-s_rated": ("scenario",
+                        lambda d: d["sim"].update(s_rated=6000.0, estimator_kind="oracle"),
+                        "s_rated 6000.0 is not supported"),
+    "sixty-hertz-grid": ("scenario", lambda d: d["sim"].update(omega0=120.0 * math.pi),
+                         f"omega0 {120.0 * math.pi!r} is not supported"),
+    "another-omega_nom": ("scenario",
+                          lambda d: d["sim"].update(estimator_kind="oracle", setpoints={
+                              **d["sim"]["setpoints"], "omega_nom": 120.0 * math.pi}),
+                          f"omega_nom {120.0 * math.pi!r} is not supported"),
+    "another-v_nom": ("scenario", lambda d: d["sim"]["setpoints"].update(v_nom=115.0),
+                      "v_nom 115.0 is not supported"),
 }
 
 
@@ -242,20 +257,28 @@ def test_simulate_rejects_scenario_with_another_estimator_period(tmp_path, capsy
     assert not (tmp_path / "timeseries_avsg.csv").exists()
 
 
-@pytest.mark.parametrize("field, value", [("v_g", 120.0), ("s_rated", 6000.0)])
-def test_simulate_rejects_ann_estimator_off_its_training_rating(tmp_path, capsys, field, value):
-    # the network, trained at 110 V / 5 kVA, reads impedance 16-20 % wrong off that
-    # rating; the oracle reads the true impedance at any rating
+@pytest.mark.parametrize("noise", ["-0.5", "nan", "inf"])
+def test_dataset_rejects_noise_that_is_not_a_finite_std(tmp_path, capsys, noise):
+    # noise is added only above zero, so a negative level would write the clean dataset
+    out = tmp_path / "ds.csv"
+    assert main(["dataset", "--out", str(out), "--n", "20", "--noise", noise]) == 2
+    assert "noise_std" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_rejects_traces_that_end_before_an_event(tmp_path, capsys):
+    # without --scenario the events are the 60 s benchmark's, the first at 10 s
     sc = tmp_path / "scenario.json"
-    cfg, events = short_scenario(sc, mode="avsg")
-    for kind in ("oracle", "ann"):
-        save_scenario(sc, dataclasses.replace(cfg, estimator_kind=kind, **{field: value}),
-                      events)
-        out = tmp_path / kind
-        rc = main(["simulate", "--config", str(sc), "--model", str(MODEL_FIXTURE),
-                   "--out", str(out)])
-        assert (rc, out.exists()) == ((0, True) if kind == "oracle" else (2, False))
-    assert f"{field} {value:g} is not" in capsys.readouterr().err
+    short_scenario(sc, mode="avsg", duration=4.0)
+    for mode in ("cvsg", "avsg"):
+        assert main(["simulate", "--config", str(sc), "--mode", mode,
+                     "--out", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert main(["evaluate", "--cvsg", str(tmp_path / "timeseries_cvsg.csv"),
+                 "--avsg", str(tmp_path / "timeseries_avsg.csv"), "--out", str(out)]) == 2
+    assert ("the cvsg trace ends at t = 4 s, before the event at t = 10 s"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_paper_repro_writes_what_the_subcommand_chain_writes(tmp_path):

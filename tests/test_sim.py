@@ -11,8 +11,8 @@ from vsglab.grid import (OperatingPoint, scr_to_impedance,
                          power_flow, solve_operating_point,
                          InfeasibleOperatingPointError)
 from vsglab.grid import _pf
-from vsglab.sim import (TIMESERIES_COLUMNS, Setpoints, ScenarioEvent, SimConfig,
-                        TimeSeries, NumericFailureError, synth_waveforms,
+from vsglab.sim import (RETIRED_SCENARIO_KEYS, TIMESERIES_COLUMNS, Setpoints, ScenarioEvent,
+                        SimConfig, TimeSeries, NumericFailureError, synth_waveforms,
                         impedance_schedule, run_scenario, scenario_to_dict,
                         scenario_from_dict, save_scenario, load_scenario)
 from vsglab.cli import _truth_schedule
@@ -87,10 +87,10 @@ def test_solve_equilibrium_satisfies_loop_balance():
     z = scr_to_impedance(2.0, 5.0, 110.0, 5000.0)
     sp = Setpoints(2000.0, 1000.0)
     op = solve_operating_point(sp.p_ref, sp.q_ref, z, 110.0, tol=1e-10,
-                               d_q=GAINS.d_q, v_nom=sp.v_nom)
+                               d_q=GAINS.d_q, v_nom=110.0)
     pq = power_flow(op, z)
     assert pq.p == pytest.approx(2000.0, abs=1e-5)
-    assert pq.q + GAINS.d_q * (op.v_pcc0 - sp.v_nom) == pytest.approx(1000.0, abs=1e-5)
+    assert pq.q + GAINS.d_q * (op.v_pcc0 - 110.0) == pytest.approx(1000.0, abs=1e-5)
 
 
 def test_solve_equilibrium_infeasible():
@@ -196,6 +196,12 @@ def test_config_validation():
         short_config(dt_sim=0.0)
     with pytest.raises(ValueError):
         ScenarioEvent(time=0.0, kind="set_vg", value=1.0)
+    # a zero cutoff freezes the measured P, so the P loop winds up without bound
+    for field in ("duration", "meas_lpf_cutoff"):
+        for value in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+                short_config(**{field: value})
+    assert short_config(meas_lpf_cutoff=None).meas_lpf_cutoff is None
 
 
 def test_oracle_avsg_applies_scheduled_gains():
@@ -247,9 +253,8 @@ def test_timeseries_csv_round_trip(tmp_path):
 def test_scenario_json_round_trip(tmp_path):
     cfg = SimConfig(duration=3.0, mode="avsg", dt_sim=100e-6, out_period=2e-3,
                     gains=VsgGains(1000.0, 0.01, 0.5, 0.2),
-                    setpoints=Setpoints(1500.0, 500.0, omega_nom=99.0 * math.pi, v_nom=115.0),
-                    scr=4.0, xr_ratio=7.0, v_g=120.0, s_rated=6000.0,
-                    omega0=101.0 * math.pi, meas_lpf_cutoff=200.0, estimator_kind="oracle",
+                    setpoints=Setpoints(1500.0, 500.0), scr=4.0, xr_ratio=7.0,
+                    meas_lpf_cutoff=200.0, estimator_kind="oracle",
                     targets=DesignTargets(2.0, 0.8, 50.0))
     defaults = SimConfig(duration=1.0)
     assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
@@ -266,16 +271,27 @@ def test_scenario_json_round_trip(tmp_path):
     # omit the ratio of an event that keeps the current one
     doc = scenario_to_dict(cfg, events)
     doc["sim"].update(seed=3, est_period=0.0002, gate_threshold=0.05,
-                      start_at_equilibrium=True)
+                      start_at_equilibrium=True, v_g=110.0, s_rated=5000.0,
+                      omega0=100.0 * math.pi)
+    doc["sim"]["setpoints"].update(omega_nom=100.0 * math.pi, v_nom=110.0)
     del doc["events"][1]["xr_ratio"]
     assert scenario_from_dict(doc) == (cfg, events)
-    for key, other in (("est_period", 400e-6), ("gate_threshold", 0.1),
-                       ("start_at_equilibrium", False)):
+    for part, key, other in (("sim", "est_period", 400e-6), ("sim", "gate_threshold", 0.1),
+                             ("sim", "start_at_equilibrium", False), ("sim", "v_g", 120.0),
+                             ("sim", "s_rated", 6000.0), ("sim", "omega0", 101.0 * math.pi),
+                             ("setpoints", "omega_nom", 99.0 * math.pi),
+                             ("setpoints", "v_nom", 115.0)):
         bad = json.loads(json.dumps(doc))
-        bad["sim"][key] = other
+        (bad["sim"] if part == "sim" else bad["sim"]["setpoints"])[key] = other
         with pytest.raises(ValueError, match=f"^{key} "):
             scenario_from_dict(bad)
     doc["sim"]["est_period"] = 400e-6
     with pytest.raises(ValueError, match="every 200 us"):
         scenario_from_dict(doc)
 
+
+
+def test_no_live_field_is_a_retired_key():
+    # the loader drops retired keys, so a live field of that name would be lost
+    live = {f.name for cls in (SimConfig, Setpoints) for f in dataclasses.fields(cls)}
+    assert live.isdisjoint(RETIRED_SCENARIO_KEYS)
