@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -359,8 +359,20 @@ RETIRED_SCENARIO_KEYS = {
 }
 
 
+def _numbers_checked(cls, values: dict, where: str) -> dict:
+    """`values` once each number field of `cls` in it holds a JSON number, or null
+    where the field allows None; ValueError names the first key that does not."""
+    for f in fields(cls):
+        if f.type in ("float", "float | None") and f.name in values:
+            v = values[f.name]
+            if not (type(v) in (int, float) or (v is None and f.type == "float | None")):
+                raise ValueError(f"{where}{f.name} must be a number, got {v!r}")
+    return values
+
+
 def scenario_from_dict(doc: dict) -> tuple[SimConfig, list[ScenarioEvent]]:
-    """What `scenario_to_dict` wrote; ValueError names a missing, unknown or retired key."""
+    """What `scenario_to_dict` wrote; ValueError names a missing, unknown or retired key,
+    or a number field holding another JSON type."""
     try:
         s = dict(doc["sim"])
         setpoints = dict(s.pop("setpoints"))
@@ -370,12 +382,15 @@ def scenario_from_dict(doc: dict) -> tuple[SimConfig, list[ScenarioEvent]]:
                 got = part.pop(key, value)
                 if got != value:
                     raise ValueError(f"{key} {got!r} is not supported: {reason}")
-        gains = VsgGains(**s.pop("gains"))
-        setpoints = Setpoints(**setpoints)
-        targets = DesignTargets(**s.pop("targets", {}))
-        cfg = SimConfig(gains=gains, setpoints=setpoints, targets=targets, **s)
+        gains = VsgGains(**_numbers_checked(VsgGains, s.pop("gains"), "gains."))
+        setpoints = Setpoints(**_numbers_checked(Setpoints, setpoints, "setpoints."))
+        targets = DesignTargets(**_numbers_checked(DesignTargets, s.pop("targets", {}),
+                                                   "targets."))
+        cfg = SimConfig(gains=gains, setpoints=setpoints, targets=targets,
+                        **_numbers_checked(SimConfig, s, ""))
         # older versions omit the xr_ratio of an event that keeps the current ratio
-        events = [ScenarioEvent(**e) for e in doc.get("events", [])]
+        events = [ScenarioEvent(**_numbers_checked(ScenarioEvent, e, f"events[{i}]."))
+                  for i, e in enumerate(doc.get("events", []))]
     except KeyError as exc:
         raise ValueError(f"scenario has no {exc} key") from None
     except TypeError as exc:  # a missing or unknown field, named in the message

@@ -1,16 +1,21 @@
 """Command-line interface smoke tests on short scenarios."""
 
+import dataclasses
 import json
 import math
+import os
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vsglab import cli
 from vsglab.ann import DatasetConfig, generate_dataset
 from vsglab.cli import main
-from vsglab.sim import (SimConfig, ScenarioEvent, Setpoints, TimeSeries, save_scenario,
-                        scenario_to_dict)
+from vsglab.grid import InfeasibleOperatingPointError
+from vsglab.sim import (NumericFailureError, SimConfig, ScenarioEvent, Setpoints, TimeSeries,
+                        save_scenario, scenario_to_dict)
 from vsglab.smallsignal import VsgGains
 from vsglab.tables import write_table
 
@@ -153,6 +158,23 @@ MALFORMED_INPUTS = {
                           f"omega_nom {120.0 * math.pi!r} is not supported"),
     "another-v_nom": ("scenario", lambda d: d["sim"]["setpoints"].update(v_nom=115.0),
                       "v_nom 115.0 is not supported"),
+    # a number field holding another JSON type
+    "scr-as-string": ("scenario", lambda d: d["sim"].update(scr="2"),
+                      "scr must be a number, got '2'"),
+    "scr-as-boolean": ("scenario", lambda d: d["sim"].update(scr=True),
+                       "scr must be a number, got True"),
+    "null-duration": ("scenario", lambda d: d["sim"].update(duration=None),
+                      "duration must be a number, got None"),
+    "gain-as-string": ("scenario", lambda d: d["sim"]["gains"].update(d_p="2087"),
+                       "gains.d_p must be a number, got '2087'"),
+    "setpoint-as-string": ("scenario", lambda d: d["sim"]["setpoints"].update(p_ref="2000"),
+                           "setpoints.p_ref must be a number, got '2000'"),
+    "target-as-string": ("scenario", lambda d: d["sim"]["targets"].update(t_s="1"),
+                         "targets.t_s must be a number, got '1'"),
+    "event-time-as-string": ("scenario", lambda d: d["events"][0].update(time="0.5"),
+                             "events[0].time must be a number, got '0.5'"),
+    "null-event-value": ("scenario", lambda d: d["events"][0].update(value=None),
+                         "events[0].value must be a number, got None"),
 }
 
 
@@ -299,3 +321,76 @@ def test_paper_repro_writes_what_the_subcommand_chain_writes(tmp_path):
     assert written == sorted(p.name for p in repro.iterdir() if p.name != "scenario_avsg.json")
     for name in written:
         assert (chain / name).read_bytes() == (repro / name).read_bytes(), name
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_beside_fork_returns_both_results():
+    child_pid, parent_pid = cli._run_beside_fork(os.getpid, os.getpid)
+    assert child_pid != parent_pid == os.getpid()
+    assert cli._run_beside_fork(lambda: [1.5, None], lambda: "parent") == ([1.5, None], "parent")
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("exc", [NumericFailureError("non-finite state at t = 1.000000"),
+                                 InfeasibleOperatingPointError("no equilibrium at SCR 0.3"),
+                                 KeyError("k_iq")])
+def test_run_beside_fork_reraises_the_childs_exception(exc):
+    def fail():
+        raise exc
+
+    with pytest.raises(type(exc)) as got:
+        cli._run_beside_fork(fail, lambda: None)
+    assert type(got.value) is type(exc) and got.value.args == exc.args
+    assert_no_child_process()
+
+
+def test_run_beside_fork_kills_the_child_when_the_parent_raises():
+    t0 = time.perf_counter()
+    with pytest.raises(ZeroDivisionError):
+        cli._run_beside_fork(lambda: time.sleep(600), lambda: 1 / 0)
+    assert time.perf_counter() - t0 < 60.0
+    assert_no_child_process()
+
+
+def _patch_run_scenario(monkeypatch, cvsg, avsg):
+    real = cli.run_scenario
+
+    def run(cfg, events, **kwargs):
+        # a 1 s run stands in for the stage that is not under test
+        short = lambda: real(dataclasses.replace(cfg, duration=1.0), [], **kwargs)
+        return (cvsg if cfg.mode == "cvsg" else avsg)(short)
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+
+
+def test_paper_repro_exits_2_when_the_forked_cvsg_stage_raises(tmp_path, capsys, monkeypatch):
+    def diverge(_):
+        raise NumericFailureError("non-finite state after the RK4 step at t = 12.345600")
+
+    _patch_run_scenario(monkeypatch, cvsg=diverge, avsg=lambda short: short())
+    assert main(["paper-repro", "--quick", "--model", str(MODEL_FIXTURE),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert ("error: non-finite state after the RK4 step at t = 12.345600"
+            in capsys.readouterr().err)
+    assert_no_child_process()
+
+
+def test_paper_repro_reaps_the_cvsg_child_when_the_avsg_stage_raises(tmp_path, capsys,
+                                                                     monkeypatch):
+    def infeasible(_):
+        raise InfeasibleOperatingPointError("no operating point at SCR 0.3")
+
+    _patch_run_scenario(monkeypatch, cvsg=lambda _: time.sleep(600), avsg=infeasible)
+    t0 = time.perf_counter()
+    with pytest.raises(InfeasibleOperatingPointError, match="no operating point at SCR 0.3"):
+        cli.run_paper_repro(tmp_path / "out", model_path=MODEL_FIXTURE, quick=True)
+    assert time.perf_counter() - t0 < 60.0
+    assert_no_child_process()
+    assert main(["paper-repro", "--quick", "--model", str(MODEL_FIXTURE),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "error: no operating point at SCR 0.3" in capsys.readouterr().err
+    assert_no_child_process()
