@@ -522,9 +522,8 @@ DATASET_COLUMNS = tuple([f"v_{j:03d}" for j in range(WINDOW_LEN)]
 
 
 def save_dataset_csv(path: str | Path, ds: Dataset) -> None:
-    meta = np.column_stack([ds.targets, ds.scr, ds.xr_ratio, ds.p_ref, ds.q_ref, ds.t0])
-    write_table(path, DATASET_COLUMNS,
-                (x.tolist() + m.tolist() for x, m in zip(ds.inputs, meta)))
+    write_table(path, DATASET_COLUMNS, [*ds.inputs.T, *ds.targets.T, ds.scr, ds.xr_ratio,
+                                        ds.p_ref, ds.q_ref, ds.t0])
 
 
 def load_dataset_csv(path: str | Path) -> Dataset:
@@ -584,25 +583,26 @@ def export_diagnostics(report: TrainReport, outdir: str | Path) -> list[Path]:
     """Write training-trace, histogram, and regression CSVs; returns paths."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    edges = report.hist_bin_edges.tolist()
+    edges, hist, scatter = report.hist_bin_edges, report.hist_counts, report.scatter
     tables = {
         "training_trace.csv": (
             ["epoch", "train_mse", "val_mse", "test_mse", "grad_norm", "mu", "val_checks"],
-            zip(range(1, report.epochs_run + 1), report.train_mse, report.val_mse,
-                report.test_mse, report.grad_norm, report.mu, report.val_checks)),
+            [np.arange(1, report.epochs_run + 1), report.train_mse, report.val_mse,
+             report.test_mse, report.grad_norm, report.mu, report.val_checks]),
         "error_histogram.csv": (
             ["split", "bin_left", "bin_right", "count"],
-            ((name, edges[j], edges[j + 1], cnt)
-             for name, counts in report.hist_counts.items()
-             for j, cnt in enumerate(counts.tolist()))),
+            [np.repeat(list(hist), len(edges) - 1), np.tile(edges[:-1], len(hist)),
+             np.tile(edges[1:], len(hist)), np.concatenate(list(hist.values()))]),
         "regression.csv": (
             ["split", "slope", "intercept", "r"],
-            ((name, *fit) for name, fit in report.regression.items())),
+            [list(report.regression),
+             *np.reshape(list(report.regression.values()), (-1, 3)).T]),
         "regression_scatter.csv": (
             ["split", "target", "prediction"],
-            ((name, tv, pv) for name, (t, pr) in report.scatter.items()
-             for tv, pv in zip(t.tolist(), pr.tolist()))),
+            [np.repeat(list(scatter), [len(t) for t, _ in scatter.values()]),
+             np.concatenate([t for t, _ in scatter.values()]),
+             np.concatenate([pr for _, pr in scatter.values()])]),
     }
-    for name, (columns, rows) in tables.items():
-        write_table(outdir / name, columns, rows)
+    for name, (names, columns) in tables.items():
+        write_table(outdir / name, names, columns)
     return [outdir / name for name in tables]

@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
-import pickle
-import signal
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 from . import ann, presets
 from .estimator import read_estimate_log_csv, write_estimate_log_csv
+from .fork import run_beside_fork
 from .grid import (JacobianPQ, S_RATED, V_G, scr_to_impedance, solve_operating_point,
                    jacobian)
 from .report import ComparisonReport, build_comparison, render_text, write_csv
@@ -112,47 +109,6 @@ def _simulate_stage(cfg: SimConfig, events: list[ScenarioEvent], model, norm,
     return result
 
 
-def _run_beside_fork(in_child, in_parent):
-    """`(in_child(), in_parent())`, the first called in a forked child meanwhile.
-
-    The child hands back its return value, or the exception it raised, through
-    an unlinked temporary file it inherits, and the parent returns that value or
-    raises that exception.  A file, not a pipe, so that the parent never holds
-    the whole pickle beside the objects it rebuilds from it.  The child is
-    always reaped, killed first if `in_parent` raises, and never returns into
-    the caller's code.
-    """
-    with tempfile.TemporaryFile() as handoff:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                try:
-                    outcome = (True, in_child())
-                except Exception as exc:
-                    outcome = (False, exc)
-                pickle.dump(outcome, handoff, pickle.HIGHEST_PROTOCOL)
-                handoff.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        try:
-            mine = in_parent()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise RuntimeError(f"the forked child process exited with code {code}")
-        handoff.seek(0)
-        ok, value = pickle.load(handoff)
-    if not ok:
-        raise value
-    return value, mine
-
-
 def _evaluate_stage(cvsg: TimeSeries, avsg: TimeSeries, estimates, cfg: SimConfig,
                     events: list[ScenarioEvent], out: Path) -> ComparisonReport:
     """Compare the two runs; write report.txt and report.csv under `out`."""
@@ -232,7 +188,7 @@ def run_paper_repro(outdir: Path, seed: int = 0, model_path: Path | None = None,
         model, norm = ann.load_model(model_path)
     cfg = presets.benchmark_config("avsg", dt_sim=200e-6 if quick else 50e-6)
     events = presets.benchmark_events()
-    res_c, res_a = _run_beside_fork(
+    res_c, res_a = run_beside_fork(
         lambda: _simulate_stage(dataclasses.replace(cfg, mode="cvsg"), events, None, None,
                                 outdir),
         lambda: _simulate_stage(cfg, events, model, norm, outdir))

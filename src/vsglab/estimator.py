@@ -112,10 +112,11 @@ ESTIMATE_LOG_COLUMNS = ("t", "r_g_hat", "l_g_hat", "r_g_true", "l_g_true",
 def write_estimate_log_csv(path: str | Path,
                            records: list[tuple[EstimateRecord, float, float, bool]]) -> None:
     """Rows of (record, r_true, l_true, applied)."""
+    rows = [(rec.t, rec.r_g_hat, rec.l_g_hat, r_true, l_true,
+             rec.window_start, rec.window_end, int(applied))
+            for rec, r_true, l_true, applied in records]
     write_table(path, ESTIMATE_LOG_COLUMNS,
-                ((rec.t, rec.r_g_hat, rec.l_g_hat, r_true, l_true,
-                  rec.window_start, rec.window_end, int(applied))
-                 for rec, r_true, l_true, applied in records))
+                list(zip(*rows)) or [()] * len(ESTIMATE_LOG_COLUMNS))
 
 
 def read_estimate_log_csv(path: str | Path) -> list[tuple[EstimateRecord, float, float, bool]]:

@@ -125,8 +125,7 @@ class TimeSeries:
         return len(self.t)
 
     def to_csv(self, path: str | Path) -> None:
-        rows = np.column_stack([getattr(self, c) for c in TIMESERIES_COLUMNS])
-        write_table(path, TIMESERIES_COLUMNS, (row.tolist() for row in rows))
+        write_table(path, TIMESERIES_COLUMNS, [getattr(self, c) for c in TIMESERIES_COLUMNS])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TimeSeries":
@@ -359,38 +358,49 @@ RETIRED_SCENARIO_KEYS = {
 }
 
 
-def _numbers_checked(cls, values: dict, where: str) -> dict:
-    """`values` once each number field of `cls` in it holds a JSON number, or null
-    where the field allows None; ValueError names the first key that does not."""
+def _fields_checked(cls, values, where: str) -> dict:
+    """`values`, the JSON object at `where`, once each number field of `cls` in it
+    holds a finite JSON number, or null where the field allows None; ValueError
+    names `where` or its first key that does not."""
+    if type(values) is not dict:
+        raise ValueError(f"{where} must be an object, got {values!r}")
     for f in fields(cls):
         if f.type in ("float", "float | None") and f.name in values:
             v = values[f.name]
-            if not (type(v) in (int, float) or (v is None and f.type == "float | None")):
-                raise ValueError(f"{where}{f.name} must be a number, got {v!r}")
+            if v is None and f.type == "float | None":
+                continue
+            if type(v) not in (int, float):
+                raise ValueError(f"{where}.{f.name} must be a number, got {v!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"{where}.{f.name} must be finite, got {v!r}")
     return values
 
 
 def scenario_from_dict(doc: dict) -> tuple[SimConfig, list[ScenarioEvent]]:
     """What `scenario_to_dict` wrote; ValueError names a missing, unknown or retired key,
-    or a number field holding another JSON type."""
+    a section of another JSON type, or a number field holding another JSON type or a
+    value that is not finite."""
     try:
-        s = dict(doc["sim"])
-        setpoints = dict(s.pop("setpoints"))
+        if type(doc) is not dict:
+            raise ValueError(f"scenario must be an object, got {doc!r}")
+        s = dict(_fields_checked(SimConfig, doc["sim"], "sim"))
+        setpoints = dict(_fields_checked(Setpoints, s.pop("setpoints"), "sim.setpoints"))
         s.pop("seed", None)  # written by older versions; the simulator draws no random numbers
         for part in (s, setpoints):
             for key, (value, reason) in RETIRED_SCENARIO_KEYS.items():
                 got = part.pop(key, value)
                 if got != value:
                     raise ValueError(f"{key} {got!r} is not supported: {reason}")
-        gains = VsgGains(**_numbers_checked(VsgGains, s.pop("gains"), "gains."))
-        setpoints = Setpoints(**_numbers_checked(Setpoints, setpoints, "setpoints."))
-        targets = DesignTargets(**_numbers_checked(DesignTargets, s.pop("targets", {}),
-                                                   "targets."))
-        cfg = SimConfig(gains=gains, setpoints=setpoints, targets=targets,
-                        **_numbers_checked(SimConfig, s, ""))
+        gains = VsgGains(**_fields_checked(VsgGains, s.pop("gains"), "sim.gains"))
+        targets = DesignTargets(**_fields_checked(DesignTargets, s.pop("targets", {}),
+                                                  "sim.targets"))
+        cfg = SimConfig(gains=gains, setpoints=Setpoints(**setpoints), targets=targets, **s)
+        events = doc.get("events", [])
+        if type(events) is not list:
+            raise ValueError(f"events must be an array, got {events!r}")
         # older versions omit the xr_ratio of an event that keeps the current ratio
-        events = [ScenarioEvent(**_numbers_checked(ScenarioEvent, e, f"events[{i}]."))
-                  for i, e in enumerate(doc.get("events", []))]
+        events = [ScenarioEvent(**_fields_checked(ScenarioEvent, e, f"events[{i}]"))
+                  for i, e in enumerate(events)]
     except KeyError as exc:
         raise ValueError(f"scenario has no {exc} key") from None
     except TypeError as exc:  # a missing or unknown field, named in the message

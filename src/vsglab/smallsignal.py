@@ -214,5 +214,4 @@ def phase_margin(fr: FrequencyResponse) -> float:
 
 
 def write_frequency_response_csv(fr: FrequencyResponse, path: str | Path) -> None:
-    write_table(path, ("omega_rad_s", "mag_db", "phase_deg"),
-                zip(fr.omega.tolist(), fr.mag_db.tolist(), fr.phase_deg.tolist()))
+    write_table(path, ("omega_rad_s", "mag_db", "phase_deg"), [fr.omega, fr.mag_db, fr.phase_deg])

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from vsglab import ann, presets
-from vsglab.cli import _run_beside_fork
+from vsglab.fork import run_beside_fork
 from vsglab.sim import run_scenario
 
 
@@ -39,7 +39,7 @@ def benchmark_runs(trained):
     model, norm = trained[0], trained[1]
     events = presets.benchmark_events()
     t0 = time.perf_counter()
-    res_c, res_a = _run_beside_fork(
+    res_c, res_a = run_beside_fork(
         lambda: run_scenario(presets.benchmark_config("cvsg"), events),
         lambda: run_scenario(presets.benchmark_config("avsg"), events, model=model, norm=norm))
     elapsed = time.perf_counter() - t0

@@ -13,6 +13,7 @@ import pytest
 from vsglab import cli
 from vsglab.ann import DatasetConfig, generate_dataset
 from vsglab.cli import main
+from vsglab.fork import run_beside_fork
 from vsglab.grid import InfeasibleOperatingPointError
 from vsglab.sim import (NumericFailureError, SimConfig, ScenarioEvent, Setpoints, TimeSeries,
                         save_scenario, scenario_to_dict)
@@ -175,6 +176,24 @@ MALFORMED_INPUTS = {
                              "events[0].time must be a number, got '0.5'"),
     "null-event-value": ("scenario", lambda d: d["events"][0].update(value=None),
                          "events[0].value must be a number, got None"),
+    # a section of another JSON type, or a number that is not finite
+    "sim-as-array": ("scenario", lambda d: d.update(sim=[]), "sim must be an object, got []"),
+    "setpoints-as-number": ("scenario", lambda d: d["sim"].update(setpoints=5),
+                            "sim.setpoints must be an object, got 5"),
+    "gains-as-string": ("scenario", lambda d: d["sim"].update(gains="x"),
+                        "sim.gains must be an object, got 'x'"),
+    "targets-as-array": ("scenario", lambda d: d["sim"].update(targets=[1]),
+                         "sim.targets must be an object, got [1]"),
+    "events-as-object": ("scenario", lambda d: d.update(events={"a": 1}),
+                         "events must be an array, got {'a': 1}"),
+    "event-as-number": ("scenario", lambda d: d["events"].__setitem__(0, 5),
+                        "events[0] must be an object, got 5"),
+    "nan-scr": ("scenario", lambda d: d["sim"].update(scr=math.nan),
+                "sim.scr must be finite, got nan"),
+    "infinite-setpoint": ("scenario", lambda d: d["sim"]["setpoints"].update(p_ref=math.inf),
+                          "sim.setpoints.p_ref must be finite, got inf"),
+    "nan-event-value": ("scenario", lambda d: d["events"][0].update(value=math.nan),
+                        "events[0].value must be finite, got nan"),
 }
 
 
@@ -253,11 +272,11 @@ def test_train_rejects_dataset_with_another_window_length(tmp_path, capsys):
     # a well-formed dataset of 50-sample windows (every other sample of the
     # real one) would train a network the 100-sample estimator cannot use
     ds = generate_dataset(DatasetConfig(n_samples=40, seed=0))
-    meta = np.column_stack([ds.targets, ds.scr, ds.xr_ratio, ds.p_ref, ds.q_ref, ds.t0])
-    columns = ([f"v_{j:03d}" for j in range(50)] + [f"i_{j:03d}" for j in range(50)]
-               + ["r_g", "l_g", "scr", "xr_ratio", "p_ref", "q_ref", "t0"])
+    names = ([f"v_{j:03d}" for j in range(50)] + [f"i_{j:03d}" for j in range(50)]
+             + ["r_g", "l_g", "scr", "xr_ratio", "p_ref", "q_ref", "t0"])
     ds_path = tmp_path / "ds50.csv"
-    write_table(ds_path, columns, np.hstack([ds.inputs[:, ::2], meta]).tolist())
+    write_table(ds_path, names, [*ds.inputs[:, ::2].T, *ds.targets.T, ds.scr, ds.xr_ratio,
+                                 ds.p_ref, ds.q_ref, ds.t0])
     assert main(["train", "--dataset", str(ds_path), "--out", str(tmp_path)]) == 2
     assert "header" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
@@ -329,9 +348,9 @@ def assert_no_child_process():
 
 
 def test_run_beside_fork_returns_both_results():
-    child_pid, parent_pid = cli._run_beside_fork(os.getpid, os.getpid)
+    child_pid, parent_pid = run_beside_fork(os.getpid, os.getpid)
     assert child_pid != parent_pid == os.getpid()
-    assert cli._run_beside_fork(lambda: [1.5, None], lambda: "parent") == ([1.5, None], "parent")
+    assert run_beside_fork(lambda: [1.5, None], lambda: "parent") == ([1.5, None], "parent")
     assert_no_child_process()
 
 
@@ -343,7 +362,7 @@ def test_run_beside_fork_reraises_the_childs_exception(exc):
         raise exc
 
     with pytest.raises(type(exc)) as got:
-        cli._run_beside_fork(fail, lambda: None)
+        run_beside_fork(fail, lambda: None)
     assert type(got.value) is type(exc) and got.value.args == exc.args
     assert_no_child_process()
 
@@ -351,7 +370,7 @@ def test_run_beside_fork_reraises_the_childs_exception(exc):
 def test_run_beside_fork_kills_the_child_when_the_parent_raises():
     t0 = time.perf_counter()
     with pytest.raises(ZeroDivisionError):
-        cli._run_beside_fork(lambda: time.sleep(600), lambda: 1 / 0)
+        run_beside_fork(lambda: time.sleep(600), lambda: 1 / 0)
     assert time.perf_counter() - t0 < 60.0
     assert_no_child_process()
 
