@@ -7,6 +7,8 @@ subcommands each write their files through one stage function, which
 creates the output directory once its inputs have loaded; paper-repro is
 those stages run in order, except that its CVSG simulate stage runs in a
 forked child process (POSIX `fork`) while the parent runs the AVSG one.
+evaluate likewise reads the CVSG trace in a forked child while the parent
+reads the AVSG trace.
 """
 
 from __future__ import annotations
@@ -163,8 +165,9 @@ def cmd_simulate(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg, events = load_scenario(args.scenario) if args.scenario else (
         presets.benchmark_config("avsg"), presets.benchmark_events())
-    cvsg = TimeSeries.from_csv(args.cvsg)
-    avsg = TimeSeries.from_csv(args.avsg)
+    # the CVSG trace is read in a forked child while this process reads the AVSG one
+    cvsg, avsg = run_beside_fork(lambda: TimeSeries.from_csv(args.cvsg),
+                                 lambda: TimeSeries.from_csv(args.avsg))
     estimates = read_estimate_log_csv(args.estimates) if args.estimates else []
     rep = _evaluate_stage(cvsg, avsg, estimates, cfg, events, Path(args.out))
     print(render_text(rep))

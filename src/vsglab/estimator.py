@@ -2,7 +2,10 @@
 
 Tumbling one-cycle windows of decimated PCC voltage/current samples are
 buffered, z-scored, pushed through the trained network, and de-normalized
-into (R_g, L_g) estimates.  A hysteresis gate (`GATE_THRESHOLD`) decides
+into (R_g, L_g) estimates.  Samples arrive a window at a time
+(`push_window`, as the simulator sends them) or one at a time
+(`push_sample`, the same buffer through the same call), and each full
+window is inferred once.  A hysteresis gate (`GATE_THRESHOLD`) decides
 when an estimate is worth rescheduling gains for.
 """
 
@@ -58,24 +61,43 @@ class OnlineEstimator:
         y = self.norm.inverse_y(forward(self.model, self.norm.transform_x(x)))
         return float(y[0]), float(y[1])
 
-    def push_sample(self, t: float, v: float, i: float) -> EstimateRecord | None:
-        """Append one (v, i) pair; returns an estimate when a window fills."""
-        if not (math.isfinite(v) and math.isfinite(i)):
+    def push_window(self, t, v, i) -> EstimateRecord | None:
+        """`push_sample` over up to WINDOW_LEN (t, v, i) samples in order, at once:
+        the estimate of the window they fill, if they fill one.
+
+        As one at a time, the samples up to and including the last non-finite
+        one are dropped, and the window reopens after it.
+        """
+        t, v, i = (np.asarray(a, dtype=float) for a in (t, v, i))
+        if len(t) > WINDOW_LEN:
+            raise ValueError(f"{len(t)} samples pushed at once, at most {WINDOW_LEN} fit")
+        bad = np.flatnonzero(~(np.isfinite(v) & np.isfinite(i)))
+        if bad.size:
             self.reset()
+            t, v, i = t[bad[-1] + 1:], v[bad[-1] + 1:], i[bad[-1] + 1:]
+        if len(t) == 0:
             return None
         if self._fill == 0:
             # the window opens one sample period before its first sample
-            self._window_start = t - SAMPLE_DT
-        self._v[self._fill] = v
-        self._i[self._fill] = i
-        self._fill += 1
+            self._window_start = float(t[0]) - SAMPLE_DT
+        n = min(len(t), WINDOW_LEN - self._fill)
+        self._v[self._fill:self._fill + n] = v[:n]
+        self._i[self._fill:self._fill + n] = i[:n]
+        self._fill += n
         if self._fill < WINDOW_LEN:
             return None
         r_g, l_g = self._infer()
-        rec = EstimateRecord(t=t, r_g_hat=r_g, l_g_hat=l_g,
-                             window_start=self._window_start, window_end=t)
+        end = float(t[n - 1])
+        rec = EstimateRecord(t=end, r_g_hat=r_g, l_g_hat=l_g,
+                             window_start=self._window_start, window_end=end)
         self.reset()
+        if n < len(t):
+            self.push_window(t[n:], v[n:], i[n:])  # the rest opens the next window
         return rec
+
+    def push_sample(self, t: float, v: float, i: float) -> EstimateRecord | None:
+        """Append one (v, i) pair; returns an estimate when a window fills."""
+        return self.push_window((t,), (v,), (i,))
 
 
 class OracleEstimator(OnlineEstimator):

@@ -4,11 +4,14 @@ The three slow control states (angle, frequency, voltage command) are
 integrated with classical RK4 at the converter sampling period while the
 PCC power is recomputed algebraically from the phasor power flow at every
 stage, optionally through a first-order P/Q measurement filter that adds
-two states.  Inner voltage/current loops are modeled as ideal (the PCC
-voltage magnitude tracks the command instantly).  Scenario events step
-the SCR or the power setpoints mid-run; in adaptive mode the estimator is
-fed decimated waveform samples and accepted estimates reschedule the
-gains.
+two states.  One loop over the four RK4 stages holds the power flow and the
+loop laws once; it integrates the filter states only when the filter is
+set.  Inner voltage/current loops are modeled as ideal (the PCC voltage
+magnitude tracks the command instantly).  Scenario events step the SCR or
+the power setpoints mid-run.  In adaptive mode the runner records the
+phasor state at every estimator sample, synthesizes a window's waveforms
+in one `ann.pcc_waveforms` call when it fills, and hands it to the
+estimator whole; accepted estimates reschedule the gains.
 
 The plant is the one the estimator was trained at, no scenario's setting:
 `grid.V_G`, `S_RATED` and `OMEGA0_DEFAULT` (110 V, 5 kVA, 50 Hz), which are
@@ -24,15 +27,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .ann import SAMPLE_DT
+from .ann import SAMPLE_DT, WINDOW_LEN, pcc_waveforms
 from .grid import (GridImpedance, OperatingPoint, JacobianPQ, scr_to_impedance,
                    solve_operating_point, _pf, _pf_jac, OMEGA0_DEFAULT, S_RATED, V_G)
 from .smallsignal import VsgGains, DesignTargets, schedule_gains, SchedulingError
 from .estimator import (GATE_THRESHOLD, OnlineEstimator, OracleEstimator, EstimateRecord,
                         gate_gain_update)
 from .tables import read_table, write_table
-
-SQRT2 = math.sqrt(2.0)
 
 # The 60 s benchmark's initial grid and the fixed CVSG baseline gains, which
 # the adaptive mode also starts from; `SimConfig` defaults to both.
@@ -144,19 +145,15 @@ class SimResult:
 
 def synth_waveforms(op: OperatingPoint, z: GridImpedance, n: int, dt_s: float,
                     t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-phase instantaneous v/i samples at t0 + k*dt_s, k = 0..n-1.
+    """`pcc_waveforms` of one steady state at t0 + k*dt_s, k = 0..n-1.
 
     v(t) = sqrt(2) V_pcc sin(w0 t + delta); the current phasor is
     (V_pcc angle delta - V_g angle 0) / Z.
     """
     if n < 1 or dt_s <= 0.0:
         raise ValueError("need n >= 1 and dt_s > 0")
-    ibar = (op.v_pcc0 * complex(math.cos(op.delta0), math.sin(op.delta0)) - op.v_g) \
-        / complex(z.r_g, z.x_g)
-    t = t0 + np.arange(n) * dt_s
-    v = SQRT2 * op.v_pcc0 * np.sin(z.omega0 * t + op.delta0)
-    i = SQRT2 * abs(ibar) * np.sin(z.omega0 * t + math.atan2(ibar.imag, ibar.real))
-    return v, i
+    return pcc_waveforms(t0 + np.arange(n) * dt_s, op.delta0, op.v_pcc0, z.r_g, z.x_g,
+                         op.v_g, z.omega0)
 
 
 def impedance_schedule(cfg: SimConfig, events: list[ScenarioEvent]
@@ -231,34 +228,14 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
     wc = cfg.meas_lpf_cutoff
     pf, qf = _pf(d, v, vg, r, x)
 
-    def rates(d, w, v, pf, qf):
-        """Time derivatives of (delta, omega, v_cmd, P_f, Q_f).
-
-        d(delta)/dt = omega - omega_nom
-        d(omega)/dt = K_ip (P_ref - P - D_p (omega - omega_nom))
-        d(v_cmd)/dt = K_iq (Q_ref - Q - D_q (v_cmd - v_nom))
-
-        omega_nom and v_nom are the grid's w0 and vg.  P, Q come from the
-        phasor power flow, solved inline.  Without a measurement filter the
-        loops act on them directly and P_f, Q_f stay constant; with one, the
-        loops act on P_f, Q_f, their first-order lag at cutoff `wc`.
-        """
-        sd = sin(d)
-        cd = cos(d)
-        vvg = v * vg
-        p = kz * (r * v * v - r * vvg * cd + x * vvg * sd)
-        q = kz * (x * v * v - x * vvg * cd - r * vvg * sd)
-        slip = w - w0
-        if wc is None:
-            return (slip, kip * (pref - p - dp * slip),
-                    kiq * (qref - q - dq * (v - vg)), 0.0, 0.0)
-        return (slip, kip * (pref - pf - dp * slip),
-                kiq * (qref - qf - dq * (v - vg)), wc * (p - pf), wc * (q - qf))
-
     ev_idx = 0
     out_row = 0
-    half = 0.5 * h
     s6 = h / 6.0
+    # RK4 stages: (step from the state to the next stage's input, weight of
+    # this stage's slope); the last stage feeds no other
+    stages = ((0.5 * h, 1.0), (0.5 * h, 2.0), (h, 2.0), (0.0, 1.0))
+    # t, delta, V, R, X of each estimator sample of the open window, flat
+    window: list[float] = []
 
     for k in range(n_steps + 1):
         t = k * h
@@ -278,27 +255,29 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
                 if isinstance(estimator, OracleEstimator):
                     estimator.truth = (z.r_g, z.l_g)
 
-        # estimator decimation: every dec_est-th step, skipping t = 0
+        # estimator decimation: every dec_est-th step, skipping t = 0; the
+        # waveforms of a window are synthesized once it is full
         if estimator is not None and k > 0 and k % dec_est == 0:
-            ibar = (v * complex(cos(d), sin(d)) - vg) / complex(r, x)
-            v_inst = SQRT2 * v * sin(w0 * t + d)
-            i_inst = SQRT2 * abs(ibar) * sin(w0 * t + math.atan2(ibar.imag, ibar.real))
-            rec = estimator.push_sample(t, v_inst, i_inst)
-            if rec is not None:
-                applied = gate_gain_update(rec, prev_applied)
-                if applied:
-                    # estimates can stray slightly negative during transients
-                    z_hat = GridImpedance.from_rx(max(rec.r_g_hat, 0.0),
-                                                  max(w0 * rec.l_g_hat, 1e-9), w0)
-                    ja, jb, jc, jd = _pf_jac(d, v, vg, z_hat.r_g, z_hat.x_g)
-                    try:
-                        g_new = schedule_gains(JacobianPQ(ja, jb, jc, jd), cfg.targets)
-                        dp, kip, dq, kiq = g_new.d_p, g_new.k_ip, g_new.d_q, g_new.k_iq
-                        prev_applied = rec
-                    except SchedulingError:
-                        applied = False  # keep previous gains
-                est_log.append((rec, z.r_g, z.l_g, applied))
-                r_est, l_est = rec.r_g_hat, rec.l_g_hat
+            window += (t, d, v, r, x)
+            if len(window) == 5 * WINDOW_LEN:
+                t_w, *phasors = np.fromiter(window, float, len(window)).reshape(-1, 5).T
+                window.clear()
+                rec = estimator.push_window(t_w, *pcc_waveforms(t_w, *phasors))
+                if rec is not None:  # None only after a non-finite sample
+                    applied = gate_gain_update(rec, prev_applied)
+                    if applied:
+                        # estimates can stray slightly negative during transients
+                        z_hat = GridImpedance.from_rx(max(rec.r_g_hat, 0.0),
+                                                      max(w0 * rec.l_g_hat, 1e-9), w0)
+                        ja, jb, jc, jd = _pf_jac(d, v, vg, z_hat.r_g, z_hat.x_g)
+                        try:
+                            g_new = schedule_gains(JacobianPQ(ja, jb, jc, jd), cfg.targets)
+                            dp, kip, dq, kiq = g_new.d_p, g_new.k_ip, g_new.d_q, g_new.k_iq
+                            prev_applied = rec
+                        except SchedulingError:
+                            applied = False  # keep previous gains
+                    est_log.append((rec, z.r_g, z.l_g, applied))
+                    r_est, l_est = rec.r_g_hat, rec.l_g_hat
 
         if k % dec_out == 0:
             # log P/Q through the shared power-flow path (bit-identical to power_flow)
@@ -310,23 +289,47 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
         if k == n_steps:
             break
 
+        # One RK4 step.  Each stage evaluates, at its input state:
+        #   d(delta)/dt = omega - omega_nom
+        #   d(omega)/dt = K_ip (P_ref - P - D_p (omega - omega_nom))
+        #   d(v_cmd)/dt = K_iq (Q_ref - Q - D_q (v_cmd - v_nom))
+        # with omega_nom, v_nom the grid's w0, vg and P, Q from the phasor power
+        # flow.  With a measurement filter the loops act on P_f, Q_f instead,
+        # the first-order lag of P, Q at cutoff `wc`; without one P_f, Q_f are
+        # not integrated.  The weighted slopes sum as ((k1 + 2 k2) + 2 k3) + k4;
+        # -0.0 is the one start that leaves k1 as it is.
+        ds, ws, vs, pfs, qfs = d, w, v, pf, qf
+        sum_d = sum_w = sum_v = sum_pf = sum_qf = -0.0
         try:
-            dd1, dw1, dv1, dpf1, dqf1 = rates(d, w, v, pf, qf)
-            dd2, dw2, dv2, dpf2, dqf2 = rates(d + half * dd1, w + half * dw1, v + half * dv1,
-                                              pf + half * dpf1, qf + half * dqf1)
-            dd3, dw3, dv3, dpf3, dqf3 = rates(d + half * dd2, w + half * dw2, v + half * dv2,
-                                              pf + half * dpf2, qf + half * dqf2)
-            dd4, dw4, dv4, dpf4, dqf4 = rates(d + h * dd3, w + h * dw3, v + h * dv3,
-                                              pf + h * dpf3, qf + h * dqf3)
+            for step, weight in stages:
+                sd = sin(ds)
+                cd = cos(ds)
+                vvg = vs * vg
+                p = kz * (r * vs * vs - r * vvg * cd + x * vvg * sd)
+                q = kz * (x * vs * vs - x * vvg * cd - r * vvg * sd)
+                if wc is not None:
+                    dpf, dqf = wc * (p - pfs), wc * (q - qfs)
+                    sum_pf += weight * dpf
+                    sum_qf += weight * dqf
+                    p, q = pfs, qfs
+                    pfs, qfs = pf + step * dpf, qf + step * dqf
+                slip = ws - w0
+                dw = kip * (pref - p - dp * slip)
+                dv = kiq * (qref - q - dq * (vs - vg))
+                sum_d += weight * slip
+                sum_w += weight * dw
+                sum_v += weight * dv
+                ds, ws, vs = d + step * slip, w + step * dw, v + step * dv
         except (ValueError, OverflowError) as exc:
             # sin/cos of an infinite angle
             raise NumericFailureError(f"state diverged in the RK4 step at t = {t:.6f}") \
                 from exc
-        d += s6 * (dd1 + 2.0 * dd2 + 2.0 * dd3 + dd4)
-        w += s6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
-        v += s6 * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
-        pf += s6 * (dpf1 + 2.0 * dpf2 + 2.0 * dpf3 + dpf4)
-        qf += s6 * (dqf1 + 2.0 * dqf2 + 2.0 * dqf3 + dqf4)
+        d += s6 * sum_d
+        w += s6 * sum_w
+        v += s6 * sum_v
+        if wc is not None:
+            pf += s6 * sum_pf
+            qf += s6 * sum_qf
         if not isfinite(d + w + v):
             raise NumericFailureError(f"non-finite state after the RK4 step at t = {t:.6f}")
 

@@ -8,10 +8,10 @@ in their shortest round-trip form and load back exactly.
 `BLOCK_CELLS` cells.  Within a block a cell with the same bit pattern as
 the cell above it reuses that cell's text, so `str()` runs once per run of
 a repeated value (a trace's gains, truth and estimates are long runs).  A
-table of more than one block has the second half of its blocks formatted
-in a forked child process, which streams them into an unlinked temporary
-file that is appended once the first half is written.  The bytes are those
-of the row-wise `",".join(map(str, row))`.
+table of at least `FORK_MIN_BLOCKS` blocks has the second half of its
+blocks formatted in a forked child process, which streams them into an
+unlinked temporary file that is appended once the first half is written.
+The bytes are those of the row-wise `",".join(map(str, row))`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ from .fork import run_beside_fork
 
 # cells formatted at once: the most text a writing process holds
 BLOCK_CELLS = 2**14
+# The fewest blocks whose second half goes to a forked child.  With the other
+# core idle the child pays off from 2 blocks on; with it busy (paper-repro's
+# two simulate stages) the child lost 10-25 % below 4 blocks and broke even
+# from 4 on (8-column tables, 96 MiB parent, 2-core x86-64 VM).
+FORK_MIN_BLOCKS = 4
 
 _KINDS = {np.dtype(np.float64): "f", np.dtype(np.int64): "i"}
 
@@ -99,12 +104,12 @@ def write_table(path: str | Path, names: Sequence[str], columns: Sequence) -> No
         for r in range(r0, r1, step):
             f.write(_block_text(groups, len(cols), r, min(r + step, r1)).encode())
 
+    blocks = range(0, n_rows, step)
     with open(path, "wb") as f:
         f.write((",".join(names) + "\n").encode())
-        if n_rows <= step:
+        if len(blocks) < FORK_MIN_BLOCKS:
             write_rows(f, 0, n_rows)
             return
-        blocks = range(0, n_rows, step)
         mid = blocks[len(blocks) // 2]
         with tempfile.TemporaryFile() as tail:
             def write_tail() -> None:

@@ -235,6 +235,7 @@ def test_evaluate_from_saved_traces(tmp_path):
     assert rc in (0, 1)
     assert (tmp_path / "report.txt").exists()
     assert (tmp_path / "report.csv").exists()
+    assert_no_child_process()  # the CVSG trace was read in a forked child
 
 
 def test_evaluate_rejects_header_only_trace(tmp_path, capsys):
@@ -247,6 +248,18 @@ def test_evaluate_rejects_header_only_trace(tmp_path, capsys):
     assert main(["evaluate", "--cvsg", str(empty), "--avsg", str(trace),
                  "--out", str(tmp_path)]) == 2
     assert "no data row" in capsys.readouterr().err
+
+
+def test_evaluate_names_the_bad_avsg_trace_and_reaps_the_cvsg_reader(tmp_path, capsys):
+    # the parent reads the AVSG trace while a forked child reads the CVSG one
+    sc = tmp_path / "scenario.json"
+    short_scenario(sc)
+    assert main(["simulate", "--config", str(sc), "--out", str(tmp_path)]) == 0
+    trace = tmp_path / "timeseries_cvsg.csv"
+    assert main(["evaluate", "--cvsg", str(trace), "--avsg", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "missing.csv" in capsys.readouterr().err
+    assert_no_child_process()
 
 
 def test_train_rejects_header_only_dataset(tmp_path, capsys):

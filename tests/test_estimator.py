@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vsglab.ann import MlpModel, Normalizer
+from vsglab.ann import MlpModel, Normalizer, init_model
 from vsglab.estimator import (EstimateRecord, OnlineEstimator, OracleEstimator,
                               gate_gain_update, read_estimate_log_csv,
                               write_estimate_log_csv)
@@ -59,6 +59,56 @@ def test_non_finite_sample_restarts_window():
     records = push_stream(est, 100, t_start=62 * DT)
     assert len(records) == 1
     assert records[0].window_start == pytest.approx(61 * DT, abs=1e-12)
+
+
+def random_estimator():
+    """A seeded network and normalizer, so that every sample moves the estimate."""
+    rng = np.random.default_rng(5)
+    norm = Normalizer(rng.normal(size=200), rng.uniform(50.0, 150.0, 200),
+                      np.array([-1.0, -4.5]), np.array([0.5, 0.3]))
+    return OnlineEstimator(init_model(200, 8, 2, seed=3), norm)
+
+
+def sample_stream(n):
+    """(t, v, i) of n samples at the estimator rate from t = DT on."""
+    rng = np.random.default_rng(7)
+    return (np.arange(1, n + 1) * DT, rng.normal(0.0, 150.0, n), rng.normal(0.0, 20.0, n))
+
+
+@pytest.mark.parametrize("chunk", [100, 64, 37, 1])
+@pytest.mark.parametrize("bad", [None, 130, 299])
+def test_push_window_gives_the_records_of_push_sample(chunk, bad):
+    t, v, i = sample_stream(420)
+    if bad is not None:
+        i[bad] = math.inf
+    one_by_one = [rec for rec in map(random_estimator().push_sample, t, v, i)
+                  if rec is not None]
+    est = random_estimator()
+    chunked = [est.push_window(t[j:j + chunk], v[j:j + chunk], i[j:j + chunk])
+               for j in range(0, len(t), chunk)]
+    assert [rec for rec in chunked if rec is not None] == one_by_one
+    # windows before the non-finite sample, then those the samples after it fill
+    assert len(one_by_one) == (4 if bad is None else bad // 100 + (419 - bad) // 100)
+
+
+def test_non_finite_sample_mid_window_reopens_the_window_after_it():
+    t, v, i = sample_stream(260)
+    v[20], i[40] = math.nan, -math.inf
+    est = random_estimator()
+    # samples up to and including the last non-finite one are dropped; the
+    # 59 after it open the next window, which 41 more samples fill
+    assert est.push_window(t[:100], v[:100], i[:100]) is None
+    rec = est.push_window(t[100:141], v[100:141], i[100:141])
+    assert (rec.window_start, rec.window_end, rec.t) == (t[41] - DT, t[140], t[140])
+    assert random_estimator().push_window(t[41:141], v[41:141], i[41:141]) == rec
+    # and the next window starts right after it
+    assert est.push_window(t[141:241], v[141:241], i[141:241]).window_start == t[140]
+
+
+def test_push_window_takes_at_most_one_window():
+    t, v, i = sample_stream(101)
+    with pytest.raises(ValueError, match="at most 100"):
+        random_estimator().push_window(t, v, i)
 
 
 def test_model_window_size_mismatch_rejected():

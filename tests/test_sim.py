@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vsglab.ann import WINDOW_LEN, pcc_waveforms
 from vsglab.grid import (OperatingPoint, scr_to_impedance,
                          power_flow, solve_operating_point,
                          InfeasibleOperatingPointError)
@@ -61,6 +64,64 @@ def test_vsg_derivative_signs():
     assert 0.0 < s.delta[1] - s.delta[0] < (s.omega[1] - OMEGA0) * 1e-3
 
 
+def textbook_rk4(cfg, events):
+    """(t, delta, omega, v_cmd, P_f, Q_f) rows of a CVSG run, as classical RK4:
+    four calls of one derivative function per step, the slopes summed as
+    k1 + 2 k2 + 2 k3 + k4.  Set-point events only."""
+    vg, g = 110.0, cfg.gains
+    z = scr_to_impedance(cfg.scr, cfg.xr_ratio, vg, 5000.0)
+    r, x = z.r_g, z.x_g
+    kz = 3.0 / (r * r + x * x)
+    op = solve_operating_point(cfg.setpoints.p_ref, cfg.setpoints.q_ref, z, vg, tol=1e-10,
+                               d_q=g.d_q, v_nom=vg)
+    pref, qref, wc = cfg.setpoints.p_ref, cfg.setpoints.q_ref, cfg.meas_lpf_cutoff
+
+    def rates(d, w, v, pf, qf):
+        vvg = v * vg
+        p = kz * (r * v * v - r * vvg * math.cos(d) + x * vvg * math.sin(d))
+        q = kz * (x * v * v - x * vvg * math.cos(d) - r * vvg * math.sin(d))
+        if wc is not None:
+            p, q, dpf, dqf = pf, qf, wc * (p - pf), wc * (q - qf)
+        else:
+            dpf = dqf = 0.0
+        return (w - OMEGA0, g.k_ip * (pref - p - g.d_p * (w - OMEGA0)),
+                g.k_iq * (qref - q - g.d_q * (v - vg)), dpf, dqf)
+
+    h = cfg.dt_sim
+    y = (op.delta0, OMEGA0, op.v_pcc0, *_pf(op.delta0, op.v_pcc0, vg, r, x))
+    n_steps, dec_out = round(cfg.duration / h), round(cfg.out_period / h)
+    rows = []
+    for k in range(n_steps + 1):
+        t = k * h
+        for ev in events:
+            if ev.time <= t < ev.time + h:
+                pref, qref = (ev.value, qref) if ev.kind == "set_p_ref" else (pref, ev.value)
+        if k % dec_out == 0:
+            rows.append((t, *y))
+        k1 = rates(*y)
+        k2 = rates(*(a + 0.5 * h * b for a, b in zip(y, k1)))
+        k3 = rates(*(a + 0.5 * h * b for a, b in zip(y, k2)))
+        k4 = rates(*(a + h * b for a, b in zip(y, k3)))
+        y = tuple(a + h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("cutoff", [None, 15.0])
+def test_rk4_stage_loop_is_the_textbook_four_call_step_bit_for_bit(cutoff):
+    # P and Q steps off the grid of steps, so the events land between two of them
+    events = [ScenarioEvent(time=0.2003, kind="set_p_ref", value=2600.0),
+              ScenarioEvent(time=0.61, kind="set_q_ref", value=1400.0),
+              ScenarioEvent(time=0.9, kind="set_p_ref", value=1800.0)]
+    cfg = short_config(duration=1.5, dt_sim=5e-4, out_period=5e-4, meas_lpf_cutoff=cutoff)
+    s = run_scenario(cfg, events).series
+    want = textbook_rk4(cfg, events)
+    for j, col in enumerate(("t", "delta", "omega", "v_cmd")):
+        assert getattr(s, col).tobytes() == want[:, j].tobytes(), col
+    if cutoff is not None:  # the loops acted on the filtered powers, which lag P and Q
+        assert np.abs(want[:, 4] - s.p_pcc).max() > 10.0
+
+
 # --- waveform synthesis ----------------------------------------------------------
 
 def test_synth_waveforms_rms_and_power():
@@ -72,6 +133,41 @@ def test_synth_waveforms_rms_and_power():
     assert math.sqrt(np.mean(v ** 2)) == pytest.approx(op.v_pcc0, rel=1e-9)
     # mean instantaneous single-phase power equals P/3
     assert np.mean(v * i) == pytest.approx(2000.0 / 3.0, rel=1e-6)
+
+
+def scalar_sample(t, d, v, r, x):
+    """One (v, i) sample as Python floats and complex numbers compute it."""
+    ibar = (v * complex(math.cos(d), math.sin(d)) - 110.0) / complex(r, x)
+    return (math.sqrt(2.0) * v * math.sin(OMEGA0 * t + d),
+            math.sqrt(2.0) * abs(ibar) * math.sin(OMEGA0 * t + math.atan2(ibar.imag,
+                                                                           ibar.real)))
+
+
+IMPEDANCE = st.tuples(st.floats(0.01, 3.0),  # R, then X/R on both sides of 1
+                      st.one_of(st.just(1.0), st.floats(0.05, 20.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k0=st.integers(1, 3 * 10**5), h=st.sampled_from([50e-6, 200e-6]),
+       d0=st.floats(-1.5, 1.5), d_step=st.sampled_from([0.0, 1e-4, -2e-3]),
+       zeros=st.lists(st.tuples(st.integers(0, WINDOW_LEN - 1), st.sampled_from([0.0, -0.0])),
+                      max_size=4),
+       v0=st.floats(60.0, 160.0), v_step=st.floats(-0.05, 0.05),
+       z1=IMPEDANCE, z2=IMPEDANCE, change=st.integers(0, WINDOW_LEN))
+def test_window_waveforms_are_the_scalar_samples_bit_for_bit(k0, h, d0, d_step, zeros, v0,
+                                                            v_step, z1, z2, change):
+    # one window as the simulator records it: t = k h, a drifting angle with
+    # some exact +-0.0, and the grid impedance changing at sample `change`
+    t = [(k0 + j) * h for j in range(WINDOW_LEN)]
+    delta = [d0 + j * d_step for j in range(WINDOW_LEN)]
+    for j, zero in zeros:
+        delta[j] = zero
+    v = [v0 + j * v_step for j in range(WINDOW_LEN)]
+    rx = [(r, r * xr) for r, xr in (z1, z2)]
+    r, x = zip(*(rx[j >= change] for j in range(WINDOW_LEN)))
+    want = np.array([scalar_sample(*s) for s in zip(t, delta, v, r, x)]).T
+    got = np.array(pcc_waveforms(*map(np.array, (t, delta, v, r, x))))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_synth_waveforms_validation():

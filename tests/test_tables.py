@@ -13,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsglab import tables
-from vsglab.tables import BLOCK_CELLS, read_table, write_table
+from vsglab.ann import DATASET_COLUMNS, Dataset, save_dataset_csv
+from vsglab.estimator import EstimateRecord, write_estimate_log_csv
+from vsglab.sim import TIMESERIES_COLUMNS, TimeSeries
+from vsglab.tables import BLOCK_CELLS, FORK_MIN_BLOCKS, read_table, write_table
 
 # NaNs of either sign or another payload all print as "nan"; -0.0 is not 0.0
 NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0]
@@ -105,10 +108,49 @@ def test_several_real_blocks_match_and_leave_no_child(tmp_path):
 ])
 def test_malformed_columns_raise_before_the_file_or_a_fork(tmp_path, monkeypatch, columns,
                                                            named):
-    # one-cell blocks: a two-row table would be written in two processes
+    # one-cell blocks and a two-block fork floor: a two-row table would be
+    # written in two processes
     monkeypatch.setattr(tables, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(tables, "FORK_MIN_BLOCKS", 2)
     monkeypatch.setattr(tables, "run_beside_fork", lambda *_: pytest.fail("forked"))
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match=named):
         write_table(path, ["a", "b"], columns)
     assert not path.exists()
+
+
+def refuse_to_fork(*_):
+    raise AssertionError("forked")
+
+
+def test_fork_floor_is_the_first_block_count_written_in_two_processes(tmp_path, monkeypatch):
+    monkeypatch.setattr(tables, "run_beside_fork", refuse_to_fork)
+    names = [f"c{j}" for j in range(8)]
+    rows = BLOCK_CELLS // len(names)  # one block
+    below = [np.arange((FORK_MIN_BLOCKS - 1) * rows) * 0.5] * len(names)
+    write_table(tmp_path / "below.csv", names, below)
+    assert (tmp_path / "below.csv").read_bytes() == rowwise(names, [c.tolist() for c in below])
+    at = [np.append(c, 1.0) for c in below]  # one row into the next block
+    with pytest.raises(AssertionError, match="forked"):
+        write_table(tmp_path / "at.csv", names, at)
+
+
+def test_estimate_log_is_written_in_one_process(tmp_path, monkeypatch):
+    # 3000 windows: the estimate log of a 60 s run
+    monkeypatch.setattr(tables, "run_beside_fork", refuse_to_fork)
+    rec = EstimateRecord(t=0.02, r_g_hat=0.7, l_g_hat=0.011, window_start=0.0,
+                         window_end=0.02)
+    write_estimate_log_csv(tmp_path / "est.csv", [(rec, 0.71, 0.0113, True)] * 3000)
+
+
+def test_traces_and_the_dataset_are_written_in_two_processes(tmp_path, monkeypatch):
+    # a 60 s trace at 1 ms and the 5000-window training set
+    monkeypatch.setattr(tables, "run_beside_fork", refuse_to_fork)
+    trace = TimeSeries(**{c: np.zeros(60001) for c in TIMESERIES_COLUMNS})
+    with pytest.raises(AssertionError, match="forked"):
+        trace.to_csv(tmp_path / "trace.csv")
+    n = 5000
+    ds = Dataset(np.zeros((n, len(DATASET_COLUMNS) - 7)), np.ones((n, 2)),
+                 *np.ones((5, n)))
+    with pytest.raises(AssertionError, match="forked"):
+        save_dataset_csv(tmp_path / "dataset.csv", ds)
