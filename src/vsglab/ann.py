@@ -13,6 +13,11 @@ of its training inputs: one cycle of two sinusoids has rank 4, so its
 epochs solve for 58 weights rather than 1626, with the same iterates.
 Full-rank (noisy) inputs train the same way, in a rotated basis of all 200
 input coordinates.
+
+Only LM training factorizes a matrix, so `scipy.linalg` is imported on first
+use: `cho_factor` and `cho_solve` are module attributes that a module-level
+`__getattr__` binds from it when first read.  Commands that never train
+(simulation, estimation, gain design, evaluation) start without scipy.
 """
 
 from __future__ import annotations
@@ -20,11 +25,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .grid import (OMEGA0_DEFAULT, S_RATED, V_G, scr_to_impedance, solve_operating_point,
                    InfeasibleOperatingPointError)
@@ -39,6 +44,17 @@ WINDOW_LEN = 100
 SAMPLE_DT = 200e-6
 
 SQRT2 = math.sqrt(2.0)
+
+_module = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """`cho_factor` and `cho_solve`, bound from `scipy.linalg` when first read."""
+    if name not in ("cho_factor", "cho_solve"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import cho_factor, cho_solve
+    globals().update(cho_factor=cho_factor, cho_solve=cho_solve)
+    return globals()[name]
 
 
 def pcc_waveforms(t, delta, v_pcc, r_g, x_g, v_g: float = V_G,
@@ -214,10 +230,14 @@ def _accumulate_normal_equations(model: MlpModel, x: np.ndarray, y: np.ndarray):
 
 
 def _damped_step(model: MlpModel, g: np.ndarray, v: np.ndarray, mu: float) -> MlpModel:
-    """The model at w - (g + mu I)^-1 v; raises LinAlgError if g + mu I is not SPD."""
+    """The model at w - (g + mu I)^-1 v; raises LinAlgError if g + mu I is not SPD.
+
+    The Cholesky pair is read off the module at each call, so a wrapper bound
+    as `ann.cho_factor` or `ann.cho_solve` sees every factorization.
+    """
     gd = g.copy()
     gd[np.diag_indices_from(gd)] += mu
-    delta = cho_solve(cho_factor(gd, lower=True), v)
+    delta = _module.cho_solve(_module.cho_factor(gd, lower=True), v)
     return model.with_flat_weights(model.flat_weights() - delta)
 
 
@@ -545,6 +565,9 @@ def train_on_dataset(ds_train: Dataset, ds_val: Dataset, ds_test: Dataset,
                      cfg: TrainConfig = TrainConfig()
                      ) -> tuple[MlpModel, Normalizer, TrainReport]:
     """Fit the normalizer (log targets) on the training split, z-score, and train."""
+    # import scipy.linalg now, before the z-scored copies of the splits exist,
+    # so its one-time allocations do not land on training's peak memory
+    _module.cho_factor
     norm = Normalizer.fit(ds_train.inputs, ds_train.targets)
     mk = lambda d: (norm.transform_x(d.inputs), norm.transform_y(d.targets))
     model, report = train(mk(ds_train), mk(ds_val), mk(ds_test), cfg)
@@ -596,7 +619,9 @@ def save_model(path: str | Path, model: MlpModel, norm: Normalizer,
 
 
 def load_model(path: str | Path) -> tuple[MlpModel, Normalizer]:
-    """What `save_model` wrote; ValueError names a missing key or another version."""
+    """What `save_model` wrote; ValueError names a missing key, another version or
+    the first key whose array holds a number that is not finite (JSON's NaN and
+    Infinity)."""
     doc = json.loads(Path(path).read_text())
     try:
         if doc["version"] != MODEL_FILE_VERSION:
@@ -604,12 +629,16 @@ def load_model(path: str | Path) -> tuple[MlpModel, Normalizer]:
         if doc["target_transform"] != "log":
             raise ValueError(f"unsupported target_transform {doc['target_transform']!r}")
         n_in, h, k = doc["dims"]
+        arrays = {}
+        for key in ("w1", "b1", "w2", "b2", "x_mean", "x_std", "y_mean", "y_std"):
+            arrays[key] = a = np.array(doc[key], dtype=float)
+            bad = a[~np.isfinite(a)]
+            if bad.size:
+                raise ValueError(f"model file {key} must be finite, got {bad[0]}")
         model = MlpModel(
-            np.array(doc["w1"]).reshape(h, n_in), np.array(doc["b1"]),
-            np.array(doc["w2"]).reshape(k, h), np.array(doc["b2"]),
-            doc["hidden_activation"], doc["output_activation"])
-        norm = Normalizer(np.array(doc["x_mean"]), np.array(doc["x_std"]),
-                          np.array(doc["y_mean"]), np.array(doc["y_std"]))
+            arrays["w1"].reshape(h, n_in), arrays["b1"], arrays["w2"].reshape(k, h),
+            arrays["b2"], doc["hidden_activation"], doc["output_activation"])
+        norm = Normalizer(arrays["x_mean"], arrays["x_std"], arrays["y_mean"], arrays["y_std"])
     except KeyError as exc:
         raise ValueError(f"model file has no {exc} key") from None
     return model, norm

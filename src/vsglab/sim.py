@@ -4,14 +4,17 @@ The three slow control states (angle, frequency, voltage command) are
 integrated with classical RK4 at the converter sampling period while the
 PCC power is recomputed algebraically from the phasor power flow at every
 stage, optionally through a first-order P/Q measurement filter that adds
-two states.  One loop over the four RK4 stages holds the power flow and the
-loop laws once; it integrates the filter states only when the filter is
-set.  Inner voltage/current loops are modeled as ideal (the PCC voltage
-magnitude tracks the command instantly).  Scenario events step the SCR or
-the power setpoints mid-run.  In adaptive mode the runner records the
-phasor state at every estimator sample, synthesizes a window's waveforms
-in one `ann.pcc_waveforms` call when it fills, and hands it to the
-estimator whole; accepted estimates reschedule the gains.
+two states.  One loop over the four RK4 stages holds the power flow and
+the loop laws once; it integrates the filter states only when the filter
+is set.  Once a step gives back the state it was given, bit for bit, the
+runner skips the arithmetic of the steps that follow until an event or new
+gains change what the step reads.  Inner voltage/current loops are modeled
+as ideal (the PCC voltage magnitude tracks the command instantly).
+Scenario events step the SCR or the power setpoints mid-run.  In adaptive
+mode the runner records the phasor state at every estimator sample,
+synthesizes a window's waveforms in one `ann.pcc_waveforms` call when it
+fills, and hands it to the estimator whole; accepted estimates reschedule
+the gains.
 
 The plant is the one the estimator was trained at, no scenario's setting:
 `grid.V_G`, `S_RATED` and `OMEGA0_DEFAULT` (110 V, 5 kVA, 50 Hz), which are
@@ -230,6 +233,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
 
     ev_idx = 0
     out_row = 0
+    fixed = False  # the last RK4 step left the state as it was
     s6 = h / 6.0
     # RK4 stages: (step from the state to the next stage's input, weight of
     # this stage's slope); the last stage feeds no other
@@ -244,6 +248,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
         while ev_idx < len(events) and events[ev_idx].time <= t:
             ev = events[ev_idx]
             ev_idx += 1
+            fixed = False
             if ev.kind == "set_p_ref":
                 pref = ev.value
             elif ev.kind == "set_q_ref":
@@ -274,6 +279,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
                             g_new = schedule_gains(JacobianPQ(ja, jb, jc, jd), cfg.targets)
                             dp, kip, dq, kiq = g_new.d_p, g_new.k_ip, g_new.d_q, g_new.k_iq
                             prev_applied = rec
+                            fixed = False
                         except SchedulingError:
                             applied = False  # keep previous gains
                     est_log.append((rec, z.r_g, z.l_g, applied))
@@ -288,6 +294,8 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
 
         if k == n_steps:
             break
+        if fixed:  # the step would give back the state it is given, bit for bit
+            continue
 
         # One RK4 step.  Each stage evaluates, at its input state:
         #   d(delta)/dt = omega - omega_nom
@@ -324,12 +332,19 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
             # sin/cos of an infinite angle
             raise NumericFailureError(f"state diverged in the RK4 step at t = {t:.6f}") \
                 from exc
-        d += s6 * sum_d
-        w += s6 * sum_w
-        v += s6 * sum_v
+        # A step that gives back its state bit for bit gives it back again until
+        # an event or new gains change what the step reads.  Equal nonzero floats
+        # share their bits; 0.0 == -0.0 does not say that, so a zero never counts.
+        d_next = d + s6 * sum_d
+        w_next = w + s6 * sum_w
+        v_next = v + s6 * sum_v
+        fixed = d_next == d != 0.0 and w_next == w != 0.0 and v_next == v != 0.0
+        d, w, v = d_next, w_next, v_next
         if wc is not None:
-            pf += s6 * sum_pf
-            qf += s6 * sum_qf
+            pf_next = pf + s6 * sum_pf
+            qf_next = qf + s6 * sum_qf
+            fixed = fixed and pf_next == pf != 0.0 and qf_next == qf != 0.0
+            pf, qf = pf_next, qf_next
         if not isfinite(d + w + v):
             raise NumericFailureError(f"non-finite state after the RK4 step at t = {t:.6f}")
 

@@ -165,6 +165,31 @@ def test_train_takes_the_lm_step():
     np.testing.assert_array_equal(model.flat_weights(), step.flat_weights())
 
 
+def test_a_wrapper_bound_as_cho_factor_sees_every_factorization(monkeypatch):
+    # how perfbench counts them: `ann` binds the name from scipy on first use
+    # and reads it off the module at each damped step
+    real, calls = ann.cho_factor, []
+    monkeypatch.setattr(ann, "cho_factor", lambda *a, **k: calls.append(a) or real(*a, **k))
+    cfg = TrainConfig(max_epochs=20, goal_mse=1e-12, seed=1, n_hidden=4)
+    _, report = train(*toy_splits(), cfg)
+    # replayed from the schedule: one factorization per damping tried, each
+    # rejected trial x MU_INCREASE, until the one the epoch accepted
+    trials, mu = 0, ann.MU_INIT
+    for left in report.mu:
+        trials += 1
+        while mu * ann.MU_DECREASE < left:
+            mu *= ann.MU_INCREASE
+            trials += 1
+        assert mu * ann.MU_DECREASE == left
+        mu = left
+    assert len(calls) == trials > report.epochs_run
+
+
+def test_an_unknown_module_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ann.no_such_name
+
+
 # the 1-D toy inputs laid along one unit vector of a 3-input space: rank 1 of 3
 EMBED = np.array([2.0, -1.0, 2.0]) / 3.0
 

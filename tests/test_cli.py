@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -194,6 +196,13 @@ MALFORMED_INPUTS = {
                           "sim.setpoints.p_ref must be finite, got inf"),
     "nan-event-value": ("scenario", lambda d: d["events"][0].update(value=math.nan),
                         "events[0].value must be finite, got nan"),
+    # JSON's NaN and Infinity in the model's arrays
+    "nan-model-weight": ("model", lambda d: d["w1"].__setitem__(0, math.nan),
+                         "w1 must be finite, got nan"),
+    "infinite-x_std": ("model", lambda d: d["x_std"].__setitem__(3, math.inf),
+                       "x_std must be finite, got inf"),
+    "nan-y_mean": ("model", lambda d: d["y_mean"].__setitem__(1, math.nan),
+                   "y_mean must be finite, got nan"),
 }
 
 
@@ -213,6 +222,33 @@ def test_malformed_input_file_exits_2_naming_the_key(tmp_path, capsys, case):
                  "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_only_training_imports_scipy(tmp_path):
+    # the online commands never factorize a matrix, so they run without scipy;
+    # each runs through cli.main in one fresh interpreter
+    sc = tmp_path / "scenario.json"
+    short_scenario(sc, duration=1.0)
+    o = str(tmp_path)
+    script = f"""
+import sys
+from vsglab.cli import main
+def run(*argv):
+    assert main(list(argv)) in (0, 1), argv
+run("gains", "--scr", "2", "--p", "2000", "--q", "1000")
+run("simulate", "--config", {str(sc)!r}, "--mode", "cvsg", "--out", {o!r})
+run("evaluate", "--cvsg", {o + "/timeseries_cvsg.csv"!r}, "--avsg", {o + "/timeseries_cvsg.csv"!r},
+    "--scenario", {str(sc)!r}, "--out", {o!r})
+run("dataset", "--n", "40", "--seed", "0", "--out", {o + "/ds.csv"!r})
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+run("train", "--dataset", {o + "/ds.csv"!r}, "--out", {o!r})
+print(before, "scipy.linalg" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[] True"
 
 
 def test_simulate_mode_override_with_oracle(tmp_path):

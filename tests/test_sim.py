@@ -64,11 +64,14 @@ def test_vsg_derivative_signs():
     assert 0.0 < s.delta[1] - s.delta[0] < (s.omega[1] - OMEGA0) * 1e-3
 
 
-def textbook_rk4(cfg, events):
-    """(t, delta, omega, v_cmd, P_f, Q_f) rows of a CVSG run, as classical RK4:
-    four calls of one derivative function per step, the slopes summed as
-    k1 + 2 k2 + 2 k3 + k4.  Set-point events only."""
+def textbook_rk4(cfg, events, gains=None):
+    """(t, delta, omega, v_cmd, P_f, Q_f) rows of a run, as classical RK4: four
+    calls of one derivative function per step, the slopes summed as
+    k1 + 2 k2 + 2 k3 + k4.  Set-point events only.  `gains` holds the
+    (D_p, K_ip, D_q, K_iq) each step acts with, one row per step; by default
+    every step acts with `cfg.gains`."""
     vg, g = 110.0, cfg.gains
+    dp, kip, dq, kiq = g.d_p, g.k_ip, g.d_q, g.k_iq
     z = scr_to_impedance(cfg.scr, cfg.xr_ratio, vg, 5000.0)
     r, x = z.r_g, z.x_g
     kz = 3.0 / (r * r + x * x)
@@ -84,8 +87,8 @@ def textbook_rk4(cfg, events):
             p, q, dpf, dqf = pf, qf, wc * (p - pf), wc * (q - qf)
         else:
             dpf = dqf = 0.0
-        return (w - OMEGA0, g.k_ip * (pref - p - g.d_p * (w - OMEGA0)),
-                g.k_iq * (qref - q - g.d_q * (v - vg)), dpf, dqf)
+        return (w - OMEGA0, kip * (pref - p - dp * (w - OMEGA0)),
+                kiq * (qref - q - dq * (v - vg)), dpf, dqf)
 
     h = cfg.dt_sim
     y = (op.delta0, OMEGA0, op.v_pcc0, *_pf(op.delta0, op.v_pcc0, vg, r, x))
@@ -98,6 +101,8 @@ def textbook_rk4(cfg, events):
                 pref, qref = (ev.value, qref) if ev.kind == "set_p_ref" else (pref, ev.value)
         if k % dec_out == 0:
             rows.append((t, *y))
+        if gains is not None:
+            dp, kip, dq, kiq = gains[k]
         k1 = rates(*y)
         k2 = rates(*(a + 0.5 * h * b for a, b in zip(y, k1)))
         k3 = rates(*(a + 0.5 * h * b for a, b in zip(y, k2)))
@@ -120,6 +125,32 @@ def test_rk4_stage_loop_is_the_textbook_four_call_step_bit_for_bit(cutoff):
         assert getattr(s, col).tobytes() == want[:, j].tobytes(), col
     if cutoff is not None:  # the loops acted on the filtered powers, which lag P and Q
         assert np.abs(want[:, 4] - s.p_pcc).max() > 10.0
+
+
+STEPS = [ScenarioEvent(time=1.0003, kind="set_p_ref", value=2600.0),
+         ScenarioEvent(time=1.6, kind="set_q_ref", value=1400.0)]
+# (config, events, first and last row of a bit-exact fixed point): the solved
+# equilibrium settles to a state that RK4 gives back bit for bit, until the
+# P-step at 1.0003 s or the oracle's first estimate at 20 ms changes the step
+FIXED_POINTS = {
+    "cvsg": (short_config(duration=2.0, dt_sim=5e-4, out_period=5e-4), STEPS, 1100, 2001),
+    "cvsg-filtered": (short_config(duration=2.0, dt_sim=5e-4, out_period=5e-4,
+                                   meas_lpf_cutoff=15.0), STEPS, 1100, 2001),
+    "oracle-avsg": (short_config(duration=0.1, dt_sim=5e-5, out_period=5e-5, mode="avsg",
+                                 estimator_kind="oracle"), [], 250, 400),
+}
+
+
+@pytest.mark.parametrize("case", FIXED_POINTS)
+def test_steps_skipped_at_a_bit_exact_fixed_point_are_the_textbook_steps(case):
+    cfg, events, first, last = FIXED_POINTS[case]
+    s = run_scenario(cfg, events).series
+    gains = np.stack([s.d_p, s.k_ip, s.d_q, s.k_iq], axis=1)  # as each step used them
+    want = textbook_rk4(cfg, events, gains)
+    held = np.all(want[1:, 1:] == want[:-1, 1:], axis=1)
+    assert held[first:last].all() and not held[last]
+    for j, col in enumerate(("t", "delta", "omega", "v_cmd")):
+        assert getattr(s, col).tobytes() == want[:, j].tobytes(), col
 
 
 # --- waveform synthesis ----------------------------------------------------------
