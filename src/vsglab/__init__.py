@@ -9,7 +9,7 @@ from .grid import (GridImpedance, OperatingPoint, PowerPair, JacobianPQ,
 from .smallsignal import (VsgGains, DesignTargets, TransferFunction,
                           FrequencyResponse, schedule_gains, bode, phase_margin)
 from .sim import (Setpoints, ScenarioEvent, SimConfig, TimeSeries,
-                  run_scenario, synth_waveforms)
+                  run_scenario)
 
 __all__ = [
     "GridImpedance", "OperatingPoint", "PowerPair", "JacobianPQ",
@@ -17,5 +17,5 @@ __all__ = [
     "VsgGains", "DesignTargets", "TransferFunction", "FrequencyResponse",
     "schedule_gains", "bode", "phase_margin",
     "Setpoints", "ScenarioEvent", "SimConfig", "TimeSeries",
-    "run_scenario", "synth_waveforms",
+    "run_scenario",
 ]

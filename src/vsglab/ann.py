@@ -369,7 +369,7 @@ class DatasetConfig:
 
 def generate_dataset(cfg: DatasetConfig) -> Dataset:
     """Steady-state windows over randomized SCR and operating point, each
-    starting at t0 = SAMPLE_DT, where the online tumbling buffer does."""
+    starting at t0 = SAMPLE_DT, on the cycle grid every online window opens on."""
     if cfg.n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(cfg.seed)

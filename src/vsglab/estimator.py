@@ -1,12 +1,13 @@
 """Online impedance-estimation path.
 
-Tumbling one-cycle windows of decimated PCC voltage/current samples are
-buffered, z-scored, pushed through the trained network, and de-normalized
-into (R_g, L_g) estimates.  Samples arrive a window at a time
-(`push_window`, as the simulator sends them) or one at a time
-(`push_sample`, the same buffer through the same call), and each full
-window is inferred once.  A hysteresis gate (`GATE_THRESHOLD`) decides
-when an estimate is worth rescheduling gains for.
+Each estimator window is one fundamental cycle of decimated PCC voltage and
+current samples that opens on the cycle grid, as every window of the
+training set does.  `push_window` takes one whole window, z-scores it,
+pushes it through the trained network and de-normalizes the output into an
+(R_g, L_g) estimate; it keeps no state between windows, so the caller's
+window list is the one buffer.  A window holding a non-finite sample gives
+no estimate and costs nothing beyond itself.  A hysteresis gate
+(`GATE_THRESHOLD`) decides when an estimate is worth rescheduling gains for.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ class EstimateRecord:
 
 
 class OnlineEstimator:
-    """Single-producer buffer-and-infer pipeline (not thread-safe).
-
-    Samples must arrive at the estimator sample period (one accepted
-    sample per `SAMPLE_DT`); a non-finite sample invalidates the current
-    window and the fill restarts.
-    """
+    """The trained network applied to one whole estimator window at a time."""
 
     def __init__(self, model: MlpModel, norm: Normalizer):
         if model.w1.shape[1] != 2 * WINDOW_LEN:
@@ -44,60 +40,46 @@ class OnlineEstimator:
                              f"window gives {2 * WINDOW_LEN} ({WINDOW_LEN} of v and of i)")
         self.model = model
         self.norm = norm
-        self._open_buffer()
 
-    def _open_buffer(self) -> None:
-        self._v = np.empty(WINDOW_LEN)
-        self._i = np.empty(WINDOW_LEN)
-        self.reset()
-
-    def reset(self) -> None:
-        self._fill = 0
-        self._window_start = math.nan
-
-    def _infer(self) -> tuple[float, float]:
-        """(R_g, L_g) estimate from the full window."""
-        x = np.concatenate([self._v, self._i])
+    def _infer(self, v: np.ndarray, i: np.ndarray) -> tuple[float, float]:
+        """(R_g, L_g) estimate from one window's samples."""
+        x = np.concatenate([v, i])
         y = self.norm.inverse_y(forward(self.model, self.norm.transform_x(x)))
         return float(y[0]), float(y[1])
 
     def push_window(self, t, v, i) -> EstimateRecord | None:
-        """`push_sample` over up to WINDOW_LEN (t, v, i) samples in order, at once:
-        the estimate of the window they fill, if they fill one.
+        """The estimate of the window of WINDOW_LEN (t, v, i) samples, or None if a
+        sample of v or i is not finite.
 
-        As one at a time, the samples up to and including the last non-finite
-        one are dropped, and the window reopens after it.
+        The window opens one sample period before its first sample, which must
+        lie on the cycle grid: `t[0] - SAMPLE_DT` a whole number of cycles.
+        Another sample count or a window off the grid raises ValueError.
         """
         t, v, i = (np.asarray(a, dtype=float) for a in (t, v, i))
-        if len(t) > WINDOW_LEN:
-            raise ValueError(f"{len(t)} samples pushed at once, at most {WINDOW_LEN} fit")
-        bad = np.flatnonzero(~(np.isfinite(v) & np.isfinite(i)))
-        if bad.size:
-            self.reset()
-            t, v, i = t[bad[-1] + 1:], v[bad[-1] + 1:], i[bad[-1] + 1:]
-        if len(t) == 0:
+        if not len(t) == len(v) == len(i) == WINDOW_LEN:
+            raise ValueError(f"a window is {WINDOW_LEN} samples of t, v and i, "
+                             f"got {len(t)}, {len(v)} and {len(i)}")
+        start = float(t[0]) - SAMPLE_DT
+        cycle = WINDOW_LEN * SAMPLE_DT
+        if not abs(math.remainder(start, cycle)) <= 1e-6 * cycle:
+            raise ValueError(f"a window opening at t = {start!r} s is off the "
+                             f"{cycle * 1e3:g} ms cycle grid")
+        if not (np.isfinite(v).all() and np.isfinite(i).all()):
             return None
-        if self._fill == 0:
-            # the window opens one sample period before its first sample
-            self._window_start = float(t[0]) - SAMPLE_DT
-        n = min(len(t), WINDOW_LEN - self._fill)
-        self._v[self._fill:self._fill + n] = v[:n]
-        self._i[self._fill:self._fill + n] = i[:n]
-        self._fill += n
-        if self._fill < WINDOW_LEN:
-            return None
-        r_g, l_g = self._infer()
-        end = float(t[n - 1])
-        rec = EstimateRecord(t=end, r_g_hat=r_g, l_g_hat=l_g,
-                             window_start=self._window_start, window_end=end)
-        self.reset()
-        if n < len(t):
-            self.push_window(t[n:], v[n:], i[n:])  # the rest opens the next window
-        return rec
+        r_g, l_g = self._infer(v, i)
+        end = float(t[-1])
+        return EstimateRecord(t=end, r_g_hat=r_g, l_g_hat=l_g,
+                              window_start=start, window_end=end)
 
     def push_sample(self, t: float, v: float, i: float) -> EstimateRecord | None:
-        """Append one (v, i) pair; returns an estimate when a window fills."""
-        return self.push_window((t,), (v,), (i,))
+        """Collect one (t, v, i) sample; every WINDOW_LEN of them, finite or not,
+        go to `push_window` as one window."""
+        pending = self.__dict__.setdefault("_pending", [])
+        pending.append((t, v, i))
+        if len(pending) < WINDOW_LEN:
+            return None
+        del self._pending
+        return self.push_window(*zip(*pending))
 
 
 class OracleEstimator(OnlineEstimator):
@@ -109,9 +91,8 @@ class OracleEstimator(OnlineEstimator):
 
     def __init__(self):
         self.truth: tuple[float, float] = (math.nan, math.nan)
-        self._open_buffer()
 
-    def _infer(self) -> tuple[float, float]:
+    def _infer(self, v: np.ndarray, i: np.ndarray) -> tuple[float, float]:
         return self.truth
 
 

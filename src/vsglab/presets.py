@@ -1,23 +1,16 @@
-"""The 60 s three-segment benchmark scenario and the inner-loop record.
+"""The 60 s three-segment benchmark scenario.
 
 The benchmark's initial grid, set-points and the fixed-gain (CVSG)
 baseline are `SimConfig`'s defaults, defined in `vsglab.sim` with
 `BASELINE_GAINS` and `XR_RATIO_DEFAULT`; the plant (110 V, 5 kVA, 50 Hz)
 is the constants of `vsglab.grid`.  The adaptive mode (AVSG) starts from
-the same gains and reschedules them from impedance estimates.  Inner
-current/voltage loop gains are recorded for documentation only; the
-simulation models the inner loops as ideal.
+the same gains and reschedules them from impedance estimates.  The
+simulation models the inner current/voltage loops as ideal.
 """
 
 from __future__ import annotations
 
 from .sim import XR_RATIO_DEFAULT, SimConfig, ScenarioEvent
-
-# inner-loop parameters, documentation only (inner loops modeled as ideal)
-INNER_LOOPS = {
-    "current": {"response_time_s": 1e-3, "k_p": 12.5664, "k_i": 3.9478e4},
-    "voltage": {"response_time_s": 10e-3, "k_p": 0.0628, "k_i": 19.7392},
-}
 
 
 def benchmark_events() -> list[ScenarioEvent]:

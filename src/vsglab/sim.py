@@ -11,10 +11,10 @@ runner skips the arithmetic of the steps that follow until an event or new
 gains change what the step reads.  Inner voltage/current loops are modeled
 as ideal (the PCC voltage magnitude tracks the command instantly).
 Scenario events step the SCR or the power setpoints mid-run.  In adaptive
-mode the runner records the phasor state at every estimator sample,
-synthesizes a window's waveforms in one `ann.pcc_waveforms` call when it
-fills, and hands it to the estimator whole; accepted estimates reschedule
-the gains.
+mode the runner records the phasor state at every estimator sample into its
+window list, the one estimator buffer: when a cycle-aligned window is full
+it synthesizes the window's waveforms in one `ann.pcc_waveforms` call and
+hands them to the estimator whole; accepted estimates reschedule the gains.
 
 The plant is the one the estimator was trained at, no scenario's setting:
 `grid.V_G`, `S_RATED` and `OMEGA0_DEFAULT` (110 V, 5 kVA, 50 Hz), which are
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .ann import SAMPLE_DT, WINDOW_LEN, pcc_waveforms
-from .grid import (GridImpedance, OperatingPoint, JacobianPQ, scr_to_impedance,
+from .grid import (GridImpedance, JacobianPQ, scr_to_impedance,
                    solve_operating_point, _pf, _pf_jac, OMEGA0_DEFAULT, S_RATED, V_G)
 from .smallsignal import VsgGains, DesignTargets, schedule_gains, SchedulingError
 from .estimator import (GATE_THRESHOLD, OnlineEstimator, OracleEstimator, EstimateRecord,
@@ -146,19 +146,6 @@ class SimResult:
     final_gains: VsgGains
 
 
-def synth_waveforms(op: OperatingPoint, z: GridImpedance, n: int, dt_s: float,
-                    t0: float) -> tuple[np.ndarray, np.ndarray]:
-    """`pcc_waveforms` of one steady state at t0 + k*dt_s, k = 0..n-1.
-
-    v(t) = sqrt(2) V_pcc sin(w0 t + delta); the current phasor is
-    (V_pcc angle delta - V_g angle 0) / Z.
-    """
-    if n < 1 or dt_s <= 0.0:
-        raise ValueError("need n >= 1 and dt_s > 0")
-    return pcc_waveforms(t0 + np.arange(n) * dt_s, op.delta0, op.v_pcc0, z.r_g, z.x_g,
-                         op.v_g, z.omega0)
-
-
 def impedance_schedule(cfg: SimConfig, events: list[ScenarioEvent]
                        ) -> list[tuple[float, GridImpedance]]:
     """Grid impedance in force from each time on: the configured grid, then
@@ -260,15 +247,16 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
                 if isinstance(estimator, OracleEstimator):
                     estimator.truth = (z.r_g, z.l_g)
 
-        # estimator decimation: every dec_est-th step, skipping t = 0; the
-        # waveforms of a window are synthesized once it is full
+        # estimator decimation: every dec_est-th step, skipping t = 0, so each
+        # window of WINDOW_LEN samples opens on the cycle grid; the waveforms
+        # of a window are synthesized once it is full
         if estimator is not None and k > 0 and k % dec_est == 0:
             window += (t, d, v, r, x)
             if len(window) == 5 * WINDOW_LEN:
                 t_w, *phasors = np.fromiter(window, float, len(window)).reshape(-1, 5).T
                 window.clear()
                 rec = estimator.push_window(t_w, *pcc_waveforms(t_w, *phasors))
-                if rec is not None:  # None only after a non-finite sample
+                if rec is not None:  # None only for a window with a non-finite sample
                     applied = gate_gain_update(rec, prev_applied)
                     if applied:
                         # estimates can stray slightly negative during transients

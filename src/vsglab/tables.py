@@ -5,12 +5,12 @@ per row.  Each field is `str()` of a Python scalar, so floats are written
 in their shortest round-trip form and load back exactly.
 
 `write_table` takes the table as columns and formats it in blocks of
-`BLOCK_CELLS` cells.  Within a block a cell with the same bit pattern as
-the cell above it reuses that cell's text, so `str()` runs once per run of
-a repeated value (a trace's gains, truth and estimates are long runs).  A
-table of at least `FORK_MIN_BLOCKS` blocks has the second half of its
-blocks formatted in a forked child process, which streams them into an
-unlinked temporary file that is appended once the first half is written.
+`BLOCK_CELLS` cells.  Within a block each column runs `str()` once per run
+of cells with one bit pattern and repeats the text down the run (a trace's
+gains, truth and estimates are long runs).  A table of at least
+`FORK_MIN_BLOCKS` blocks has the second half of its blocks formatted in a
+forked child process, which streams them into an unlinked temporary file
+that is appended once the first half is written.
 The bytes are those of the row-wise `",".join(map(str, row))`.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import shutil
 import tempfile
 from collections.abc import Sequence
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ BLOCK_CELLS = 2**14
 # from 4 on (8-column tables, 96 MiB parent, 2-core x86-64 VM).
 FORK_MIN_BLOCKS = 4
 
-_KINDS = {np.dtype(np.float64): "f", np.dtype(np.int64): "i"}
+_NUMERIC = (np.dtype(np.float64), np.dtype(np.int64))
 
 
 def _checked_columns(path, names: Sequence[str], columns: Sequence) -> list[np.ndarray]:
@@ -45,7 +44,7 @@ def _checked_columns(path, names: Sequence[str], columns: Sequence) -> list[np.n
                  else f"column {len(names)} has no name")
         raise ValueError(f"{path}: {len(cols)} columns for {len(names)} names: {which}")
     for name, c in zip(names, cols):
-        if c.ndim != 1 or (c.dtype not in _KINDS and c.dtype.kind != "U"):
+        if c.ndim != 1 or (c.dtype not in _NUMERIC and c.dtype.kind != "U"):
             raise ValueError(f"{path}: column {name!r} is not a 1-D float64, int64 "
                              f"or str sequence (shape {c.shape}, dtype {c.dtype})")
         if len(c) != len(cols[0]):
@@ -54,34 +53,17 @@ def _checked_columns(path, names: Sequence[str], columns: Sequence) -> list[np.n
     return cols
 
 
-def _cell_text(block: np.ndarray, kind: str) -> list[str]:
-    """Row-major text of the cells of `block`, formatting each run down a column once."""
-    if kind == "U":
-        return block.ravel().tolist()
-    bits = block.view(np.uint64)  # so that -0.0 is not taken for 0.0 above it
-    starts = np.ones(bits.shape, dtype=bool)  # a cell that differs from the one above
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    text = list(map(str, block[starts].tolist()))
-    if len(text) == starts.size:  # no repeats (and `itemgetter` of one index is no tuple)
-        return text
-    # index into `text` (row-major) of each cell's run start, carried down its column
-    first = np.cumsum(starts, axis=None).reshape(starts.shape) - 1
-    first *= starts
-    return list(itemgetter(*np.maximum.accumulate(first, axis=0).ravel().tolist())(text))
-
-
-def _block_text(groups, n_cols: int, r0: int, r1: int) -> str:
-    """Rows `r0:r1` as text; `groups` are (column indices, columns, kind) by dtype."""
-    parts = [(where, _cell_text(np.column_stack([c[r0:r1] for c in cols]), kind))
-             for where, cols, kind in groups]
-    if len(parts) == 1:
-        flat = parts[0][1]
-    else:
-        cells = np.empty((r1 - r0, n_cols), dtype=object)
-        for where, text in parts:
-            cells[:, where] = np.array(text, dtype=object).reshape(r1 - r0, len(where))
-        flat = cells.ravel().tolist()
-    return "\n".join(map(",".join, zip(*[iter(flat)] * n_cols))) + "\n"
+def _column_text(c: np.ndarray) -> list[str]:
+    """`str()` of each cell of `c`, formatted once per run of equal bits."""
+    if c.dtype.kind == "U":
+        return c.tolist()
+    bits = c.view(np.uint64)  # so that -0.0 is not taken for 0.0 beside it
+    ends = (bits[1:] != bits[:-1]).nonzero()[0]  # the last cell of each run but the last
+    if len(ends) == len(c) - 1:  # no repeats: no run to repeat down
+        return list(map(str, c.tolist()))
+    starts = np.concatenate(([0], ends + 1))
+    text = np.array(list(map(str, c[starts].tolist())), dtype=object)
+    return np.repeat(text, np.diff(starts, append=len(c))).tolist()
 
 
 def write_table(path: str | Path, names: Sequence[str], columns: Sequence) -> None:
@@ -92,17 +74,13 @@ def write_table(path: str | Path, names: Sequence[str], columns: Sequence) -> No
     raise `ValueError` naming the column, before the file is created.
     """
     cols = _checked_columns(path, names, columns)
-    groups = []
-    for kind in ("f", "i", "U"):
-        where = [j for j, c in enumerate(cols) if _KINDS.get(c.dtype, "U") == kind]
-        if where:
-            groups.append((where, [cols[j] for j in where], kind))
     n_rows = len(cols[0]) if cols else 0
     step = max(1, BLOCK_CELLS // max(1, len(cols)))
 
     def write_rows(f, r0: int, r1: int) -> None:
         for r in range(r0, r1, step):
-            f.write(_block_text(groups, len(cols), r, min(r + step, r1)).encode())
+            text = [_column_text(c[r:min(r + step, r1)]) for c in cols]
+            f.write(("\n".join(map(",".join, zip(*text))) + "\n").encode())
 
     blocks = range(0, n_rows, step)
     with open(path, "wb") as f:

@@ -1,4 +1,4 @@
-"""Sample buffering, estimate cadence, and the gain-update gate."""
+"""Whole cycle-aligned windows, estimate cadence, and the gain-update gate."""
 
 import math
 
@@ -14,7 +14,7 @@ DT = 200e-6
 
 
 def dummy_estimator(n_in=200):
-    """Identity-free model; only the buffering behavior matters here."""
+    """Identity-free model; only the window cadence matters here."""
     model = MlpModel(np.zeros((2, n_in)), np.zeros(2), np.zeros((2, 2)),
                      np.array([0.5, 0.01]), hidden_activation="linear")
     norm = Normalizer(np.zeros(n_in), np.ones(n_in), np.zeros(2), np.ones(2))
@@ -31,10 +31,8 @@ def push_stream(est, n, t_start=DT):
 
 
 def test_one_estimate_per_full_window():
-    est = dummy_estimator()
     for n in (99, 100, 199, 250, 1000):
-        est.reset()
-        assert len(push_stream(est, n)) == n // 100
+        assert len(push_stream(dummy_estimator(), n)) == n // 100
 
 
 def test_window_span_is_one_cycle():
@@ -55,10 +53,9 @@ def test_non_finite_sample_restarts_window():
     for j in range(60):
         assert est.push_sample((j + 1) * DT, 1.0, 1.0) is None
     assert est.push_sample(61 * DT, math.nan, 1.0) is None
-    # the partial window is discarded; 100 fresh samples needed again
-    records = push_stream(est, 100, t_start=62 * DT)
-    assert len(records) == 1
-    assert records[0].window_start == pytest.approx(61 * DT, abs=1e-12)
+    # the window holding it gives no estimate; the next one opens a cycle on
+    records = push_stream(est, 239, t_start=62 * DT)
+    assert [rec.window_start for rec in records] == pytest.approx([0.02, 0.04], abs=1e-12)
 
 
 def random_estimator():
@@ -75,40 +72,68 @@ def sample_stream(n):
     return (np.arange(1, n + 1) * DT, rng.normal(0.0, 150.0, n), rng.normal(0.0, 20.0, n))
 
 
-@pytest.mark.parametrize("chunk", [100, 64, 37, 1])
+@pytest.mark.parametrize("tail", [100, 64, 37, 1])
 @pytest.mark.parametrize("bad", [None, 130, 299])
-def test_push_window_gives_the_records_of_push_sample(chunk, bad):
-    t, v, i = sample_stream(420)
+def test_push_window_gives_the_records_of_push_sample(tail, bad):
+    # three whole windows and `tail` samples more, one at a time or a window at a time
+    t, v, i = sample_stream(300 + tail)
     if bad is not None:
         i[bad] = math.inf
     one_by_one = [rec for rec in map(random_estimator().push_sample, t, v, i)
                   if rec is not None]
     est = random_estimator()
-    chunked = [est.push_window(t[j:j + chunk], v[j:j + chunk], i[j:j + chunk])
-               for j in range(0, len(t), chunk)]
-    assert [rec for rec in chunked if rec is not None] == one_by_one
-    # windows before the non-finite sample, then those the samples after it fill
-    assert len(one_by_one) == (4 if bad is None else bad // 100 + (419 - bad) // 100)
+    windowed = [est.push_window(t[j:j + 100], v[j:j + 100], i[j:j + 100])
+                for j in range(0, len(t) - 99, 100)]
+    assert [rec for rec in windowed if rec is not None] == one_by_one
+    # every whole window but the one holding the non-finite sample
+    assert len(one_by_one) == len(windowed) - (bad is not None)
+    if bad is not None:
+        assert windowed[bad // 100] is None
 
 
-def test_non_finite_sample_mid_window_reopens_the_window_after_it():
-    t, v, i = sample_stream(260)
-    v[20], i[40] = math.nan, -math.inf
-    est = random_estimator()
-    # samples up to and including the last non-finite one are dropped; the
-    # 59 after it open the next window, which 41 more samples fill
-    assert est.push_window(t[:100], v[:100], i[:100]) is None
-    rec = est.push_window(t[100:141], v[100:141], i[100:141])
-    assert (rec.window_start, rec.window_end, rec.t) == (t[41] - DT, t[140], t[140])
-    assert random_estimator().push_window(t[41:141], v[41:141], i[41:141]) == rec
-    # and the next window starts right after it
-    assert est.push_window(t[141:241], v[141:241], i[141:241]).window_start == t[140]
+@pytest.mark.parametrize("kind", ["ann", "oracle"])
+def test_non_finite_sample_costs_only_its_own_window(kind):
+    def estimator():
+        if kind == "ann":
+            return random_estimator()
+        est = OracleEstimator()
+        est.truth = (0.7, 0.011)
+        return est
+
+    t, v, i = sample_stream(400)
+    clean = [rec for rec in map(estimator().push_sample, t, v, i) if rec is not None]
+    v[150] = math.nan  # in the middle of window 1
+    est = estimator()
+    dropped = [rec for rec in map(est.push_sample, t, v, i) if rec is not None]
+    assert len(clean) == 4
+    assert dropped == [clean[0], clean[2], clean[3]]
+    # window 2 opens two cycles in, on the grid of the clean stream
+    assert dropped[1].window_start == pytest.approx(2 * 0.02, abs=1e-12)
 
 
 def test_push_window_takes_at_most_one_window():
     t, v, i = sample_stream(101)
-    with pytest.raises(ValueError, match="at most 100"):
+    with pytest.raises(ValueError, match="a window is 100 samples"):
         random_estimator().push_window(t, v, i)
+
+
+def test_push_window_takes_no_part_of_a_window():
+    t, v, i = sample_stream(99)
+    with pytest.raises(ValueError, match="a window is 100 samples"):
+        random_estimator().push_window(t, v, i)
+
+
+@pytest.mark.parametrize("shift", [1, 5, 50, 99])
+def test_push_window_rejects_a_window_off_the_cycle_grid(shift):
+    t, v, i = sample_stream(300)
+    est = random_estimator()
+    on_grid = est.push_window(t[200:300], v[200:300], i[200:300])
+    assert on_grid.window_start == pytest.approx(2 * 0.02, abs=1e-12)
+    # a rounding error in t is still on the grid
+    nudged = est.push_window(t[200:300] + 1e-12, v[200:300], i[200:300])
+    assert (nudged.r_g_hat, nudged.l_g_hat) == (on_grid.r_g_hat, on_grid.l_g_hat)
+    with pytest.raises(ValueError, match="off the 20 ms cycle grid"):
+        est.push_window(t[shift:shift + 100], v[shift:shift + 100], i[shift:shift + 100])
 
 
 def test_model_window_size_mismatch_rejected():
@@ -128,13 +153,6 @@ def test_oracle_estimator_same_cadence():
     assert len(records) == 2
     assert all(r.r_g_hat == 0.7 and r.l_g_hat == 0.011 for r in records)
     assert records[0].window_end - records[0].window_start == pytest.approx(0.02, abs=1e-12)
-    # the oracle shares the window code, so a non-finite sample restarts it too
-    est.reset()
-    assert push_stream(est, 60) == []
-    assert est.push_sample(61 * DT, math.nan, 0.0) is None
-    records = push_stream(est, 100, t_start=62 * DT)
-    assert len(records) == 1
-    assert records[0].window_start == pytest.approx(61 * DT, abs=1e-12)
 
 
 def test_gate_applies_first_estimate():

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsglab.ann import WINDOW_LEN, pcc_waveforms
-from vsglab.grid import (OperatingPoint, scr_to_impedance,
-                         power_flow, solve_operating_point,
+from vsglab.grid import (scr_to_impedance, power_flow, solve_operating_point,
                          InfeasibleOperatingPointError)
 from vsglab.grid import _pf
 from vsglab.sim import (RETIRED_SCENARIO_KEYS, TIMESERIES_COLUMNS, Setpoints, ScenarioEvent,
-                        SimConfig, TimeSeries, NumericFailureError, synth_waveforms,
+                        SimConfig, TimeSeries, NumericFailureError,
                         impedance_schedule, run_scenario, scenario_to_dict,
                         scenario_from_dict, save_scenario, load_scenario)
 from vsglab.cli import _truth_schedule
@@ -155,12 +154,11 @@ def test_steps_skipped_at_a_bit_exact_fixed_point_are_the_textbook_steps(case):
 
 # --- waveform synthesis ----------------------------------------------------------
 
-def test_synth_waveforms_rms_and_power():
+def test_pcc_waveforms_rms_and_power():
     z = scr_to_impedance(2.0, 5.0, 110.0, 5000.0)
-    from vsglab.grid import solve_operating_point
     op = solve_operating_point(2000.0, 1000.0, z, 110.0)
     # one full cycle at the estimator rate
-    v, i = synth_waveforms(op, z, 100, 200e-6, 200e-6)
+    v, i = pcc_waveforms(200e-6 * np.arange(1, 101), op.delta0, op.v_pcc0, z.r_g, z.x_g)
     assert math.sqrt(np.mean(v ** 2)) == pytest.approx(op.v_pcc0, rel=1e-9)
     # mean instantaneous single-phase power equals P/3
     assert np.mean(v * i) == pytest.approx(2000.0 / 3.0, rel=1e-6)
@@ -199,13 +197,6 @@ def test_window_waveforms_are_the_scalar_samples_bit_for_bit(k0, h, d0, d_step, 
     want = np.array([scalar_sample(*s) for s in zip(t, delta, v, r, x)]).T
     got = np.array(pcc_waveforms(*map(np.array, (t, delta, v, r, x))))
     assert got.tobytes() == want.tobytes()
-
-
-def test_synth_waveforms_validation():
-    z = scr_to_impedance(2.0, 5.0, 110.0, 5000.0)
-    op = OperatingPoint(delta0=0.1, v_pcc0=110.0, v_g=110.0)
-    with pytest.raises(ValueError):
-        synth_waveforms(op, z, 0, 200e-6, 0.0)
 
 
 # --- equilibrium -----------------------------------------------------------------
