@@ -116,14 +116,13 @@ _ACTIVATIONS = {
 
 @dataclass
 class MlpModel:
-    """Single-hidden-layer perceptron; weights are float64 arrays."""
+    """Single-hidden-layer perceptron, linear output layer; weights are float64 arrays."""
 
     w1: np.ndarray  # (hidden, inputs)
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (outputs, hidden)
     b2: np.ndarray  # (outputs,)
     hidden_activation: str = "tansig"
-    output_activation: str = "linear"
 
     def __post_init__(self) -> None:
         self.w1 = np.asarray(self.w1, dtype=float)
@@ -134,9 +133,8 @@ class MlpModel:
         n_out = self.w2.shape[0]
         if self.b1.shape != (h,) or self.w2.shape != (n_out, h) or self.b2.shape != (n_out,):
             raise ValueError("inconsistent weight dimensions")
-        for name in (self.hidden_activation, self.output_activation):
-            if name not in _ACTIVATIONS:
-                raise ValueError(f"unknown activation {name!r}")
+        if self.hidden_activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.hidden_activation!r}")
 
     @property
     def n_params(self) -> int:
@@ -151,7 +149,7 @@ class MlpModel:
         for arr in (self.w1, self.b1, self.w2, self.b2):
             parts.append(w[i:i + arr.size].reshape(arr.shape))
             i += arr.size
-        return MlpModel(*parts, self.hidden_activation, self.output_activation)
+        return MlpModel(*parts, self.hidden_activation)
 
 
 def init_model(n_in: int, n_hidden: int, n_out: int, seed: int,
@@ -167,10 +165,8 @@ def init_model(n_in: int, n_hidden: int, n_out: int, seed: int,
 
 def _layers(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations (N, H) and outputs (N, K) for an (N, n_in) batch."""
-    act_h = _ACTIVATIONS[model.hidden_activation][0]
-    act_o = _ACTIVATIONS[model.output_activation][0]
-    a1 = act_h(x @ model.w1.T + model.b1)
-    return a1, act_o(a1 @ model.w2.T + model.b2)
+    a1 = _ACTIVATIONS[model.hidden_activation][0](x @ model.w1.T + model.b1)
+    return a1, a1 @ model.w2.T + model.b2
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -200,19 +196,15 @@ def error_jacobian(model: MlpModel, x: np.ndarray, y: np.ndarray
     k = model.w2.shape[0]
     a1, out = _layers(model, x)
     g1 = _ACTIVATIONS[model.hidden_activation][1](a1)   # (N, H)
-    g2 = _ACTIVATIONS[model.output_activation][1](out)  # (N, K)
     e = (out - y).reshape(n * k)
-    # sensitivity of output k to hidden pre-activation j: g2[n,k]*W2[k,j]*g1[n,j]
-    s = g2[:, :, None] * model.w2[None, :, :] * g1[:, None, :]   # (N, K, H)
+    # sensitivity of output k to hidden pre-activation j: W2[k,j]*g1[n,j]
+    s = model.w2[None, :, :] * g1[:, None, :]   # (N, K, H)
     j_w1 = (s[:, :, :, None] * x[:, None, None, :]).reshape(n * k, h * n_in)
     j_b1 = s.reshape(n * k, h)
-    j_w2 = np.zeros((n, k, k, h))
-    idx = np.arange(k)
-    j_w2[:, idx, idx, :] = g2[:, :, None] * a1[:, None, :]
-    j_w2 = j_w2.reshape(n * k, k * h)
-    j_b2 = np.zeros((n, k, k))
-    j_b2[:, idx, idx] = g2
-    j_b2 = j_b2.reshape(n * k, k)
+    # output k depends on row k of W2 and on b2[k] only, each with unit slope
+    eye = np.eye(k)
+    j_w2 = (eye[None, :, :, None] * a1[:, None, None, :]).reshape(n * k, k * h)
+    j_b2 = np.tile(eye, (n, 1))
     return np.hstack([j_w1, j_b1, j_w2, j_b2]), e
 
 
@@ -603,7 +595,7 @@ def save_model(path: str | Path, model: MlpModel, norm: Normalizer,
         "version": MODEL_FILE_VERSION,
         "dims": [model.w1.shape[1], model.w1.shape[0], model.w2.shape[0]],
         "hidden_activation": model.hidden_activation,
-        "output_activation": model.output_activation,
+        "output_activation": "linear",
         "w1": model.w1.ravel().tolist(),
         "b1": model.b1.tolist(),
         "w2": model.w2.ravel().tolist(),
@@ -619,25 +611,37 @@ def save_model(path: str | Path, model: MlpModel, norm: Normalizer,
 
 
 def load_model(path: str | Path) -> tuple[MlpModel, Normalizer]:
-    """What `save_model` wrote; ValueError names a missing key, another version or
-    the first key whose array holds a number that is not finite (JSON's NaN and
-    Infinity)."""
+    """What `save_model` wrote; ValueError names a missing key, a document that is not
+    an object, `dims` that are not three positive integers, another version, target
+    transform or output activation, or the first array not finite (JSON's NaN and
+    Infinity) or not of the length `dims` give."""
     doc = json.loads(Path(path).read_text())
+    if type(doc) is not dict:
+        raise ValueError(f"model file must be an object, got {type(doc).__name__}")
     try:
         if doc["version"] != MODEL_FILE_VERSION:
             raise ValueError(f"unsupported model file version {doc['version']}")
-        if doc["target_transform"] != "log":
-            raise ValueError(f"unsupported target_transform {doc['target_transform']!r}")
-        n_in, h, k = doc["dims"]
+        for key, value in (("target_transform", "log"), ("output_activation", "linear")):
+            if doc[key] != value:
+                raise ValueError(f"unsupported {key} {doc[key]!r}")
+        dims = doc["dims"]
+        if not (type(dims) is list and len(dims) == 3
+                and all(type(d) is int and d > 0 for d in dims)):
+            raise ValueError(f"model file dims must be three positive integers, got {dims!r}")
+        n_in, h, k = dims
+        sizes = {"w1": h * n_in, "b1": h, "w2": k * h, "b2": k,
+                 "x_mean": n_in, "x_std": n_in, "y_mean": k, "y_std": k}
         arrays = {}
-        for key in ("w1", "b1", "w2", "b2", "x_mean", "x_std", "y_mean", "y_std"):
+        for key, size in sizes.items():
             arrays[key] = a = np.array(doc[key], dtype=float)
             bad = a[~np.isfinite(a)]
             if bad.size:
                 raise ValueError(f"model file {key} must be finite, got {bad[0]}")
+            if a.shape != (size,):
+                raise ValueError(f"model file {key} has shape {a.shape}, dims {dims} give {size}")
         model = MlpModel(
             arrays["w1"].reshape(h, n_in), arrays["b1"], arrays["w2"].reshape(k, h),
-            arrays["b2"], doc["hidden_activation"], doc["output_activation"])
+            arrays["b2"], doc["hidden_activation"])
         norm = Normalizer(arrays["x_mean"], arrays["x_std"], arrays["y_mean"], arrays["y_std"])
     except KeyError as exc:
         raise ValueError(f"model file has no {exc} key") from None

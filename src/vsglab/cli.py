@@ -24,7 +24,7 @@ from .estimator import read_estimate_log_csv, write_estimate_log_csv
 from .fork import run_beside_fork
 from .grid import (JacobianPQ, S_RATED, V_G, scr_to_impedance, solve_operating_point,
                    jacobian)
-from .report import ComparisonReport, build_comparison, render_text, write_csv
+from .report import ComparisonReport, build_comparison, render_text, write_tables
 from .sim import (BASELINE_GAINS, XR_RATIO_DEFAULT, SimConfig, ScenarioEvent, SimResult,
                   TimeSeries, run_scenario, impedance_schedule, load_scenario, save_scenario)
 from .smallsignal import (DesignTargets, schedule_gains, open_loop_p,
@@ -113,12 +113,12 @@ def _simulate_stage(cfg: SimConfig, events: list[ScenarioEvent], model, norm,
 
 def _evaluate_stage(cvsg: TimeSeries, avsg: TimeSeries, estimates, cfg: SimConfig,
                     events: list[ScenarioEvent], out: Path) -> ComparisonReport:
-    """Compare the two runs; write report.txt and report.csv under `out`."""
+    """Compare the two runs; write report.txt, report.csv and estimation.csv under `out`."""
     rep = build_comparison(cvsg, avsg, events, estimates, _truth_schedule(cfg, events),
                            cfg.targets)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(render_text(rep))
-    write_csv(rep, out / "report.csv")
+    write_tables(rep, out)
     return rep
 
 

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .estimator import EstimateRecord
 from .metrics import (StepMetrics, step_metrics, oscillation_energy,
                       estimation_metrics, SegmentEstimationStats)
 from .sim import TimeSeries, ScenarioEvent
 from .smallsignal import DesignTargets
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -148,32 +149,23 @@ def render_text(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(report: ComparisonReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["time", "kind", "channel",
-                    "settling_cvsg_s", "settling_avsg_s",
-                    "overshoot_cvsg_pct", "overshoot_avsg_pct",
-                    "sse_cvsg_pct", "sse_avsg_pct",
-                    "ise_cvsg", "ise_avsg"])
-        for r in report.events:
-            def g(m, attr):
-                if m is None:
-                    return ""
-                v = getattr(m, attr)
-                return "" if v is None else f"{v:.12g}"
-            w.writerow([f"{r.time:g}", r.kind, r.channel,
-                        g(r.cvsg, "settling_time_s"), g(r.avsg, "settling_time_s"),
-                        g(r.cvsg, "overshoot_pct"), g(r.avsg, "overshoot_pct"),
-                        g(r.cvsg, "steady_state_error_pct"), g(r.avsg, "steady_state_error_pct"),
-                        f"{r.ise_cvsg:.12g}", f"{r.ise_avsg:.12g}"])
-        w.writerow([])
-        w.writerow(["seg_start", "seg_end", "r_true", "l_true",
-                    "steady_rel_err_r", "steady_rel_err_l",
-                    "peak_rel_err_r", "peak_rel_err_l", "detection_delay_s"])
-        for s in report.estimation:
-            w.writerow([f"{s.t_start:g}", f"{s.t_end:g}", f"{s.r_true:.12g}",
-                        f"{s.l_true:.12g}", f"{s.steady_rel_err_r:.12g}",
-                        f"{s.steady_rel_err_l:.12g}", f"{s.peak_rel_err_r:.12g}",
-                        f"{s.peak_rel_err_l:.12g}",
-                        "" if s.detection_delay_s is None else f"{s.detection_delay_s:.12g}"])
+def write_tables(report: ComparisonReport, outdir: Path) -> None:
+    """`report.csv`, one row per event, and `estimation.csv`, one row per segment,
+    in the table format of `vsglab.tables`.  A metric that does not exist (a
+    set_scr event has no step, a step that never settles no settling time) is nan."""
+    def floats(values) -> list[float]:
+        return [math.nan if v is None else float(v) for v in values]
+
+    rows = report.events
+    steps = [floats(getattr(getattr(r, mode), attr, None) for r in rows)
+             for attr in ("settling_time_s", "overshoot_pct", "steady_state_error_pct")
+             for mode in ("cvsg", "avsg")]
+    write_table(outdir / "report.csv",
+                ["time", "kind", "channel", "settling_cvsg_s", "settling_avsg_s",
+                 "overshoot_cvsg_pct", "overshoot_avsg_pct", "sse_cvsg_pct", "sse_avsg_pct",
+                 "ise_cvsg", "ise_avsg"],
+                [floats(r.time for r in rows), [r.kind for r in rows], [r.channel for r in rows],
+                 *steps, floats(r.ise_cvsg for r in rows), floats(r.ise_avsg for r in rows)])
+    names = [f.name for f in fields(SegmentEstimationStats)]
+    write_table(outdir / "estimation.csv", names,
+                [floats(getattr(s, name) for s in report.estimation) for name in names])

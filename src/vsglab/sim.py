@@ -64,6 +64,8 @@ class ScenarioEvent:
     def __post_init__(self) -> None:
         if self.kind not in ("set_scr", "set_p_ref", "set_q_ref"):
             raise ValueError(f"unknown event kind {self.kind!r}")
+        if self.xr_ratio is not None and self.kind != "set_scr":
+            raise ValueError(f"xr_ratio {self.xr_ratio!r} is set on a {self.kind} event")
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         lpf = self.meas_lpf_cutoff
         for name, value in (("duration", self.duration), ("dt_sim", self.dt_sim),
+                            ("out_period", self.out_period),
                             ("meas_lpf_cutoff", 1.0 if lpf is None else lpf)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")

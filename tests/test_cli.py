@@ -124,21 +124,36 @@ def test_rejected_input_leaves_no_out_directory(tmp_path, case):
     assert not out.exists()
 
 
-def _drop(key):
-    return lambda d: d.pop(key)
+def _drop(*keys):
+    def edit(d):
+        for key in keys[:-1]:
+            d = d[key]
+        del d[keys[-1]]
+    return edit
 
 
-# (file, edit of its JSON document, text the error must contain)
+# (file, edit of its JSON document in place or returning the document to write,
+# text the error must contain)
 MALFORMED_INPUTS = {
     "model-without-dims": ("model", _drop("dims"), "'dims'"),
+    "model-as-array": ("model", lambda d: [d], "model file must be an object, got list"),
+    "null-dims": ("model", lambda d: d.update(dims=None),
+                  "dims must be three positive integers, got None"),
+    "zero-hidden-units": ("model", lambda d: d.update(dims=[200, 0, 2]),
+                          "dims must be three positive integers, got [200, 0, 2]"),
+    "short-x_mean": ("model", lambda d: d["x_mean"].__delitem__(-1),
+                     "x_mean has shape (199,), dims [200, 8, 2] give 200"),
+    "long-y_mean": ("model", lambda d: d["y_mean"].append(0.0),
+                    "y_mean has shape (3,), dims [200, 8, 2] give 2"),
+    "tansig-output-layer": ("model", lambda d: d.update(output_activation="tansig"),
+                            "output_activation 'tansig'"),
     "model-with-identity-targets": ("model", lambda d: d.update(target_transform="identity"),
                                     "target_transform 'identity'"),
     "model-without-target_transform": ("model", _drop("target_transform"),
                                        "'target_transform'"),
     "scenario-without-sim": ("scenario", _drop("sim"), "'sim'"),
-    "scenario-without-setpoints": ("scenario", lambda d: d["sim"].pop("setpoints"),
-                                   "'setpoints'"),
-    "gains-without-k_iq": ("scenario", lambda d: d["sim"]["gains"].pop("k_iq"), "'k_iq'"),
+    "scenario-without-setpoints": ("scenario", _drop("sim", "setpoints"), "'setpoints'"),
+    "gains-without-k_iq": ("scenario", _drop("sim", "gains", "k_iq"), "'k_iq'"),
     "unknown-sim-key": ("scenario", lambda d: d["sim"].update(dt_step=1e-4), "'dt_step'"),
     "unknown-estimator-kind": ("scenario", lambda d: d["sim"].update(estimator_kind="kalman"),
                                "'kalman'"),
@@ -196,6 +211,9 @@ MALFORMED_INPUTS = {
                           "sim.setpoints.p_ref must be finite, got inf"),
     "nan-event-value": ("scenario", lambda d: d["events"][0].update(value=math.nan),
                         "events[0].value must be finite, got nan"),
+    # only a set_scr event changes the X/R ratio
+    "xr_ratio-on-a-p-step": ("scenario", lambda d: d["events"][0].update(xr_ratio=5.0),
+                             "xr_ratio 5.0 is set on a set_p_ref event"),
     # JSON's NaN and Infinity in the model's arrays
     "nan-model-weight": ("model", lambda d: d["w1"].__setitem__(0, math.nan),
                          "w1 must be finite, got nan"),
@@ -215,8 +233,7 @@ def test_malformed_input_file_exits_2_naming_the_key(tmp_path, capsys, case):
     model.write_text(MODEL_FIXTURE.read_text())
     path = {"model": model, "scenario": sc}[which]
     doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(edit(doc) or doc))
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(sc), "--model", str(model),
                  "--out", str(out)]) == 2

@@ -315,7 +315,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioEvent(time=0.0, kind="set_vg", value=1.0)
     # a zero cutoff freezes the measured P, so the P loop winds up without bound
-    for field in ("duration", "meas_lpf_cutoff"):
+    for field in ("duration", "out_period", "meas_lpf_cutoff"):
         for value in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
                 short_config(**{field: value})
