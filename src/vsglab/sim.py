@@ -4,17 +4,16 @@ The three slow control states (angle, frequency, voltage command) are
 integrated with classical RK4 at the converter sampling period while the
 PCC power is recomputed algebraically from the phasor power flow at every
 stage, optionally through a first-order P/Q measurement filter that adds
-two states.  One loop over the four RK4 stages holds the power flow and
-the loop laws once; it integrates the filter states only when the filter
-is set.  Once a step gives back the state it was given, bit for bit, the
-runner skips the arithmetic of the steps that follow until an event or new
-gains change what the step reads.  Inner voltage/current loops are modeled
-as ideal (the PCC voltage magnitude tracks the command instantly).
-Scenario events step the SCR or the power setpoints mid-run.  In adaptive
-mode the runner records the phasor state at every estimator sample into its
-window list, the one estimator buffer: when a cycle-aligned window is full
-it synthesizes the window's waveforms in one `ann.pcc_waveforms` call and
-hands them to the estimator whole; accepted estimates reschedule the gains.
+two states.  Every step is integrated by one compiled kernel (`vsglab.rk4`),
+which runs from a state to the next stop: a scenario event, a full estimator
+window, or the end of the run.  On the way it writes the decimated output
+rows and, in adaptive mode, the phasor state of every estimator sample into
+the one estimator buffer.  Inner voltage/current loops are modeled as ideal
+(the PCC voltage magnitude tracks the command instantly).
+At the stops, this module steps the SCR or the power set-points of the
+scenario's events, and synthesizes a full window's waveforms in one
+`ann.pcc_waveforms` call and hands them to the estimator whole; accepted
+estimates reschedule the gains.
 
 The plant is the one the estimator was trained at, no scenario's setting:
 `grid.V_G`, `S_RATED` and `OMEGA0_DEFAULT` (110 V, 5 kVA, 50 Hz), which are
@@ -30,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import rk4
 from .ann import SAMPLE_DT, WINDOW_LEN, pcc_waveforms
 from .grid import (GridImpedance, JacobianPQ, scr_to_impedance,
                    solve_operating_point, _pf, _pf_jac, OMEGA0_DEFAULT, S_RATED, V_G)
@@ -187,7 +187,6 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
     op = solve_operating_point(sp.p_ref, sp.q_ref, z, V_G, tol=1e-10,
                                d_q=gains.d_q, v_nom=V_G)
     d, v = op.delta0, op.v_pcc0
-    w = OMEGA0_DEFAULT
 
     estimator = None
     if cfg.mode == "avsg":
@@ -201,148 +200,80 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
 
     h = cfg.dt_sim
     n_steps = int(round(cfg.duration / h))
-    dec_est = int(round(SAMPLE_DT / h))
     dec_out = int(round(cfg.out_period / h))
     n_out = n_steps // dec_out + 1
-
-    out = np.empty((n_out, len(TIMESERIES_COLUMNS)))
     est_log: list[tuple[EstimateRecord, float, float, bool]] = []
     prev_applied: EstimateRecord | None = None
-    r_est = l_est = math.nan
 
-    # locals for the hot loop
-    vg = V_G
-    w0 = OMEGA0_DEFAULT
-    pref, qref = sp.p_ref, sp.q_ref
-    dp, kip, dq, kiq = gains.d_p, gains.k_ip, gains.d_q, gains.k_iq
-    r, x = z.r_g, z.x_g
-    kz = 3.0 / (r * r + x * x)
-    sin, cos, isfinite = math.sin, math.cos, math.isfinite
-    wc = cfg.meas_lpf_cutoff
-    pf, qf = _pf(d, v, vg, r, x)
-
+    # The kernel's arrays (`vsglab.rk4`).  It integrates from step ix[IX_K] to
+    # the next stop and writes the output rows into `out` and the (t, delta, V,
+    # R, X) of each estimator sample into `window`, the one estimator buffer:
+    # every SAMPLE_DT after t = 0, so each window of WINDOW_LEN samples opens
+    # on the cycle grid.
+    y = np.array([d, OMEGA0_DEFAULT, v, *_pf(d, v, V_G, z.r_g, z.x_g)])
+    par = np.array([h, V_G, OMEGA0_DEFAULT, cfg.meas_lpf_cutoff or 0.0, z.x_g,
+                    sp.p_ref, sp.q_ref, events[0].time if events else math.inf])
+    row = np.array([z.r_g, z.l_g, math.nan, math.nan,
+                    gains.d_p, gains.k_ip, gains.d_q, gains.k_iq])
+    ix = np.array([0, 0, 0, 0, n_steps, dec_out,
+                   0 if estimator is None else int(round(SAMPLE_DT / h)), WINDOW_LEN],
+                  dtype=np.int64)
+    out = np.empty((n_out, len(TIMESERIES_COLUMNS)))
+    window = np.empty((WINDOW_LEN, 5))
+    run = rk4.kernel()
+    args = [a.ctypes.data for a in (y, par, row, ix, out, window)]
     ev_idx = 0
-    out_row = 0
-    fixed = False  # the last RK4 step left the state as it was
-    s6 = h / 6.0
-    # RK4 stages: (step from the state to the next stage's input, weight of
-    # this stage's slope); the last stage feeds no other
-    stages = ((0.5 * h, 1.0), (0.5 * h, 2.0), (h, 2.0), (0.0, 1.0))
-    # t, delta, V, R, X of each estimator sample of the open window, flat
-    window: list[float] = []
 
-    for k in range(n_steps + 1):
-        t = k * h
-
-        # events apply at the first step with t >= event time
-        while ev_idx < len(events) and events[ev_idx].time <= t:
-            ev = events[ev_idx]
-            ev_idx += 1
-            fixed = False
-            if ev.kind == "set_p_ref":
-                pref = ev.value
-            elif ev.kind == "set_q_ref":
-                qref = ev.value
-            else:
-                z = next(later_z)
-                r, x = z.r_g, z.x_g
-                kz = 3.0 / (r * r + x * x)
-                if isinstance(estimator, OracleEstimator):
-                    estimator.truth = (z.r_g, z.l_g)
-
-        # estimator decimation: every dec_est-th step, skipping t = 0, so each
-        # window of WINDOW_LEN samples opens on the cycle grid; the waveforms
-        # of a window are synthesized once it is full
-        if estimator is not None and k > 0 and k % dec_est == 0:
-            window += (t, d, v, r, x)
-            if len(window) == 5 * WINDOW_LEN:
-                t_w, *phasors = np.fromiter(window, float, len(window)).reshape(-1, 5).T
-                window.clear()
-                rec = estimator.push_window(t_w, *pcc_waveforms(t_w, *phasors))
-                if rec is not None:  # None only for a window with a non-finite sample
-                    applied = gate_gain_update(rec, prev_applied)
-                    if applied:
-                        # estimates can stray slightly negative during transients
-                        z_hat = GridImpedance.from_rx(max(rec.r_g_hat, 0.0),
-                                                      max(w0 * rec.l_g_hat, 1e-9), w0)
-                        ja, jb, jc, jd = _pf_jac(d, v, vg, z_hat.r_g, z_hat.x_g)
-                        try:
-                            g_new = schedule_gains(JacobianPQ(ja, jb, jc, jd), cfg.targets)
-                            dp, kip, dq, kiq = g_new.d_p, g_new.k_ip, g_new.d_q, g_new.k_iq
-                            prev_applied = rec
-                            fixed = False
-                        except SchedulingError:
-                            applied = False  # keep previous gains
-                    est_log.append((rec, z.r_g, z.l_g, applied))
-                    r_est, l_est = rec.r_g_hat, rec.l_g_hat
-
-        if k % dec_out == 0:
-            # log P/Q through the shared power-flow path (bit-identical to power_flow)
-            p_log, q_log = _pf(d, v, vg, r, x)
-            out[out_row] = (t, p_log, q_log, d, w, v, z.r_g, z.l_g,
-                            r_est, l_est, dp, kip, dq, kiq)
-            out_row += 1
-
-        if k == n_steps:
-            break
-        if fixed:  # the step would give back the state it is given, bit for bit
-            continue
-
-        # One RK4 step.  Each stage evaluates, at its input state:
-        #   d(delta)/dt = omega - omega_nom
-        #   d(omega)/dt = K_ip (P_ref - P - D_p (omega - omega_nom))
-        #   d(v_cmd)/dt = K_iq (Q_ref - Q - D_q (v_cmd - v_nom))
-        # with omega_nom, v_nom the grid's w0, vg and P, Q from the phasor power
-        # flow.  With a measurement filter the loops act on P_f, Q_f instead,
-        # the first-order lag of P, Q at cutoff `wc`; without one P_f, Q_f are
-        # not integrated.  The weighted slopes sum as ((k1 + 2 k2) + 2 k3) + k4;
-        # -0.0 is the one start that leaves k1 as it is.
-        ds, ws, vs, pfs, qfs = d, w, v, pf, qf
-        sum_d = sum_w = sum_v = sum_pf = sum_qf = -0.0
-        try:
-            for step, weight in stages:
-                sd = sin(ds)
-                cd = cos(ds)
-                vvg = vs * vg
-                p = kz * (r * vs * vs - r * vvg * cd + x * vvg * sd)
-                q = kz * (x * vs * vs - x * vvg * cd - r * vvg * sd)
-                if wc is not None:
-                    dpf, dqf = wc * (p - pfs), wc * (q - qfs)
-                    sum_pf += weight * dpf
-                    sum_qf += weight * dqf
-                    p, q = pfs, qfs
-                    pfs, qfs = pf + step * dpf, qf + step * dqf
-                slip = ws - w0
-                dw = kip * (pref - p - dp * slip)
-                dv = kiq * (qref - q - dq * (vs - vg))
-                sum_d += weight * slip
-                sum_w += weight * dw
-                sum_v += weight * dv
-                ds, ws, vs = d + step * slip, w + step * dw, v + step * dv
-        except (ValueError, OverflowError) as exc:
-            # sin/cos of an infinite angle
-            raise NumericFailureError(f"state diverged in the RK4 step at t = {t:.6f}") \
-                from exc
-        # A step that gives back its state bit for bit gives it back again until
-        # an event or new gains change what the step reads.  Equal nonzero floats
-        # share their bits; 0.0 == -0.0 does not say that, so a zero never counts.
-        d_next = d + s6 * sum_d
-        w_next = w + s6 * sum_w
-        v_next = v + s6 * sum_v
-        fixed = d_next == d != 0.0 and w_next == w != 0.0 and v_next == v != 0.0
-        d, w, v = d_next, w_next, v_next
-        if wc is not None:
-            pf_next = pf + s6 * sum_pf
-            qf_next = qf + s6 * sum_qf
-            fixed = fixed and pf_next == pf != 0.0 and qf_next == qf != 0.0
-            pf, qf = pf_next, qf_next
-        if not isfinite(d + w + v):
+    while (stop := run(*args)) != rk4.STOP_END:
+        t = int(ix[rk4.IX_K]) * h
+        if stop == rk4.STOP_EVENT:
+            # events apply at the first step with t >= event time
+            while ev_idx < len(events) and events[ev_idx].time <= t:
+                ev = events[ev_idx]
+                ev_idx += 1
+                if ev.kind == "set_p_ref":
+                    par[rk4.PAR_P_REF] = ev.value
+                elif ev.kind == "set_q_ref":
+                    par[rk4.PAR_Q_REF] = ev.value
+                else:
+                    z = next(later_z)
+                    row[[rk4.ROW_R, rk4.ROW_L]] = z.r_g, z.l_g
+                    par[rk4.PAR_X] = z.x_g
+                    if isinstance(estimator, OracleEstimator):
+                        estimator.truth = (z.r_g, z.l_g)
+            par[rk4.PAR_T_EVENT] = events[ev_idx].time if ev_idx < len(events) else math.inf
+        elif stop == rk4.STOP_WINDOW:
+            # the window is full: synthesize its waveforms in one call and hand
+            # them to the estimator whole, before the step's output row
+            ix[rk4.IX_WIN_LEN] = 0
+            t_w, *phasors = window.T
+            rec = estimator.push_window(t_w, *pcc_waveforms(t_w, *phasors))
+            if rec is None:  # only for a window with a non-finite sample
+                continue
+            applied = gate_gain_update(rec, prev_applied)
+            if applied:
+                # estimates can stray slightly negative during transients
+                z_hat = GridImpedance.from_rx(max(rec.r_g_hat, 0.0),
+                                              max(OMEGA0_DEFAULT * rec.l_g_hat, 1e-9),
+                                              OMEGA0_DEFAULT)
+                d, v = float(y[rk4.Y_DELTA]), float(y[rk4.Y_V])
+                ja, jb, jc, jd = _pf_jac(d, v, V_G, z_hat.r_g, z_hat.x_g)
+                try:
+                    gains = schedule_gains(JacobianPQ(ja, jb, jc, jd), cfg.targets)
+                    row[rk4.ROW_DP:] = gains.d_p, gains.k_ip, gains.d_q, gains.k_iq
+                    prev_applied = rec
+                except SchedulingError:
+                    applied = False  # keep previous gains
+            est_log.append((rec, z.r_g, z.l_g, applied))
+            row[[rk4.ROW_R_EST, rk4.ROW_L_EST]] = rec.r_g_hat, rec.l_g_hat
+        elif stop == rk4.FAIL_STAGE_ANGLE:  # sin/cos of an infinite angle
+            raise NumericFailureError(f"state diverged in the RK4 step at t = {t:.6f}")
+        else:
             raise NumericFailureError(f"non-finite state after the RK4 step at t = {t:.6f}")
 
-    cols = out[:out_row].T
+    cols = out[:ix[rk4.IX_OUT_ROW]].T
     series = TimeSeries(**dict(zip(TIMESERIES_COLUMNS, cols)))
-    return SimResult(series=series, estimates=est_log,
-                     final_gains=VsgGains(dp, kip, dq, kiq))
+    return SimResult(series=series, estimates=est_log, final_gains=gains)
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,14 @@ def test_vsg_derivative_signs():
 def textbook_rk4(cfg, events, gains=None):
     """(t, delta, omega, v_cmd, P_f, Q_f) rows of a run, as classical RK4: four
     calls of one derivative function per step, the slopes summed as
-    k1 + 2 k2 + 2 k3 + k4.  Set-point events only.  `gains` holds the
-    (D_p, K_ip, D_q, K_iq) each step acts with, one row per step; by default
-    every step acts with `cfg.gains`."""
+    k1 + 2 k2 + 2 k3 + k4.  Set-point and SCR events, each applied at the
+    first step at or after its time.  `gains` holds the (D_p, K_ip, D_q, K_iq)
+    each step acts with, one row per step; by default every step acts with
+    `cfg.gains`."""
     vg, g = 110.0, cfg.gains
     dp, kip, dq, kiq = g.d_p, g.k_ip, g.d_q, g.k_iq
-    z = scr_to_impedance(cfg.scr, cfg.xr_ratio, vg, 5000.0)
+    xr = cfg.xr_ratio
+    z = scr_to_impedance(cfg.scr, xr, vg, 5000.0)
     r, x = z.r_g, z.x_g
     kz = 3.0 / (r * r + x * x)
     op = solve_operating_point(cfg.setpoints.p_ref, cfg.setpoints.q_ref, z, vg, tol=1e-10,
@@ -95,9 +97,18 @@ def textbook_rk4(cfg, events, gains=None):
     rows = []
     for k in range(n_steps + 1):
         t = k * h
-        for ev in events:
-            if ev.time <= t < ev.time + h:
-                pref, qref = (ev.value, qref) if ev.kind == "set_p_ref" else (pref, ev.value)
+        for ev in sorted(events, key=lambda e: e.time):
+            if not ev.time <= t < ev.time + h:
+                continue
+            if ev.kind == "set_p_ref":
+                pref = ev.value
+            elif ev.kind == "set_q_ref":
+                qref = ev.value
+            else:
+                xr = xr if ev.xr_ratio is None else ev.xr_ratio
+                z = scr_to_impedance(ev.value, xr, vg, 5000.0)
+                r, x = z.r_g, z.x_g
+                kz = 3.0 / (r * r + x * x)
         if k % dec_out == 0:
             rows.append((t, *y))
         if gains is not None:
@@ -126,6 +137,37 @@ def test_rk4_stage_loop_is_the_textbook_four_call_step_bit_for_bit(cutoff):
         assert np.abs(want[:, 4] - s.p_pcc).max() > 10.0
 
 
+# X/R on both sides of 1
+XR_RATIOS = st.one_of(st.floats(0.3, 0.9), st.just(1.0), st.floats(1.1, 10.0))
+EVENT_VALUES = {"set_p_ref": st.floats(1500.0, 3000.0), "set_q_ref": st.floats(500.0, 1500.0),
+                "set_scr": st.floats(2.0, 20.0)}
+
+
+@st.composite
+def off_grid_events(draw, n_steps):
+    """Up to four events, each between two steps, SCR steps with or without a ratio."""
+    events = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(sorted(EVENT_VALUES)))
+        time = (draw(st.integers(0, n_steps - 1)) + draw(st.floats(0.1, 0.9))) * 5e-4
+        xr = draw(st.none() | XR_RATIOS) if kind == "set_scr" else None
+        events.append(ScenarioEvent(time=time, kind=kind, value=draw(EVENT_VALUES[kind]),
+                                    xr_ratio=xr))
+    return events
+
+
+@settings(max_examples=30, deadline=None)
+@given(cutoff=st.sampled_from([None, 15.0, 200.0]), scr=st.floats(2.0, 20.0), xr=XR_RATIOS,
+       events=off_grid_events(800))
+def test_every_step_is_the_textbook_four_call_step_bit_for_bit(cutoff, scr, xr, events):
+    cfg = short_config(duration=0.4, dt_sim=5e-4, out_period=5e-4, scr=scr, xr_ratio=xr,
+                       meas_lpf_cutoff=cutoff)
+    s = run_scenario(cfg, events).series
+    want = textbook_rk4(cfg, events)
+    for j, col in enumerate(("t", "delta", "omega", "v_cmd")):
+        assert getattr(s, col).tobytes() == want[:, j].tobytes(), col
+
+
 STEPS = [ScenarioEvent(time=1.0003, kind="set_p_ref", value=2600.0),
          ScenarioEvent(time=1.6, kind="set_q_ref", value=1400.0)]
 # (config, events, first and last row of a bit-exact fixed point): the solved
@@ -141,7 +183,9 @@ FIXED_POINTS = {
 
 
 @pytest.mark.parametrize("case", FIXED_POINTS)
-def test_steps_skipped_at_a_bit_exact_fixed_point_are_the_textbook_steps(case):
+def test_a_held_bit_exact_fixed_point_is_left_as_the_textbook_steps_leave_it(case):
+    # the trace holds the fixed point over the same rows as textbook RK4, and
+    # leaves it at the same step, with the gains each step acted with
     cfg, events, first, last = FIXED_POINTS[case]
     s = run_scenario(cfg, events).series
     gains = np.stack([s.d_p, s.k_ip, s.d_q, s.k_iq], axis=1)  # as each step used them
@@ -226,10 +270,12 @@ def test_equilibrium_persists_without_events():
 
 
 def test_logged_power_matches_power_flow_bit_identical():
-    res = run_scenario(short_config(duration=0.5), [])
+    # every row, through the transient of a P-step, not only at the equilibrium
+    events = [ScenarioEvent(time=0.1, kind="set_p_ref", value=2600.0)]
+    res = run_scenario(short_config(duration=0.5), events)
     z = scr_to_impedance(2.0, 5.0, 110.0, 5000.0)
     s = res.series
-    for k in range(0, len(s), 100):
+    for k in range(len(s)):
         p, q = _pf(s.delta[k], s.v_cmd[k], 110.0, z.r_g, z.x_g)
         assert s.p_pcc[k] == p and s.q_pcc[k] == q
 
