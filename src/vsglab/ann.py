@@ -4,15 +4,15 @@ The production network is 200 -> 8 -> 2 (tansig hidden, linear output),
 mapping one cycle of sampled PCC voltage and current (100 + 100 points at
 200 us) to (R_g, L_g).  Inputs and log targets are z-scored with statistics
 fitted on the training split only.  Training is full-batch LM with the
-standard accept/reject damping schedule, whose constants (MU_INIT,
-MU_DECREASE, MU_INCREASE, MU_MAX, VAL_PATIENCE) are fixed and hashed into
-`TrainConfig.fingerprint`, and validation-check early stopping.  `lm_step`
-and `train` take the same damped step, over the one forward pass that
-`forward` and `error_jacobian` share.  `train` takes that step in the span
-of its training inputs: one cycle of two sinusoids has rank 4, so its
-epochs solve for 58 weights rather than 1626, with the same iterates.
-Full-rank (noisy) inputs train the same way, in a rotated basis of all 200
-input coordinates.
+standard accept/reject damping schedule and validation-check early
+stopping.  The whole recipe is module constants (N_HIDDEN, MAX_EPOCHS,
+GOAL_MSE, the MU_* schedule and VAL_PATIENCE), hashed with the seed by
+`recipe_fingerprint`.  `lm_step` and `train` take the same damped step,
+over the one forward pass that `forward` and `error_jacobian` share.
+`train` takes that step in the span of its training inputs: one cycle of
+two sinusoids has rank 4, so its epochs solve for 58 weights rather than
+1626, with the same iterates.  Full-rank (noisy) inputs train the same way,
+in a rotated basis of all 200 input coordinates.
 
 Only LM training factorizes a matrix, so `scipy.linalg` is imported on first
 use: `cho_factor` and `cho_solve` are module attributes that a module-level
@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +57,7 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-def pcc_waveforms(t, delta, v_pcc, r_g, x_g, v_g: float = V_G,
-                  omega0: float = OMEGA0_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+def pcc_waveforms(t, delta, v_pcc, r_g, x_g, v_g: float = V_G) -> tuple[np.ndarray, np.ndarray]:
     """Instantaneous single-phase PCC voltage and grid current at times `t`.
 
     v = sqrt(2) V_pcc sin(w0 t + delta) and i = sqrt(2) |I| sin(w0 t + arg I),
@@ -86,17 +85,13 @@ def pcc_waveforms(t, delta, v_pcc, r_g, x_g, v_g: float = V_G,
     i_im = np.where(r_major, by_r[1], by_x[1])
     i_arg = np.fromiter(map(math.atan2, i_im.ravel().tolist(), i_re.ravel().tolist()),
                         float, i_re.size).reshape(i_re.shape)
-    wt = omega0 * t
+    wt = OMEGA0_DEFAULT * t
     return (SQRT2 * v_pcc * np.sin(wt + delta),
             SQRT2 * np.hypot(i_re, i_im) * np.sin(wt + i_arg))
 
 
 class TrainingFailureError(RuntimeError):
-    """Training diverged; the partial report is attached as `.report`."""
-
-    def __init__(self, message: str, report: "TrainReport | None" = None):
-        super().__init__(message)
-        self.report = report
+    """Training diverged."""
 
 
 class NormalizationError(ValueError):
@@ -241,9 +236,14 @@ def lm_step(model: MlpModel, x: np.ndarray, y: np.ndarray, mu: float) -> MlpMode
     return _damped_step(model, g, v, mu)
 
 
-# Damping schedule of `train` (Hagan & Menhaj, IEEE TNN 1994): x MU_DECREASE
-# after an accepted step, x MU_INCREASE after a rejected one, no accepted step
-# by MU_MAX ends training, as do VAL_PATIENCE epochs without a new best val MSE.
+# The training recipe of `train`: an N_HIDDEN-unit network, at most MAX_EPOCHS
+# epochs, stopping once the training MSE reaches GOAL_MSE.  Damping schedule
+# (Hagan & Menhaj, IEEE TNN 1994): x MU_DECREASE after an accepted step,
+# x MU_INCREASE after a rejected one, no accepted step by MU_MAX ends training,
+# as do VAL_PATIENCE epochs without a new best val MSE.
+N_HIDDEN = 8
+MAX_EPOCHS = 500
+GOAL_MSE = 1e-5
 MU_INIT = 1e-6
 MU_DECREASE = 0.1
 MU_INCREASE = 10.0
@@ -251,22 +251,12 @@ MU_MAX = 1e10
 VAL_PATIENCE = 6
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    max_epochs: int = 500
-    goal_mse: float = 1e-5
-    seed: int = 0
-    n_hidden: int = 8
-
-    def __post_init__(self) -> None:
-        if self.goal_mse <= 0:
-            raise ValueError("goal_mse must be positive")
-
-    def fingerprint(self) -> str:
-        """Hash of the whole training recipe: these fields and the damping schedule."""
-        recipe = dict(asdict(self), mu_init=MU_INIT, mu_decrease=MU_DECREASE,
-                      mu_increase=MU_INCREASE, mu_max=MU_MAX, val_patience=VAL_PATIENCE)
-        return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()[:16]
+def recipe_fingerprint(seed: int) -> str:
+    """Hash of the whole training recipe: the seed and the constants above."""
+    recipe = dict(max_epochs=MAX_EPOCHS, goal_mse=GOAL_MSE, seed=seed, n_hidden=N_HIDDEN,
+                  mu_init=MU_INIT, mu_decrease=MU_DECREASE, mu_increase=MU_INCREASE,
+                  mu_max=MU_MAX, val_patience=VAL_PATIENCE)
+    return hashlib.sha256(json.dumps(recipe, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -465,9 +455,9 @@ def _input_basis(x: np.ndarray) -> np.ndarray:
 def train(train_split: tuple[np.ndarray, np.ndarray],
           val_split: tuple[np.ndarray, np.ndarray],
           test_split: tuple[np.ndarray, np.ndarray],
-          cfg: TrainConfig = TrainConfig()) -> tuple[MlpModel, TrainReport]:
-    """Full-batch LM training on already-normalized splits, from the seeded
-    initial weights of :func:`init_model`.
+          seed: int = 0) -> tuple[MlpModel, TrainReport]:
+    """Full-batch LM training on already-normalized splits, from the initial
+    weights :func:`init_model` draws with `seed`.
 
     Callers normalize with a :class:`Normalizer` fitted on the training
     split; :func:`train_on_dataset` wraps both steps.
@@ -485,7 +475,7 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
         if np.atleast_2d(x).shape[0] == 0:
             raise ValueError(f"{name} split is empty")
     x_tr, y_tr = (np.atleast_2d(a) for a in train_split)
-    model = init_model(x_tr.shape[1], cfg.n_hidden, y_tr.shape[1], cfg.seed)
+    model = init_model(x_tr.shape[1], N_HIDDEN, y_tr.shape[1], seed)
     splits = {"train": (x_tr, y_tr),
               "val": tuple(np.atleast_2d(a) for a in val_split),
               "test": tuple(np.atleast_2d(a) for a in test_split)}
@@ -502,7 +492,7 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
     val_checks = 0
     n_res = x_tr.shape[0] * y_tr.shape[1]
 
-    for epoch in range(cfg.max_epochs):
+    for epoch in range(MAX_EPOCHS):
         g, v = _accumulate_normal_equations(model, x_tr, y_tr)
         grad_norm = float(np.linalg.norm(2.0 * v / n_res))
         accepted = False
@@ -520,7 +510,7 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
                 break
             mu *= MU_INCREASE
         if not math.isfinite(mse):
-            raise TrainingFailureError("training loss diverged", report)
+            raise TrainingFailureError("training loss diverged")
 
         lifted = lift(model)
         vmse = _mse(lifted, *splits["val"])
@@ -537,7 +527,7 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
         report.val_checks.append(val_checks)
         report.epochs_run = epoch + 1
 
-        if mse <= cfg.goal_mse:
+        if mse <= GOAL_MSE:
             report.stop_reason = "goal"
             break
         if not accepted:
@@ -554,15 +544,14 @@ def train(train_split: tuple[np.ndarray, np.ndarray],
 
 
 def train_on_dataset(ds_train: Dataset, ds_val: Dataset, ds_test: Dataset,
-                     cfg: TrainConfig = TrainConfig()
-                     ) -> tuple[MlpModel, Normalizer, TrainReport]:
+                     seed: int = 0) -> tuple[MlpModel, Normalizer, TrainReport]:
     """Fit the normalizer (log targets) on the training split, z-score, and train."""
     # import scipy.linalg now, before the z-scored copies of the splits exist,
     # so its one-time allocations do not land on training's peak memory
     _module.cho_factor
     norm = Normalizer.fit(ds_train.inputs, ds_train.targets)
     mk = lambda d: (norm.transform_x(d.inputs), norm.transform_y(d.targets))
-    model, report = train(mk(ds_train), mk(ds_val), mk(ds_test), cfg)
+    model, report = train(mk(ds_train), mk(ds_val), mk(ds_test), seed)
     return model, norm, report
 
 

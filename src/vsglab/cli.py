@@ -39,7 +39,10 @@ def _jac_from_grid(scr: float, xr: float, p: float, q: float) -> JacobianPQ:
 
 
 def cmd_gains(args) -> int:
-    if args.a is not None and args.d is not None:
+    if (args.a is None) != (args.d is None):
+        given, missing = ("--a", "--d") if args.d is None else ("--d", "--a")
+        raise ValueError(f"{given} needs {missing}: gains come from both entries or the grid")
+    if args.a is not None:
         jac = JacobianPQ(a=args.a, b=0.0, c=0.0, d=args.d)
     else:
         jac = _jac_from_grid(args.scr, args.xr, args.p, args.q)
@@ -92,10 +95,9 @@ def _dataset_stage(path: Path, n: int, seed: int, noise: float = 0.0) -> ann.Dat
 def _train_stage(ds: ann.Dataset, seed: int, out: Path):
     """Split, train, and write model.json and the diagnostics CSVs under `out`."""
     tr, va, te = ann.split_dataset(ds, seed=seed)
-    cfg = ann.TrainConfig(seed=seed)
-    model, norm, report = ann.train_on_dataset(tr, va, te, cfg)
+    model, norm, report = ann.train_on_dataset(tr, va, te, seed)
     out.mkdir(parents=True, exist_ok=True)
-    ann.save_model(out / "model.json", model, norm, cfg.fingerprint())
+    ann.save_model(out / "model.json", model, norm, ann.recipe_fingerprint(seed))
     ann.export_diagnostics(report, out)
     return model, norm, report
 

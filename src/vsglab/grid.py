@@ -26,9 +26,9 @@ class InfeasibleOperatingPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridImpedance:
-    """Series grid impedance Z_g = R_g + jX_g at nominal frequency.
+    """Series grid impedance Z_g = R_g + jX_g at the 50 Hz nominal frequency.
 
-    x_g == omega0 * l_g must hold (checked to 1e-12 relative).  x_g = 0
+    x_g == OMEGA0_DEFAULT * l_g must hold (checked to 1e-12 relative).  x_g = 0
     is tolerated only for resistive-limit oracle checks; normal use has
     x_g > 0.
     """
@@ -36,7 +36,6 @@ class GridImpedance:
     r_g: float
     x_g: float
     l_g: float
-    omega0: float = OMEGA0_DEFAULT
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_g) and math.isfinite(self.x_g)):
@@ -48,12 +47,12 @@ class GridImpedance:
         if self.r_g == 0.0 and self.x_g == 0.0:
             raise DegenerateImpedanceError("r_g and x_g are both zero")
         scale = max(abs(self.x_g), 1.0)
-        if abs(self.x_g - self.omega0 * self.l_g) > 1e-12 * scale:
-            raise ValueError("x_g must equal omega0 * l_g")
+        if abs(self.x_g - OMEGA0_DEFAULT * self.l_g) > 1e-12 * scale:
+            raise ValueError("x_g must equal OMEGA0_DEFAULT * l_g")
 
     @classmethod
-    def from_rx(cls, r_g: float, x_g: float, omega0: float = OMEGA0_DEFAULT) -> "GridImpedance":
-        return cls(r_g=r_g, x_g=x_g, l_g=x_g / omega0, omega0=omega0)
+    def from_rx(cls, r_g: float, x_g: float) -> "GridImpedance":
+        return cls(r_g=r_g, x_g=x_g, l_g=x_g / OMEGA0_DEFAULT)
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,7 @@ def jacobian(op: OperatingPoint, z: GridImpedance) -> JacobianPQ:
     return JacobianPQ(a=a, b=b, c=c, d=d)
 
 
-def scr_to_impedance(scr: float, xr_ratio: float, v_g: float, s_rated: float,
-                     omega0: float = OMEGA0_DEFAULT) -> GridImpedance:
+def scr_to_impedance(scr: float, xr_ratio: float, v_g: float, s_rated: float) -> GridImpedance:
     """Grid impedance realizing a given short-circuit ratio.
 
     SCR = 3 V_g^2 / (|Z| S_rated) with V_g per-phase RMS, so
@@ -145,7 +143,7 @@ def scr_to_impedance(scr: float, xr_ratio: float, v_g: float, s_rated: float,
     z_mag = 3.0 * v_g * v_g / (scr * s_rated)
     x_g = z_mag * xr_ratio / math.sqrt(1.0 + xr_ratio * xr_ratio)
     r_g = x_g / xr_ratio
-    return GridImpedance(r_g=r_g, x_g=x_g, l_g=x_g / omega0, omega0=omega0)
+    return GridImpedance.from_rx(r_g, x_g)
 
 
 def solve_operating_point(p_target: float, q_target: float, z: GridImpedance,

@@ -94,8 +94,9 @@ class SimConfig:
         if self.estimator_kind not in ("ann", "oracle"):
             raise ValueError(f"estimator_kind must be ann or oracle, "
                              f"got {self.estimator_kind!r}")
-        # only avsg feeds the estimator, which samples every SAMPLE_DT
-        periods = [(self.out_period, "out_period")]
+        # whole numbers of steps, so no row lands past the duration; only
+        # avsg feeds the estimator, which samples every SAMPLE_DT
+        periods = [(self.duration, "duration"), (self.out_period, "out_period")]
         if self.mode == "avsg":
             periods.append((SAMPLE_DT, f"the estimator sample period {SAMPLE_DT * 1e6:g} us"))
         for period, name in periods:
@@ -146,7 +147,6 @@ class SimResult:
     series: TimeSeries
     # (record, r_true at emission, l_true at emission, applied)
     estimates: list[tuple[EstimateRecord, float, float, bool]]
-    final_gains: VsgGains
 
 
 def impedance_schedule(cfg: SimConfig, events: list[ScenarioEvent]
@@ -254,8 +254,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
             if applied:
                 # estimates can stray slightly negative during transients
                 z_hat = GridImpedance.from_rx(max(rec.r_g_hat, 0.0),
-                                              max(OMEGA0_DEFAULT * rec.l_g_hat, 1e-9),
-                                              OMEGA0_DEFAULT)
+                                              max(OMEGA0_DEFAULT * rec.l_g_hat, 1e-9))
                 d, v = float(y[rk4.Y_DELTA]), float(y[rk4.Y_V])
                 ja, jb, jc, jd = _pf_jac(d, v, V_G, z_hat.r_g, z_hat.x_g)
                 try:
@@ -273,7 +272,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
 
     cols = out[:ix[rk4.IX_OUT_ROW]].T
     series = TimeSeries(**dict(zip(TIMESERIES_COLUMNS, cols)))
-    return SimResult(series=series, estimates=est_log, final_gains=gains)
+    return SimResult(series=series, estimates=est_log)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def trained(dataset):
     """(model, normalizer, report, wall seconds) for the pinned seed."""
     tr, va, te = ann.split_dataset(dataset, seed=SEED)
     t0 = time.perf_counter()
-    model, norm, report = ann.train_on_dataset(tr, va, te, ann.TrainConfig(seed=SEED))
+    model, norm, report = ann.train_on_dataset(tr, va, te, SEED)
     elapsed = time.perf_counter() - t0
     return model, norm, report, elapsed
 

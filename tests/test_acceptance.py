@@ -217,7 +217,9 @@ def test_pipeline_is_bit_reproducible(tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     run_paper_repro(out1, seed=0, quick=True)
     run_paper_repro(out2, seed=0, quick=True)
-    names = sorted(p.name for p in out1.glob("*.csv"))
-    assert "timeseries_avsg.csv" in names and "dataset.csv" in names
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert {"timeseries_avsg.csv", "dataset.csv", "model.json", "report.txt",
+            "scenario_avsg.json"} <= set(names)
     for name in names:
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name

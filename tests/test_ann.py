@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vsglab import ann
-from vsglab.ann import (MlpModel, Normalizer, NormalizationError, TrainConfig,
+from vsglab.ann import (MlpModel, Normalizer, NormalizationError,
                         DatasetConfig, init_model, forward, error_jacobian,
                         lm_step, train, train_on_dataset, generate_dataset,
                         split_dataset, save_model, load_model,
@@ -24,6 +24,13 @@ def toy_splits(seed=0, n=80, n_val=20):
         x = rng.uniform(-1.0, 1.0, (m, 1))
         return x, np.sin(3.0 * x)
     return make(n), make(n_val), make(n_val)
+
+
+def set_recipe(monkeypatch, max_epochs, goal_mse=ann.GOAL_MSE, n_hidden=ann.N_HIDDEN):
+    """Shrink the training recipe's module constants for one test."""
+    monkeypatch.setattr(ann, "MAX_EPOCHS", max_epochs)
+    monkeypatch.setattr(ann, "GOAL_MSE", goal_mse)
+    monkeypatch.setattr(ann, "N_HIDDEN", n_hidden)
 
 
 # --- activations and forward pass --------------------------------------------
@@ -115,48 +122,44 @@ def test_lm_step_requires_positive_mu():
         lm_step(m, np.zeros((3, 2)), np.zeros((3, 1)), mu=0.0)
 
 
-def test_accepted_epochs_never_increase_training_mse():
-    cfg = TrainConfig(max_epochs=60, goal_mse=1e-12, seed=0, n_hidden=4)
-    _, report = train(*toy_splits(), cfg)
+def test_accepted_epochs_never_increase_training_mse(monkeypatch):
+    set_recipe(monkeypatch, 60, goal_mse=1e-12, n_hidden=4)
+    _, report = train(*toy_splits(), seed=0)
     assert report.epochs_run > 5
     assert all(b <= a + 1e-15 for a, b in zip(report.train_mse, report.train_mse[1:]))
 
 
-def test_training_is_bit_reproducible():
-    cfg = TrainConfig(max_epochs=25, goal_mse=1e-12, seed=7, n_hidden=4)
-    m1, r1 = train(*toy_splits(), cfg)
-    m2, r2 = train(*toy_splits(), cfg)
+def test_training_is_bit_reproducible(monkeypatch):
+    set_recipe(monkeypatch, 25, goal_mse=1e-12, n_hidden=4)
+    m1, r1 = train(*toy_splits(), seed=7)
+    m2, r2 = train(*toy_splits(), seed=7)
     np.testing.assert_array_equal(m1.flat_weights(), m2.flat_weights())
     assert r1.train_mse == r2.train_mse
     assert r1.mu == r2.mu
 
 
-def test_report_traces_have_one_entry_per_epoch():
-    cfg = TrainConfig(max_epochs=20, goal_mse=1e-12, seed=1, n_hidden=4)
-    _, report = train(*toy_splits(), cfg)
+def test_report_traces_have_one_entry_per_epoch(monkeypatch):
+    set_recipe(monkeypatch, 20, goal_mse=1e-12, n_hidden=4)
+    _, report = train(*toy_splits(), seed=1)
     n = report.epochs_run
     for trace in (report.train_mse, report.val_mse, report.test_mse,
                   report.grad_norm, report.mu, report.val_checks):
         assert len(trace) == n
 
 
-def test_goal_stop_on_easy_problem():
-    cfg = TrainConfig(max_epochs=200, goal_mse=1e-5, seed=0, n_hidden=6)
-    _, report = train(*toy_splits(), cfg)
+def test_goal_stop_on_easy_problem(monkeypatch):
+    set_recipe(monkeypatch, 200, n_hidden=6)
+    _, report = train(*toy_splits(), seed=0)
     assert report.stop_reason == "goal"
-    assert report.train_mse[-1] <= 1e-5
+    assert report.train_mse[-1] <= ann.GOAL_MSE == 1e-5
 
 
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(goal_mse=0.0)
-
-
-def test_train_takes_the_lm_step():
+def test_train_takes_the_lm_step(monkeypatch):
     # one epoch moves the seeded weights by exactly one lm_step, taken at the
     # damping of the trial the epoch accepted (replayed from the schedule)
     (x, y), val, test = toy_splits()
-    model, report = train((x, y), val, test, TrainConfig(max_epochs=1, seed=0, n_hidden=4))
+    set_recipe(monkeypatch, 1, n_hidden=4)
+    model, report = train((x, y), val, test, seed=0)
     mu = ann.MU_INIT
     while mu * ann.MU_DECREASE < report.mu[0]:
         mu *= ann.MU_INCREASE
@@ -170,8 +173,8 @@ def test_a_wrapper_bound_as_cho_factor_sees_every_factorization(monkeypatch):
     # and reads it off the module at each damped step
     real, calls = ann.cho_factor, []
     monkeypatch.setattr(ann, "cho_factor", lambda *a, **k: calls.append(a) or real(*a, **k))
-    cfg = TrainConfig(max_epochs=20, goal_mse=1e-12, seed=1, n_hidden=4)
-    _, report = train(*toy_splits(), cfg)
+    set_recipe(monkeypatch, 20, goal_mse=1e-12, n_hidden=4)
+    _, report = train(*toy_splits(), seed=1)
     # replayed from the schedule: one factorization per damping tried, each
     # rejected trial x MU_INCREASE, until the one the epoch accepted
     trials, mu = 0, ann.MU_INIT
@@ -198,14 +201,15 @@ def embedded_toy_splits(seed=0):
     return tuple((x * EMBED, y) for x, y in toy_splits(seed))
 
 
-def test_rank_deficient_epoch_takes_the_full_space_lm_step():
+def test_rank_deficient_epoch_takes_the_full_space_lm_step(monkeypatch):
     # an epoch in the span of the inputs moves the seeded 3-input weights as one
     # full-space lm_step does.  The reference is only as exact as its own solve:
     # at seed 0 the accepted mu is 1e-3, cond(J^T J + mu I) is about 1e5, and
     # reordering the rows of the full-space step alone moves it by 2.8e-12, so
     # this seed, accepted at mu = 1e-2, keeps that rounding below the tolerance
     splits = embedded_toy_splits()
-    model, report = train(*splits, TrainConfig(max_epochs=1, seed=1, n_hidden=4))
+    set_recipe(monkeypatch, 1, n_hidden=4)
+    model, report = train(*splits, seed=1)
     assert report.input_rank == 1
     mu = ann.MU_INIT
     while mu * ann.MU_DECREASE < report.mu[0]:
@@ -216,9 +220,10 @@ def test_rank_deficient_epoch_takes_the_full_space_lm_step():
                                atol=1e-12 * np.linalg.norm(step))
 
 
-def test_rank_deficient_training_keeps_off_span_weights_at_their_seed():
+def test_rank_deficient_training_keeps_off_span_weights_at_their_seed(monkeypatch):
     splits = embedded_toy_splits()
-    model, report = train(*splits, TrainConfig(max_epochs=20, seed=0, n_hidden=4))
+    set_recipe(monkeypatch, 20, n_hidden=4)
+    model, report = train(*splits, seed=0)
     assert report.epochs_run > 5
     off_span = np.eye(3) - np.outer(EMBED, EMBED)
     seed_w1 = init_model(3, 4, 1, seed=0).w1
@@ -231,32 +236,47 @@ def test_rank_deficient_training_keeps_off_span_weights_at_their_seed():
         np.mean((forward(model, splits[0][0]) - splits[0][1]) ** 2), rel=1e-10)
 
 
-def test_rank_deficient_training_scores_val_and_test_with_the_returned_model():
+def test_rank_deficient_training_scores_val_and_test_with_the_returned_model(monkeypatch):
     # 28 noisy training rows span 27 of 200 directions; the val and test rows
     # carry noise off that span, which the returned model's seeded weights see
     noisy = generate_dataset(DatasetConfig(n_samples=40, seed=0, noise_std=0.5))
     parts = split_dataset(noisy)
-    model, norm, report = train_on_dataset(*parts, TrainConfig(max_epochs=3))
+    set_recipe(monkeypatch, 3)
+    model, norm, report = train_on_dataset(*parts)
     assert report.input_rank == 27 and report.epochs_run == 3
     for name, d in zip(("train", "val", "test"), parts):
         e = forward(model, norm.transform_x(d.inputs)) - norm.transform_y(d.targets)
         assert getattr(report, f"{name}_mse")[-1] == pytest.approx(np.mean(e * e), rel=1e-9)
 
 
-def test_input_rank_counts_the_directions_lm_trained_in():
-    assert train(*toy_splits(), TrainConfig(max_epochs=1, n_hidden=4))[1].input_rank == 1
+def test_input_rank_counts_the_directions_lm_trained_in(monkeypatch):
+    set_recipe(monkeypatch, 1, n_hidden=4)
+    assert train(*toy_splits())[1].input_rank == 1
     # one cycle of two sinusoids is four numbers: the phasors of v and i
-    cfg = TrainConfig(max_epochs=1)
+    set_recipe(monkeypatch, 1)
     clean = generate_dataset(DatasetConfig(n_samples=40, seed=0))
-    assert train_on_dataset(*split_dataset(clean), cfg)[2].input_rank == 4
+    assert train_on_dataset(*split_dataset(clean))[2].input_rank == 4
     # noise spans every direction the 28 z-scored (centred) training rows can
     noisy = generate_dataset(DatasetConfig(n_samples=40, seed=0, noise_std=0.5))
-    assert train_on_dataset(*split_dataset(noisy), cfg)[2].input_rank == 27
+    assert train_on_dataset(*split_dataset(noisy))[2].input_rank == 27
 
 
 def test_train_config_fingerprint_covers_the_damping_schedule():
-    # model.json files saved while the schedule was five config fields carry this hash
-    assert TrainConfig(seed=0).fingerprint() == "b9c378960bd460f6"
+    # model.json files trained at seed 0 carry this hash, back to when the
+    # recipe and the damping schedule were fields of a config class
+    assert ann.recipe_fingerprint(0) == "b9c378960bd460f6"
+    assert ann.recipe_fingerprint(1) != ann.recipe_fingerprint(0)
+
+
+def test_the_epoch_cap_is_read_at_each_training_and_hashed(monkeypatch):
+    splits = toy_splits()
+    set_recipe(monkeypatch, 3, goal_mse=1e-12, n_hidden=4)
+    before = ann.recipe_fingerprint(0)
+    assert train(*splits)[1].epochs_run == 3
+    monkeypatch.setattr(ann, "MAX_EPOCHS", 5)
+    _, report = train(*splits)
+    assert (report.epochs_run, report.stop_reason) == (5, "max_epochs")
+    assert ann.recipe_fingerprint(0) != before
 
 
 # --- normalization -------------------------------------------------------------
@@ -323,10 +343,10 @@ def test_dataset_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(getattr(ds2, name), getattr(ds, name))
 
 
-def test_diagnostics_csvs_load_back_exactly(tmp_path):
+def test_diagnostics_csvs_load_back_exactly(tmp_path, monkeypatch):
     ds = generate_dataset(DatasetConfig(n_samples=30, seed=2))
-    _, _, report = train_on_dataset(*split_dataset(ds, seed=2),
-                                    TrainConfig(max_epochs=3, seed=2))
+    set_recipe(monkeypatch, 3)
+    _, _, report = train_on_dataset(*split_dataset(ds, seed=2), seed=2)
     ann.export_diagnostics(report, tmp_path)
     trace = read_table(tmp_path / "training_trace.csv",
                        ["epoch", "train_mse", "val_mse", "test_mse", "grad_norm", "mu",
@@ -348,13 +368,13 @@ def test_diagnostics_csvs_load_back_exactly(tmp_path):
     assert rows("regression_scatter.csv") == [
         (name, tv, pv) for name, (t, pr) in report.scatter.items() for tv, pv in zip(t, pr)]
 
-def test_model_save_load_round_trip(tmp_path):
+def test_model_save_load_round_trip(tmp_path, monkeypatch):
     ds = generate_dataset(DatasetConfig(n_samples=30, seed=2))
     tr, va, te = split_dataset(ds, seed=2)
-    cfg = TrainConfig(max_epochs=3, seed=2)
-    model, norm, _ = train_on_dataset(tr, va, te, cfg)
+    set_recipe(monkeypatch, 3)
+    model, norm, _ = train_on_dataset(tr, va, te, seed=2)
     path = tmp_path / "model.json"
-    save_model(path, model, norm, cfg.fingerprint())
+    save_model(path, model, norm, ann.recipe_fingerprint(2))
     assert json.loads(path.read_text())["target_transform"] == "log"
     model2, norm2 = load_model(path)
     np.testing.assert_array_equal(model2.flat_weights(), model.flat_weights())

@@ -53,6 +53,13 @@ def test_gains_solved_from_grid(capsys):
 
 def test_gains_rejects_bad_inputs(capsys):
     assert main(["gains", "--a", "-1", "--d", "100"]) == 2
+    # one Jacobian entry is no Jacobian, and solving from the grid would ignore it
+    for given, missing in (("--a", "--d"), ("--d", "--a")):
+        capsys.readouterr()
+        assert main(["gains", given, "5000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {given} needs {missing}")
 
 
 def test_bode_fixed_gains_margins_decrease(tmp_path, capsys):

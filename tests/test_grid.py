@@ -10,8 +10,6 @@ from vsglab.grid import (GridImpedance, OperatingPoint, DegenerateImpedanceError
                          InfeasibleOperatingPointError, power_flow, jacobian,
                          scr_to_impedance, solve_operating_point)
 
-OMEGA0 = 100.0 * math.pi
-
 
 def z_rx(r, x):
     return GridImpedance.from_rx(r, x)
@@ -80,7 +78,7 @@ def test_solve_operating_point_inverse_of_power_flow():
 
 def test_impedance_requires_consistent_reactance():
     with pytest.raises(ValueError):
-        GridImpedance(r_g=0.1, x_g=1.0, l_g=1.0, omega0=OMEGA0)
+        GridImpedance(r_g=0.1, x_g=1.0, l_g=1.0)
     with pytest.raises(DegenerateImpedanceError):
         GridImpedance.from_rx(0.0, 0.0)
     with pytest.raises(ValueError):

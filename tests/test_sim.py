@@ -366,6 +366,10 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
                 short_config(**{field: value})
     assert short_config(meas_lpf_cutoff=None).meas_lpf_cutoff is None
+    # 200.8 steps would log a row past the duration; 0.2 steps would integrate none
+    for duration in (0.01004, 1e-5):
+        with pytest.raises(ValueError, match="^duration must be an integer multiple of dt_sim"):
+            short_config(duration=duration, dt_sim=50e-6, out_period=50e-6)
 
 
 def test_oracle_avsg_applies_scheduled_gains():
@@ -382,7 +386,7 @@ def test_oracle_avsg_applies_scheduled_gains():
     assert any(0.5 <= t <= 0.54 + 1e-9 for t in applied_times)
     after = s.t >= 0.06
     np.testing.assert_allclose(s.d_p[after] * s.k_ip[after], 8.0, rtol=1e-9)
-    assert res.final_gains.d_p * res.final_gains.k_ip == pytest.approx(8.0, rel=1e-9)
+    assert s.d_p[-1] * s.k_ip[-1] == pytest.approx(8.0, rel=1e-9)
 
 
 def test_oracle_estimates_match_truth_log():
