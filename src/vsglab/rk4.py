@@ -1,8 +1,10 @@
-"""The compiled RK4 kernel of `vsglab.sim`, built from `rk4.c` and loaded with ctypes.
+"""vsglab's compiled C code, built into one library and loaded with ctypes: the RK4
+kernel of `vsglab.sim` (`rk4.c`) and the table body codec of `vsglab.tables`
+(`tables.c`).
 
-The system C compiler `cc` builds the kernel the first time a process asks for
+The system C compiler `cc` builds the library the first time a process asks for
 it, not at import, into `CACHE_DIR` under a name that carries the sha256 of the
-source and of the build command's flags; every later process loads that file.
+sources and of the build command's flags; every later process loads that file.
 Each build writes a temporary file in `CACHE_DIR` and renames it into place, so
 processes that build at the same time, such as `paper-repro`'s forked CVSG stage
 beside its AVSG one on a cold cache, each load a whole library and leave one.
@@ -18,7 +20,7 @@ import functools
 import os
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("rk4.c")
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("rk4.c", "tables.c"))
 CACHE_DIR = Path(__file__).parent / "__pycache__"
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared", "-lm")
 
@@ -33,26 +35,27 @@ STOP_END, STOP_EVENT, STOP_WINDOW, FAIL_STAGE_ANGLE, FAIL_NON_FINITE = range(5)
 
 
 class KernelBuildError(RuntimeError):
-    """The C compiler is missing or failed to build the kernel."""
+    """The C compiler is missing or failed to build the library."""
 
 
 def build() -> Path:
-    """The kernel's shared library in `CACHE_DIR`, compiled there first if absent."""
+    """The shared library in `CACHE_DIR`, compiled there first if absent."""
     # imported here, not at the top, so that `import vsglab` does not pay for them
     import hashlib
     import shlex
     import subprocess
     import tempfile
 
-    source = SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()
-    lib = CACHE_DIR / f"rk4-{key}.so"
+    digest = hashlib.sha256(" ".join(FLAGS).encode())
+    for source in SOURCES:
+        digest.update(f"\0{source.name}\0".encode() + source.read_bytes())
+    lib = CACHE_DIR / f"vsglab-{digest.hexdigest()}.so"
     if lib.exists():
         return lib
     CACHE_DIR.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix="rk4-", suffix=".so.tmp", dir=CACHE_DIR)
+    fd, tmp = tempfile.mkstemp(prefix="vsglab-", suffix=".so.tmp", dir=CACHE_DIR)
     os.close(fd)
-    cmd = ["cc", "-o", tmp, str(SOURCE), *FLAGS]
+    cmd = ["cc", "-o", tmp, *map(str, SOURCES), *FLAGS]
     try:
         try:
             done = subprocess.run(cmd, capture_output=True, text=True)
@@ -69,12 +72,18 @@ def build() -> Path:
 
 
 @functools.cache
-def kernel():
-    """The kernel's entry point `vsg_rk4_run(y, par, row, ix, out, win)`, each
-    argument the address of a C-contiguous float64 (`ix`: int64) array."""
+def library():
+    """The loaded library, its entry points typed: `vsg_rk4_run(y, par, row, ix, out,
+    win)`, each argument the address of a C-contiguous float64 (`ix`: int64) array,
+    and `tables.c`'s `vsg_table_write` and `vsg_table_read`."""
     import ctypes
 
-    run = ctypes.CDLL(str(build())).vsg_rk4_run
-    run.argtypes = [ctypes.c_void_p] * 6
-    run.restype = ctypes.c_int
-    return run
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib = ctypes.CDLL(str(build()))
+    for name, restype, argtypes in (
+            ("vsg_rk4_run", ctypes.c_int, [ptr] * 6),
+            ("vsg_table_write", ctypes.c_int, [ctypes.c_int, i64, i64, ptr, ptr, i64]),
+            ("vsg_table_read", i64, [ctypes.c_int, i64, i64, ptr, i64, i64, ptr, ptr])):
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return lib

@@ -220,7 +220,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
                   dtype=np.int64)
     out = np.empty((n_out, len(TIMESERIES_COLUMNS)))
     window = np.empty((WINDOW_LEN, 5))
-    run = rk4.kernel()
+    run = rk4.library().vsg_rk4_run
     args = [a.ctypes.data for a in (y, par, row, ix, out, window)]
     ev_idx = 0
 

@@ -4,36 +4,34 @@ A table is a header line of column names, then one `\\n`-terminated line
 per row.  Each field is `str()` of a Python scalar, so floats are written
 in their shortest round-trip form and load back exactly.
 
-`write_table` takes the table as columns and formats it in blocks of
-`BLOCK_CELLS` cells.  Within a block each column runs `str()` once per run
-of cells with one bit pattern and repeats the text down the run (a trace's
-gains, truth and estimates are long runs).  A table of at least
-`FORK_MIN_BLOCKS` blocks has the second half of its blocks formatted in a
-forked child process, which streams them into an unlinked temporary file
-that is appended once the first half is written.
-The bytes are those of the row-wise `",".join(map(str, row))`.
+The bodies are formatted and parsed in C (`tables.c`, built and loaded by
+`vsglab.rk4` on the first table read or write), streamed through one buffer
+of `CHUNK_BYTES`: `write_table` writes each float's shortest digits as
+`repr()` lays them out, each int in decimal and each str as its UTF-8 bytes,
+and `read_table` parses each field with `strtod` into one array, accepting
+Python's float syntax, surrounding whitespace, `#` comments and empty lines.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
+import functools
+import os
 from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
-from .fork import run_beside_fork
+from . import rk4
 
-# cells formatted at once: the most text a writing process holds
-BLOCK_CELLS = 2**14
-# The fewest blocks whose second half goes to a forked child.  With the other
-# core idle the child pays off from 2 blocks on; with it busy (paper-repro's
-# two simulate stages) the child lost 10-25 % below 4 blocks and broke even
-# from 4 on (8-column tables, 96 MiB parent, 2-core x86-64 VM).
-FORK_MIN_BLOCKS = 4
+# the bytes a write or read holds at once
+CHUNK_BYTES = 2**16
 
-_NUMERIC = (np.dtype(np.float64), np.dtype(np.int64))
+# the kinds of column `tables.c` formats: float64, int64 and UTF-8 text
+_KINDS = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}
+_TEXT = 2
+# what `vsg_table_read` stopped at, and the bytes of a bad field it copies out
+READ_IO, READ_FIELD, READ_WIDTH, READ_ROWS = range(1, 5)
+FIELD_TEXT = 64
 
 
 def _checked_columns(path, names: Sequence[str], columns: Sequence) -> list[np.ndarray]:
@@ -44,7 +42,7 @@ def _checked_columns(path, names: Sequence[str], columns: Sequence) -> list[np.n
                  else f"column {len(names)} has no name")
         raise ValueError(f"{path}: {len(cols)} columns for {len(names)} names: {which}")
     for name, c in zip(names, cols):
-        if c.ndim != 1 or (c.dtype not in _NUMERIC and c.dtype.kind != "U"):
+        if c.ndim != 1 or (c.dtype not in _KINDS and c.dtype.kind != "U"):
             raise ValueError(f"{path}: column {name!r} is not a 1-D float64, int64 "
                              f"or str sequence (shape {c.shape}, dtype {c.dtype})")
         if len(c) != len(cols[0]):
@@ -53,17 +51,17 @@ def _checked_columns(path, names: Sequence[str], columns: Sequence) -> list[np.n
     return cols
 
 
-def _column_text(c: np.ndarray) -> list[str]:
-    """`str()` of each cell of `c`, formatted once per run of equal bits."""
-    if c.dtype.kind == "U":
-        return c.tolist()
-    bits = c.view(np.uint64)  # so that -0.0 is not taken for 0.0 beside it
-    ends = (bits[1:] != bits[:-1]).nonzero()[0]  # the last cell of each run but the last
-    if len(ends) == len(c) - 1:  # no repeats: no run to repeat down
-        return list(map(str, c.tolist()))
-    starts = np.concatenate(([0], ends + 1))
-    text = np.array(list(map(str, c[starts].tolist())), dtype=object)
-    return np.repeat(text, np.diff(starts, append=len(c))).tolist()
+@functools.cache
+def _ryu_tables() -> np.ndarray:
+    """Ryū's power-of-5 tables, each row the (low, high) 64-bit words of a 128-bit
+    number: 5^i in its top 125 bits for i < 326, then
+    floor(2^(bits(5^i) - 1 + 125) / 5^i) + 1 for i < 342."""
+    rows = []
+    for i in range(326):
+        shift = (5**i).bit_length() - 125
+        rows.append(5**i >> shift if shift >= 0 else 5**i << -shift)
+    rows += [(1 << (5**i).bit_length() + 124) // 5**i + 1 for i in range(342)]
+    return np.array([(r & (2**64 - 1), r >> 64) for r in rows], dtype=np.uint64)
 
 
 def write_table(path: str | Path, names: Sequence[str], columns: Sequence) -> None:
@@ -74,47 +72,64 @@ def write_table(path: str | Path, names: Sequence[str], columns: Sequence) -> No
     raise `ValueError` naming the column, before the file is created.
     """
     cols = _checked_columns(path, names, columns)
-    n_rows = len(cols[0]) if cols else 0
-    step = max(1, BLOCK_CELLS // max(1, len(cols)))
-
-    def write_rows(f, r0: int, r1: int) -> None:
-        for r in range(r0, r1, step):
-            text = [_column_text(c[r:min(r + step, r1)]) for c in cols]
-            f.write(("\n".join(map(",".join, zip(*text))) + "\n").encode())
-
-    blocks = range(0, n_rows, step)
+    write = rk4.library().vsg_table_write  # built before the file exists
+    keep = []  # the arrays that `spec` holds the addresses of
+    spec = []  # per column: its kind, then its cells and step or its text and offsets
+    for c in cols:
+        if c.dtype.kind == "U":
+            cells = [s.encode() for s in c.tolist()]
+            text = np.frombuffer(b"".join(cells), dtype=np.uint8)
+            offsets = np.cumsum([0, *map(len, cells)], dtype=np.int64)
+            keep += [text, offsets]
+            spec += [_TEXT, text.ctypes.data, offsets.ctypes.data]
+        else:
+            spec += [_KINDS[c.dtype], c.ctypes.data, c.strides[0]]
+    spec = np.array(spec, dtype=np.int64)
     with open(path, "wb") as f:
         f.write((",".join(names) + "\n").encode())
-        if len(blocks) < FORK_MIN_BLOCKS:
-            write_rows(f, 0, n_rows)
-            return
-        mid = blocks[len(blocks) // 2]
-        with tempfile.TemporaryFile() as tail:
-            def write_tail() -> None:
-                write_rows(tail, mid, n_rows)
-                tail.flush()
-
-            run_beside_fork(write_tail, lambda: write_rows(f, 0, mid))
-            tail.seek(0)
-            shutil.copyfileobj(tail, f)
+        f.flush()
+        code = write(f.fileno(), len(cols[0]) if cols else 0, len(cols), spec.ctypes.data,
+                     _ryu_tables().ctypes.data, CHUNK_BYTES)
+    if code:
+        raise OSError(code, os.strerror(code), str(path))
 
 
 def read_table(path: str | Path, columns: Sequence[str]) -> np.ndarray:
     """(rows, columns) float array of a table whose header must be `columns`.
 
-    A foreign header, no data row or rows of another width raise `ValueError`
-    naming the file.
+    A foreign header, no data row, a field that is not a float or rows of another
+    width raise `ValueError` naming the file, and for the last two the line and
+    the column.
     """
+    read = rk4.library().vsg_table_read
+    n = len(columns)
     with open(path) as f:
         header = f.readline().rstrip("\r\n")
         if header != ",".join(columns):
             raise ValueError(f"{path}: header {header!r} is not {','.join(columns)!r}")
-        body = f.tell()
         if not f.readline().strip():
             raise ValueError(f"{path}: no data row after the header")
-        f.seek(body)
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    if data.shape[1] != len(columns):
-        raise ValueError(f"{path}: rows have {data.shape[1]} fields, "
-                         f"the header names {len(columns)}")
+        size = os.fstat(f.fileno()).st_size
+        # a row takes at least two bytes a column, so this holds every row and
+        # a last partial one; the pages past the rows read are never touched,
+        # and they are given back below
+        data = np.empty((size // max(1, 2 * n) + 1, n))
+        err = np.zeros(4, dtype=np.int64)
+        text = np.zeros(FIELD_TEXT, dtype=np.uint8)
+        rows = read(f.fileno(), size, n, data.ctypes.data, len(data), CHUNK_BYTES,
+                    err.ctypes.data, text.ctypes.data)
+    what, line, column, count = err.tolist()
+    where = f"{path}: line {line}, column {column}"
+    if what == READ_IO:
+        raise OSError(count, os.strerror(count), str(path))
+    if what == READ_FIELD:
+        field = text[:count].tobytes().decode(errors="replace").strip()
+        raise ValueError(f"{where}: {field!r} is not a float")
+    if what == READ_WIDTH:
+        raise ValueError(f"{where}: the row has {count} fields, the header names {n}")
+    if what == READ_ROWS:
+        raise ValueError(f"{where}: more rows than the file's size allows")
+    if rows == 0:
+        raise ValueError(f"{path}: no data row after the header")
+    data.resize((rows, n), refcheck=False)
     return data

@@ -1,20 +1,26 @@
-"""Building and loading the compiled RK4 kernel."""
+"""Building and loading the compiled library, and what importing the package leaves
+unbuilt."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from vsglab import cli, rk4
 from vsglab.fork import run_beside_fork
-from vsglab.sim import SimConfig, run_scenario
+from vsglab.sim import TIMESERIES_COLUMNS, SimConfig, run_scenario
 
 
 @pytest.fixture
 def cold_cache(tmp_path, monkeypatch):
-    """An empty kernel cache directory, and no kernel loaded in this process."""
+    """An empty cache directory, and no library loaded in this process."""
     cache = tmp_path / "cache"
     monkeypatch.setattr(rk4, "CACHE_DIR", cache)
-    rk4.kernel.cache_clear()
+    rk4.library.cache_clear()
     yield cache
-    rk4.kernel.cache_clear()
+    rk4.library.cache_clear()
 
 
 def test_missing_compiler_raises_and_the_cli_exits_2(cold_cache, tmp_path, monkeypatch,
@@ -23,9 +29,9 @@ def test_missing_compiler_raises_and_the_cli_exits_2(cold_cache, tmp_path, monke
     empty.mkdir()
     monkeypatch.setenv("PATH", str(empty))
     with pytest.raises(rk4.KernelBuildError,
-                       match=r"^cannot run `cc -o \S+ \S+rk4\.c -O2 -ffp-contract=off -fPIC "
-                             r"-shared -lm`: .*'cc'$"):
-        rk4.kernel()
+                       match=r"^cannot run `cc -o \S+ \S+rk4\.c \S+tables\.c -O2 "
+                             r"-ffp-contract=off -fPIC -shared -lm`: .*'cc'$"):
+        rk4.library()
     assert cli.main(["simulate", "--mode", "cvsg", "--out", str(tmp_path / "out")]) == 2
     assert "error: cannot run `cc " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -40,9 +46,9 @@ def test_failing_compiler_is_named_with_its_stderr(cold_cache, tmp_path, monkeyp
     fake.chmod(0o755)
     monkeypatch.setenv("PATH", str(bin_dir))
     with pytest.raises(rk4.KernelBuildError,
-                       match=r"^`cc -o \S+ \S+rk4\.c -O2 \S+ -fPIC -shared -lm` exited with "
-                             r"code 3:\nrk4\.c:1: no room$"):
-        rk4.kernel()
+                       match=r"^`cc -o \S+ \S+rk4\.c \S+tables\.c -O2 \S+ -fPIC -shared -lm` "
+                             r"exited with code 3:\nrk4\.c:1: no room$"):
+        rk4.library()
     assert list(cold_cache.iterdir()) == []
 
 
@@ -56,4 +62,45 @@ def test_two_processes_building_on_a_cold_cache_leave_one_library(cold_cache):
     in_child, in_parent = run_beside_fork(run, run)
     assert in_child == in_parent
     assert [p.name for p in cold_cache.iterdir()] == [rk4.build().name]
-    assert rk4.build().name.startswith("rk4-") and rk4.build().suffix == ".so"
+    assert rk4.build().name.startswith("vsglab-") and rk4.build().suffix == ".so"
+
+
+def test_missing_compiler_leaves_no_table_file(cold_cache, tmp_path, monkeypatch, capsys):
+    # the library loads before a table's file is opened
+    trace = tmp_path / "trace.csv"
+    trace.write_text(",".join(TIMESERIES_COLUMNS) + "\n" + ",".join(["0.0"] * 14) + "\n")
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    assert cli.main(["dataset", "--n", "20", "--out", str(tmp_path / "d.csv")]) == 2
+    assert "error: cannot run `cc " in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+    assert cli.main(["evaluate", "--cvsg", str(trace), "--avsg", str(trace),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "error: cannot run `cc " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", sorted(Path(rk4.__file__).parent.glob("*.c")),
+                         ids=lambda p: p.name)
+def test_c_source_compiles_without_a_warning(source):
+    done = subprocess.run(["cc", "-fsyntax-only", "-Wall", "-Wextra", "-Werror", str(source)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_c_sources_are_every_c_file_of_the_package():
+    assert sorted(rk4.SOURCES) == sorted(Path(rk4.__file__).parent.glob("*.c"))
+
+
+def test_importing_the_cli_builds_and_loads_nothing():
+    # the library is built, so that a load at import would show in the maps
+    rk4.build()
+    probe = ("import pathlib, sys, vsglab.cli\n"
+             "from vsglab import rk4\n"
+             "print('subprocess' in sys.modules)\n"
+             "print(str(rk4.CACHE_DIR) in pathlib.Path('/proc/self/maps').read_text())")
+    src = Path(rk4.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.split() == ["False", "False"]

@@ -1,7 +1,8 @@
-"""The table writer: its bytes are the row-wise `str()` join, in one block or many."""
+"""The table format: its bytes are the row-wise `str()` join, and they read back exactly."""
 
 import math
 import os
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -13,18 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsglab import tables
-from vsglab.ann import DATASET_COLUMNS, Dataset, save_dataset_csv
-from vsglab.estimator import EstimateRecord, write_estimate_log_csv
-from vsglab.sim import TIMESERIES_COLUMNS, TimeSeries
-from vsglab.tables import BLOCK_CELLS, FORK_MIN_BLOCKS, read_table, write_table
+from vsglab.tables import CHUNK_BYTES, read_table, write_table
 
 # NaNs of either sign or another payload all print as "nan"; -0.0 is not 0.0
 NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0]
 SPECIAL = [0.0, -0.0, math.nan, -math.nan, NAN_PAYLOAD, math.inf, -math.inf,
            5e-324, -2.5e-310, 2.2250738585072014e-308, 1e16, 1e-5, 0.1]
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats())
+# any 64-bit pattern, as the double it encodes
+BIT_FLOATS = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
 VALUES = {"f": FLOATS, "i": st.integers(-2**63, 2**63 - 1),
-          "U": st.text(alphabet="abcxyz_", max_size=6)}
+          "U": st.text(alphabet="abcxyz_µ€", max_size=6)}
 
 
 @st.composite
@@ -55,28 +55,28 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-def written(names, cols, block_cells: int) -> bytes:
-    with tempfile.TemporaryDirectory() as d, mock.patch.object(tables, "BLOCK_CELLS",
-                                                               block_cells):
+def written(names, cols, chunk_bytes: int) -> bytes:
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(tables, "CHUNK_BYTES",
+                                                               chunk_bytes):
         path = Path(d) / "t.csv"
         write_table(path, names, cols)
         return path.read_bytes()
 
 
-# block sizes down to one cell, so that most tables take several blocks and fork
+# buffers down to one byte, so that most rows straddle two or more of them
 @settings(max_examples=80, deadline=None)
-@given(table(), st.sampled_from([1, 3, 16, BLOCK_CELLS]))
-def test_bytes_are_the_rowwise_str_join(tab, block_cells):
+@given(table(), st.sampled_from([1, 7, 64, CHUNK_BYTES]))
+def test_bytes_are_the_rowwise_str_join(tab, chunk_bytes):
     names, cols = tab
-    assert written(names, cols, block_cells) == rowwise(names, cols)
+    assert written(names, cols, chunk_bytes) == rowwise(names, cols)
 
 
 @settings(max_examples=40, deadline=None)
-@given(table(kinds="f"), st.sampled_from([2, 7, BLOCK_CELLS]))
-def test_read_table_returns_the_floats_bit_exact(tab, block_cells):
+@given(table(kinds="f"), st.sampled_from([1, 7, 64, CHUNK_BYTES]))
+def test_read_table_returns_the_floats_bit_exact(tab, chunk_bytes):
     names, cols = tab
-    with tempfile.TemporaryDirectory() as d, mock.patch.object(tables, "BLOCK_CELLS",
-                                                               block_cells):
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(tables, "CHUNK_BYTES",
+                                                               chunk_bytes):
         path = Path(d) / "t.csv"
         write_table(path, names, cols)
         got = read_table(path, names)
@@ -86,9 +86,43 @@ def test_read_table_returns_the_floats_bit_exact(tab, block_cells):
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
+def formatted(values: np.ndarray) -> list[bytes]:
+    """Each float as `write_table` writes it."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.csv"
+        write_table(path, ["x"], [values])
+        return path.read_bytes().split(b"\n")[1:-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(FLOATS, BIT_FLOATS), min_size=1, max_size=40))
+def test_each_float_is_written_as_str_writes_it(values):
+    assert formatted(np.array(values)) == [str(v).encode() for v in values]
+
+
+def test_a_sweep_of_hard_floats_is_written_as_str_writes_it():
+    rng = np.random.default_rng(21)
+    pow2 = np.ldexp(1.0, np.arange(-1074, 1024))
+    pow10 = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    powers = np.concatenate([pow2, pow10])
+    subnormal = rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(np.float64)
+    integers = rng.integers(0, 2**63, 40_000, dtype=np.uint64) >> rng.integers(0, 63, 40_000,
+                                                                               dtype=np.uint64)
+    values = np.concatenate([
+        rng.integers(0, 2**64, 80_000, dtype=np.uint64).view(np.float64),  # any bits
+        subnormal, -subnormal,
+        powers, np.nextafter(powers, math.inf), np.nextafter(powers, -math.inf),
+        integers.astype(np.float64), np.ldexp(1.0, np.arange(64)) - 1.0,
+        np.arange(60_000) * 50e-6, np.arange(20_000) * 200e-6,  # the trace time grids
+    ])
+    assert len(values) >= 200_000
+    assert formatted(values) == [str(v).encode() for v in values.tolist()]
+
+
 def test_several_real_blocks_match_and_leave_no_child(tmp_path):
-    # a trace-like table: time, a noisy signal, a gain in five runs and a run index
-    n = 5 * BLOCK_CELLS // 4
+    # a trace-like table of many chunks: time, a noisy signal, a gain in five
+    # runs and a run index
+    n = 5 * (CHUNK_BYTES // 16)
     rng = np.random.default_rng(0)
     gain = np.repeat([2087.0, -0.0, 0.0, math.nan, 1e-300], n // 5)
     cols = [np.arange(n) * 1e-3, rng.normal(size=n), gain, np.repeat(np.arange(5), n // 5)]
@@ -99,6 +133,14 @@ def test_several_real_blocks_match_and_leave_no_child(tmp_path):
     assert_no_child_process()
 
 
+def test_strided_reversed_and_broadcast_columns_are_written_as_their_values(tmp_path):
+    # the dataset's columns are the transposed rows of its input matrix
+    m = np.arange(12.0).reshape(4, 3) / 7
+    cols = [*m.T, m[::-1, 0], np.broadcast_to(np.int64(7), 4)]
+    write_table(tmp_path / "t.csv", list("abcde"), cols)
+    assert (tmp_path / "t.csv").read_bytes() == rowwise(list("abcde"), [c.tolist() for c in cols])
+
+
 @pytest.mark.parametrize("columns, named", [
     ([[1.0, 2.0], [1.0]], "column 'b' has 1 rows"),
     ([[1.0, 2.0]], "column 'b' has no data"),
@@ -106,51 +148,47 @@ def test_several_real_blocks_match_and_leave_no_child(tmp_path):
     ([[1.0, 2.0], [[1.0], [2.0]]], "column 'b' is not a 1-D"),
     ([[1.0, 2.0], [True, False]], "column 'b' is not a 1-D"),
 ])
-def test_malformed_columns_raise_before_the_file_or_a_fork(tmp_path, monkeypatch, columns,
-                                                           named):
-    # one-cell blocks and a two-block fork floor: a two-row table would be
-    # written in two processes
-    monkeypatch.setattr(tables, "BLOCK_CELLS", 1)
-    monkeypatch.setattr(tables, "FORK_MIN_BLOCKS", 2)
-    monkeypatch.setattr(tables, "run_beside_fork", lambda *_: pytest.fail("forked"))
+def test_malformed_columns_raise_before_the_file_or_a_fork(tmp_path, columns, named):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match=named):
         write_table(path, ["a", "b"], columns)
     assert not path.exists()
 
 
-def refuse_to_fork(*_):
-    raise AssertionError("forked")
+@pytest.mark.parametrize("body, rows", [
+    (" 1.5 ,\t-2\n\x0b3\xa0,\u30004\x0c\n", [[1.5, -2.0], [3.0, 4.0]]),  # surrounding spaces
+    ("+1,+2.5e3\n", [[1.0, 2500.0]]),
+    ("# a comment\n1,2 # the rest of the line\n#\n3,4#\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),  # no final line end
+    ("1,2\n\n3,4\n\r\n", [[1.0, 2.0], [3.0, 4.0]]),  # empty lines
+    ("NaN,Infinity\nnan,-INF\n-nAn,+inFINity\ninf,iNf\n",
+     [[math.nan, math.inf], [math.nan, -math.inf], [math.nan, math.inf], [math.inf, math.inf]]),
+    ("1e999,1e-999\n.5,5.\n", [[math.inf, 0.0], [0.5, 5.0]]),
+], ids=["spaces", "plus", "comments", "crlf", "cr", "no-final-newline", "blank-lines",
+        "nan-inf", "range"])
+def test_read_table_accepts_what_loadtxt_accepted(tmp_path, body, rows):
+    path = tmp_path / "t.csv"
+    path.write_bytes(("a,b\n" + body).encode())
+    np.testing.assert_array_equal(read_table(path, ["a", "b"]), np.array(rows))
 
 
-def test_fork_floor_is_the_first_block_count_written_in_two_processes(tmp_path, monkeypatch):
-    monkeypatch.setattr(tables, "run_beside_fork", refuse_to_fork)
-    names = [f"c{j}" for j in range(8)]
-    rows = BLOCK_CELLS // len(names)  # one block
-    below = [np.arange((FORK_MIN_BLOCKS - 1) * rows) * 0.5] * len(names)
-    write_table(tmp_path / "below.csv", names, below)
-    assert (tmp_path / "below.csv").read_bytes() == rowwise(names, [c.tolist() for c in below])
-    at = [np.append(c, 1.0) for c in below]  # one row into the next block
-    with pytest.raises(AssertionError, match="forked"):
-        write_table(tmp_path / "at.csv", names, at)
-
-
-def test_estimate_log_is_written_in_one_process(tmp_path, monkeypatch):
-    # 3000 windows: the estimate log of a 60 s run
-    monkeypatch.setattr(tables, "run_beside_fork", refuse_to_fork)
-    rec = EstimateRecord(t=0.02, r_g_hat=0.7, l_g_hat=0.011, window_start=0.0,
-                         window_end=0.02)
-    write_estimate_log_csv(tmp_path / "est.csv", [(rec, 0.71, 0.0113, True)] * 3000)
-
-
-def test_traces_and_the_dataset_are_written_in_two_processes(tmp_path, monkeypatch):
-    # a 60 s trace at 1 ms and the 5000-window training set
-    monkeypatch.setattr(tables, "run_beside_fork", refuse_to_fork)
-    trace = TimeSeries(**{c: np.zeros(60001) for c in TIMESERIES_COLUMNS})
-    with pytest.raises(AssertionError, match="forked"):
-        trace.to_csv(tmp_path / "trace.csv")
-    n = 5000
-    ds = Dataset(np.zeros((n, len(DATASET_COLUMNS) - 7)), np.ones((n, 2)),
-                 *np.ones((5, n)))
-    with pytest.raises(AssertionError, match="forked"):
-        save_dataset_csv(tmp_path / "dataset.csv", ds)
+@pytest.mark.parametrize("body, line, column", [
+    ("1,\n", 2, 2),  # an empty field
+    ("1,2,\n", 2, 3),  # a trailing comma
+    ("0x10,1\n", 2, 1),
+    ("1,-0X1p3\n", 2, 2),
+    ("1,nan(1)\n", 2, 2),
+    ("1,2\n1_0,1\n", 3, 1),
+    ("1,2\n\n3\n", 4, 2),  # a ragged row
+    ("1,2\n 1 2,3\n", 3, 1),
+    ("1,2\r\n3,abc\r\n", 3, 2),
+    ("1,2\n   \n", 3, 1),  # a line of spaces is a row of one empty field
+], ids=["empty", "trailing-comma", "hex", "hex-float", "nan-payload", "underscore", "ragged",
+        "inner-space", "word", "spaces-line"])
+def test_read_table_names_the_file_line_and_column_of_a_bad_body(tmp_path, body, line, column):
+    path = tmp_path / "t.csv"
+    path.write_bytes(("a,b\n" + body).encode())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}, column {column}: ")):
+        read_table(path, ["a", "b"])
