@@ -5,10 +5,11 @@ Each reads flags and/or a JSON scenario config, writes CSV/report files,
 and exits nonzero on error.  The dataset, train, simulate and evaluate
 subcommands each write their files through one stage function, which
 creates the output directory once its inputs have loaded; paper-repro is
-those stages run in order, except that its CVSG simulate stage runs in a
-forked child process (POSIX `fork`) while the parent runs the AVSG one.
-evaluate likewise reads the CVSG trace in a forked child while the parent
-reads the AVSG trace.
+those stages run in order, except that its CVSG simulate stage runs on a
+worker thread while the calling thread runs the AVSG one.  evaluate likewise
+reads the CVSG trace on a worker thread while the calling thread reads the
+AVSG trace.  The two halves overlap because their hot loops run in C through
+ctypes, which releases the GIL.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from pathlib import Path
 
 from . import ann, presets
 from .estimator import read_estimate_log_csv, write_estimate_log_csv
-from .fork import run_beside_fork
 from .grid import (JacobianPQ, S_RATED, V_G, scr_to_impedance, solve_operating_point,
                    jacobian)
 from .report import ComparisonReport, build_comparison, render_text, write_tables
@@ -167,9 +167,14 @@ def cmd_simulate(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg, events = load_scenario(args.scenario) if args.scenario else (
         presets.benchmark_config("avsg"), presets.benchmark_events())
-    # the CVSG trace is read in a forked child while this process reads the AVSG one
-    cvsg, avsg = run_beside_fork(lambda: TimeSeries.from_csv(args.cvsg),
-                                 lambda: TimeSeries.from_csv(args.avsg))
+    # imported here, not at the top, so that `import vsglab.cli` does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the CVSG trace is read on a worker thread while this thread reads the AVSG one
+    with ThreadPoolExecutor(1) as pool:
+        cvsg_read = pool.submit(TimeSeries.from_csv, args.cvsg)
+        avsg = TimeSeries.from_csv(args.avsg)
+        cvsg = cvsg_read.result()
     estimates = read_estimate_log_csv(args.estimates) if args.estimates else []
     rep = _evaluate_stage(cvsg, avsg, estimates, cfg, events, Path(args.out))
     print(render_text(rep))
@@ -179,8 +184,8 @@ def cmd_evaluate(args) -> int:
 def run_paper_repro(outdir: Path, seed: int = 0, model_path: Path | None = None,
                     quick: bool = False) -> ComparisonReport:
     """Full benchmark pipeline: the dataset, train, simulate and evaluate stages,
-    all writing under `outdir`.  The cvsg simulate stage runs in a forked child
-    process while this one runs the avsg stage.
+    all writing under `outdir`.  The cvsg simulate stage runs on a worker thread
+    while this thread runs the avsg stage.
 
     `quick` shrinks the dataset and coarsens the integration step for smoke
     runs.  `outdir` is created only once the model has loaded or the dataset
@@ -191,12 +196,16 @@ def run_paper_repro(outdir: Path, seed: int = 0, model_path: Path | None = None,
         model, norm, _ = _train_stage(ds, seed, outdir)
     else:
         model, norm = ann.load_model(model_path)
+    # imported here, not at the top, so that `import vsglab.cli` does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     cfg = presets.benchmark_config("avsg", dt_sim=200e-6 if quick else 50e-6)
     events = presets.benchmark_events()
-    res_c, res_a = run_beside_fork(
-        lambda: _simulate_stage(dataclasses.replace(cfg, mode="cvsg"), events, None, None,
-                                outdir),
-        lambda: _simulate_stage(cfg, events, model, norm, outdir))
+    with ThreadPoolExecutor(1) as pool:
+        cvsg_run = pool.submit(_simulate_stage, dataclasses.replace(cfg, mode="cvsg"), events,
+                               None, None, outdir)
+        res_a = _simulate_stage(cfg, events, model, norm, outdir)
+        res_c = cvsg_run.result()
     save_scenario(outdir / "scenario_avsg.json", cfg, events)
     return _evaluate_stage(res_c.series, res_a.series, res_a.estimates, cfg, events, outdir)
 

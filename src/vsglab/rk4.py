@@ -6,8 +6,9 @@ The system C compiler `cc` builds the library the first time a process asks for
 it, not at import, into `CACHE_DIR` under a name that carries the sha256 of the
 sources and of the build command's flags; every later process loads that file.
 Each build writes a temporary file in `CACHE_DIR` and renames it into place, so
-processes that build at the same time, such as `paper-repro`'s forked CVSG stage
-beside its AVSG one on a cold cache, each load a whole library and leave one.
+threads or processes that build at the same time, such as `paper-repro`'s CVSG
+stage on its worker thread beside its AVSG one on a cold cache, or two CLI runs at
+once, each load a whole library and leave one.
 A missing or failing compiler raises `KernelBuildError`.
 
 The index constants below name the slots of the kernel's arrays, as `rk4.c`

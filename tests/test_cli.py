@@ -1,12 +1,13 @@
 """Command-line interface smoke tests on short scenarios."""
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
-import time
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ import pytest
 from vsglab import cli
 from vsglab.ann import DatasetConfig, generate_dataset
 from vsglab.cli import main
-from vsglab.fork import run_beside_fork
 from vsglab.grid import InfeasibleOperatingPointError
 from vsglab.sim import (NumericFailureError, SimConfig, ScenarioEvent, Setpoints, TimeSeries,
                         save_scenario, scenario_to_dict)
@@ -33,6 +33,14 @@ def short_scenario(path, mode="cvsg", duration=2.0, estimator_kind="oracle"):
     events = [ScenarioEvent(time=0.5, kind="set_p_ref", value=2500.0)]
     save_scenario(path, cfg, events)
     return cfg, events
+
+
+@contextlib.contextmanager
+def no_thread_left():
+    """Fails if the block leaves a thread running that it started."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 def test_gains_from_jacobian_entries(capsys):
@@ -288,14 +296,14 @@ def test_evaluate_from_saved_traces(tmp_path):
     assert main(["simulate", "--config", str(sc), "--mode", "cvsg",
                  "--out", str(tmp_path)]) == 0
     assert main(["simulate", "--config", str(sc), "--out", str(tmp_path)]) == 0
-    rc = main(["evaluate", "--cvsg", str(tmp_path / "timeseries_cvsg.csv"),
-               "--avsg", str(tmp_path / "timeseries_avsg.csv"),
-               "--estimates", str(tmp_path / "estimates.csv"),
-               "--scenario", str(sc), "--out", str(tmp_path)])
+    with no_thread_left():  # the CVSG trace is read on a worker thread
+        rc = main(["evaluate", "--cvsg", str(tmp_path / "timeseries_cvsg.csv"),
+                   "--avsg", str(tmp_path / "timeseries_avsg.csv"),
+                   "--estimates", str(tmp_path / "estimates.csv"),
+                   "--scenario", str(sc), "--out", str(tmp_path)])
     assert rc in (0, 1)
     assert (tmp_path / "report.txt").exists()
     assert (tmp_path / "report.csv").exists()
-    assert_no_child_process()  # the CVSG trace was read in a forked child
 
 
 def test_evaluate_rejects_header_only_trace(tmp_path, capsys):
@@ -311,15 +319,16 @@ def test_evaluate_rejects_header_only_trace(tmp_path, capsys):
 
 
 def test_evaluate_names_the_bad_avsg_trace_and_reaps_the_cvsg_reader(tmp_path, capsys):
-    # the parent reads the AVSG trace while a forked child reads the CVSG one
+    # this thread reads the AVSG trace while a worker thread reads the CVSG one
     sc = tmp_path / "scenario.json"
     short_scenario(sc)
     assert main(["simulate", "--config", str(sc), "--out", str(tmp_path)]) == 0
     trace = tmp_path / "timeseries_cvsg.csv"
-    assert main(["evaluate", "--cvsg", str(trace), "--avsg", str(tmp_path / "missing.csv"),
-                 "--out", str(tmp_path / "out")]) == 2
+    with no_thread_left():
+        assert main(["evaluate", "--cvsg", str(trace),
+                     "--avsg", str(tmp_path / "missing.csv"),
+                     "--out", str(tmp_path / "out")]) == 2
     assert "missing.csv" in capsys.readouterr().err
-    assert_no_child_process()
 
 
 def test_train_rejects_header_only_dataset(tmp_path, capsys):
@@ -415,39 +424,6 @@ def test_paper_repro_writes_what_the_subcommand_chain_writes(tmp_path):
         assert (chain / name).read_bytes() == (repro / name).read_bytes(), name
 
 
-def assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_run_beside_fork_returns_both_results():
-    child_pid, parent_pid = run_beside_fork(os.getpid, os.getpid)
-    assert child_pid != parent_pid == os.getpid()
-    assert run_beside_fork(lambda: [1.5, None], lambda: "parent") == ([1.5, None], "parent")
-    assert_no_child_process()
-
-
-@pytest.mark.parametrize("exc", [NumericFailureError("non-finite state at t = 1.000000"),
-                                 InfeasibleOperatingPointError("no equilibrium at SCR 0.3"),
-                                 KeyError("k_iq")])
-def test_run_beside_fork_reraises_the_childs_exception(exc):
-    def fail():
-        raise exc
-
-    with pytest.raises(type(exc)) as got:
-        run_beside_fork(fail, lambda: None)
-    assert type(got.value) is type(exc) and got.value.args == exc.args
-    assert_no_child_process()
-
-
-def test_run_beside_fork_kills_the_child_when_the_parent_raises():
-    t0 = time.perf_counter()
-    with pytest.raises(ZeroDivisionError):
-        run_beside_fork(lambda: time.sleep(600), lambda: 1 / 0)
-    assert time.perf_counter() - t0 < 60.0
-    assert_no_child_process()
-
-
 def _patch_run_scenario(monkeypatch, cvsg, avsg):
     real = cli.run_scenario
 
@@ -459,16 +435,16 @@ def _patch_run_scenario(monkeypatch, cvsg, avsg):
     monkeypatch.setattr(cli, "run_scenario", run)
 
 
-def test_paper_repro_exits_2_when_the_forked_cvsg_stage_raises(tmp_path, capsys, monkeypatch):
+def test_paper_repro_exits_2_when_the_cvsg_stage_raises(tmp_path, capsys, monkeypatch):
     def diverge(_):
         raise NumericFailureError("non-finite state after the RK4 step at t = 12.345600")
 
     _patch_run_scenario(monkeypatch, cvsg=diverge, avsg=lambda short: short())
-    assert main(["paper-repro", "--quick", "--model", str(MODEL_FIXTURE),
-                 "--out", str(tmp_path / "out")]) == 2
+    with no_thread_left():  # the CVSG stage runs on a worker thread
+        assert main(["paper-repro", "--quick", "--model", str(MODEL_FIXTURE),
+                     "--out", str(tmp_path / "out")]) == 2
     assert ("error: non-finite state after the RK4 step at t = 12.345600"
             in capsys.readouterr().err)
-    assert_no_child_process()
 
 
 def test_paper_repro_reaps_the_cvsg_child_when_the_avsg_stage_raises(tmp_path, capsys,
@@ -476,13 +452,11 @@ def test_paper_repro_reaps_the_cvsg_child_when_the_avsg_stage_raises(tmp_path, c
     def infeasible(_):
         raise InfeasibleOperatingPointError("no operating point at SCR 0.3")
 
-    _patch_run_scenario(monkeypatch, cvsg=lambda _: time.sleep(600), avsg=infeasible)
-    t0 = time.perf_counter()
-    with pytest.raises(InfeasibleOperatingPointError, match="no operating point at SCR 0.3"):
-        cli.run_paper_repro(tmp_path / "out", model_path=MODEL_FIXTURE, quick=True)
-    assert time.perf_counter() - t0 < 60.0
-    assert_no_child_process()
-    assert main(["paper-repro", "--quick", "--model", str(MODEL_FIXTURE),
-                 "--out", str(tmp_path / "out")]) == 2
+    _patch_run_scenario(monkeypatch, cvsg=lambda short: short(), avsg=infeasible)
+    with no_thread_left():
+        with pytest.raises(InfeasibleOperatingPointError,
+                           match="no operating point at SCR 0.3"):
+            cli.run_paper_repro(tmp_path / "out", model_path=MODEL_FIXTURE, quick=True)
+        assert main(["paper-repro", "--quick", "--model", str(MODEL_FIXTURE),
+                     "--out", str(tmp_path / "out")]) == 2
     assert "error: no operating point at SCR 0.3" in capsys.readouterr().err
-    assert_no_child_process()

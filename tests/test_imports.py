@@ -1,4 +1,5 @@
-"""Every module of the package and of its tests uses each name it imports (no linter needed)."""
+"""Every module of the package and of its tests uses each name it imports (no linter needed),
+and no module of the package forks."""
 
 import ast
 from pathlib import Path
@@ -34,13 +35,29 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def os_forks(source: str) -> list[int]:
+    """Lines that name `os.fork` or import `fork` from `os`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "fork"
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name == "fork" for alias in node.names)]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
                          ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+    # the package runs in one process: no module of it forks
+    assert path.parent != PACKAGE or os_forks(path.read_text()) == []
 
 
 def test_unused_import_is_reported():
     source = ("from __future__ import annotations\nimport math\nimport numpy as np\n"
               "from os import path, sep\n__all__ = ['sep']\nprint(np.pi)\n")
     assert unused_imports(source) == ["math (line 2)", "path (line 4)"]
+
+
+def test_a_fork_is_reported():
+    source = "import os\nfrom os import fork\npid = os.fork()\nos.forkpty\nfork = 1\n"
+    assert os_forks(source) == [2, 3]

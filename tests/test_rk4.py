@@ -4,12 +4,13 @@ unbuilt."""
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from vsglab import cli, rk4
-from vsglab.fork import run_beside_fork
 from vsglab.sim import TIMESERIES_COLUMNS, SimConfig, run_scenario
 
 
@@ -52,15 +53,38 @@ def test_failing_compiler_is_named_with_its_stderr(cold_cache, tmp_path, monkeyp
     assert list(cold_cache.iterdir()) == []
 
 
-def test_two_processes_building_on_a_cold_cache_leave_one_library(cold_cache):
-    # as paper-repro's forked CVSG stage beside its AVSG one: both build at once
-    cfg = SimConfig(duration=0.05)
+def _short_run_in_two_threads() -> list[str]:
+    # as paper-repro's CVSG stage on its worker thread beside its AVSG one
+    barrier = threading.Barrier(2, timeout=60)
 
     def run():
-        return run_scenario(cfg, []).series.delta.tobytes()
+        barrier.wait()
+        return run_scenario(SimConfig(duration=0.05), []).series.delta.tobytes().hex()
 
-    in_child, in_parent = run_beside_fork(run, run)
-    assert in_child == in_parent
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(run) for _ in range(2)]
+        return [r.result(timeout=120) for r in runs]
+
+
+def _short_run_in_two_processes() -> list[str]:
+    # as two CLI runs at once, each building into this process's rk4.CACHE_DIR
+    probe = ("import pathlib, sys\n"
+             "from vsglab import rk4\n"
+             "from vsglab.sim import SimConfig, run_scenario\n"
+             f"rk4.CACHE_DIR = pathlib.Path({str(rk4.CACHE_DIR)!r})\n"
+             "print(run_scenario(SimConfig(duration=0.05), []).series.delta.tobytes().hex())")
+    env = {**os.environ, "PYTHONPATH": str(Path(rk4.__file__).parents[1])}
+    runs = [subprocess.Popen([sys.executable, "-c", probe], stdout=subprocess.PIPE, text=True,
+                             env=env) for _ in range(2)]
+    return [r.communicate(timeout=120)[0].strip() for r in runs]
+
+
+@pytest.mark.parametrize("run_two", [_short_run_in_two_threads, _short_run_in_two_processes],
+                         ids=["threads", "processes"])
+def test_two_callers_building_on_a_cold_cache_leave_one_library(cold_cache, run_two):
+    # both build at once
+    first, second = run_two()
+    assert first == second != ""
     assert [p.name for p in cold_cache.iterdir()] == [rk4.build().name]
     assert rk4.build().name.startswith("vsglab-") and rk4.build().suffix == ".so"
 
@@ -98,9 +122,10 @@ def test_importing_the_cli_builds_and_loads_nothing():
     rk4.build()
     probe = ("import pathlib, sys, vsglab.cli\n"
              "from vsglab import rk4\n"
-             "print('subprocess' in sys.modules)\n"
-             "print(str(rk4.CACHE_DIR) in pathlib.Path('/proc/self/maps').read_text())")
+             "print(str(rk4.CACHE_DIR) in pathlib.Path('/proc/self/maps').read_text())\n"
+             "for name in ('subprocess', 'concurrent.futures', 'vsglab.fork'):\n"
+             "    print(name in sys.modules)")
     src = Path(rk4.__file__).parents[1]
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split() == ["False"] * 4

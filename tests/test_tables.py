@@ -1,7 +1,6 @@
 """The table format: its bytes are the row-wise `str()` join, and they read back exactly."""
 
 import math
-import os
 import re
 import struct
 import tempfile
@@ -48,11 +47,6 @@ def rowwise(names, cols) -> bytes:
     """The table as the row-wise join of `str()` of each Python value."""
     return (",".join(names) + "\n"
             + "".join(",".join(map(str, row)) + "\n" for row in zip(*cols))).encode()
-
-
-def assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def written(names, cols, chunk_bytes: int) -> bytes:
@@ -119,7 +113,7 @@ def test_a_sweep_of_hard_floats_is_written_as_str_writes_it():
     assert formatted(values) == [str(v).encode() for v in values.tolist()]
 
 
-def test_several_real_blocks_match_and_leave_no_child(tmp_path):
+def test_several_real_blocks_match_the_rowwise_join(tmp_path):
     # a trace-like table of many chunks: time, a noisy signal, a gain in five
     # runs and a run index
     n = 5 * (CHUNK_BYTES // 16)
@@ -130,7 +124,6 @@ def test_several_real_blocks_match_and_leave_no_child(tmp_path):
     path = tmp_path / "trace.csv"
     write_table(path, names, cols)
     assert path.read_bytes() == rowwise(names, [c.tolist() for c in cols])
-    assert_no_child_process()
 
 
 def test_strided_reversed_and_broadcast_columns_are_written_as_their_values(tmp_path):
