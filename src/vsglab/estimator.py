@@ -4,10 +4,15 @@ Each estimator window is one fundamental cycle of decimated PCC voltage and
 current samples that opens on the cycle grid, as every window of the
 training set does.  `push_window` takes one whole window, z-scores it,
 pushes it through the trained network and de-normalizes the output into an
-(R_g, L_g) estimate; it keeps no state between windows, so the caller's
-window list is the one buffer.  A window holding a non-finite sample gives
-no estimate and costs nothing beyond itself.  A hysteresis gate
-(`GATE_THRESHOLD`) decides when an estimate is worth rescheduling gains for.
+(R_g, L_g) estimate; it keeps no state between windows.  The simulator's
+one buffer is the RK4 kernel's `(WINDOW_LEN, 5)` window array in
+`sim.run_scenario`; the waveforms of each full window go to `push_window`.
+`push_sample` collects single samples in a `_pending` list of its own and
+hands each WINDOW_LEN of them to `push_window`; no run of the package calls
+it, and it is kept for perfbench's tracer, which counts its calls.  A
+window holding a non-finite sample gives no estimate and costs nothing
+beyond itself.  A hysteresis gate (`GATE_THRESHOLD`) decides when an
+estimate is worth rescheduling gains for.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ def library():
     for name, restype, argtypes in (
             ("vsg_rk4_run", ctypes.c_int, [ptr] * 6),
             ("vsg_table_write", ctypes.c_int, [ctypes.c_int, i64, i64, ptr, ptr, i64]),
-            ("vsg_table_read", i64, [ctypes.c_int, i64, i64, ptr, i64, i64, ptr, ptr])):
+            ("vsg_table_read", i64, [ctypes.c_int, i64, i64, i64, ptr, i64, i64, ptr, ptr])):
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
     return lib

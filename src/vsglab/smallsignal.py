@@ -58,8 +58,10 @@ class DesignTargets:
     q_droop_divisor: float = 100.0  # D_q = D / divisor
 
     def __post_init__(self) -> None:
-        if self.t_s <= 0 or self.xi <= 0 or self.q_droop_divisor <= 0:
-            raise ValueError("design targets must be positive")
+        for name in ("t_s", "xi", "q_droop_divisor"):
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"design target {name} must be finite and > 0, got {v}")
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,9 @@ def schedule_gains(jac, targets: DesignTargets = DesignTargets()) -> VsgGains:
         raise SchedulingError(f"Jacobian entry D must be > 0, got {d}")
     omega_n = 4.0 / (targets.xi * targets.t_s)
     k_ip = omega_n * omega_n / a
+    if k_ip == 0.0 or math.isinf(k_ip):
+        raise SchedulingError(f"t_s = {targets.t_s} s and xi = {targets.xi} give K_ip = "
+                              f"omega_n^2/A = {k_ip}: omega_n = {omega_n} rad/s, A = {a}")
     d_p = 2.0 * targets.xi * omega_n / k_ip
     d_q = d / targets.q_droop_divisor
     k_iq = (4.0 / targets.t_s) / (d + d_q)

@@ -4,10 +4,9 @@
  * float is written as Python's repr() writes it: the shortest digits that read
  * back to the same double, found by Ryu (Adams, "Ryu: fast float-to-string
  * conversion", PLDI 2018), in fixed or exponent form.  vsg_table_read parses
- * every field after the header line with strtod in the "C" locale, accepting
- * what numpy.loadtxt accepts: the float syntax of Python's float(), surrounding
- * whitespace, '#' comments, empty lines and any of \n, \r\n and \r as the line
- * end.
+ * what vsg_table_write writes and nothing else: after the header, rows of
+ * ','-separated fields, each row ended by '\n', each field read whole by strtod
+ * in the "C" locale with no leading whitespace, hexadecimal or nan(chars).
  */
 
 #define _GNU_SOURCE
@@ -269,14 +268,17 @@ static void put(sink *s, const char *src, int64_t n)
     }
 }
 
-/* Write rows 0 .. n_rows - 1 to fd through one buffer of cap bytes.  Column j
- * is spec[3j .. 3j + 2]: its kind; then, for numbers, the address of its first
- * cell and the byte step to the next, and for text, the address of the cells'
- * UTF-8 bytes and that of the n_rows + 1 int64 offsets of the cells in them.
- * Returns 0, or the errno of the failed allocation or write. */
+/* Write rows 0 .. n_rows - 1 to fd through one buffer of cap bytes, at least
+ * CELL_MAX.  Column j is spec[3j .. 3j + 2]: its kind; then, for numbers, the
+ * address of its first cell and the byte step to the next, and for text, the
+ * address of the cells' UTF-8 bytes and that of the n_rows + 1 int64 offsets
+ * of the cells in them.  Returns 0, or the errno of the failed allocation or
+ * write. */
 int vsg_table_write(int fd, int64_t n_rows, int64_t n_cols, const int64_t *spec,
                     const uint64_t *ryu, int64_t cap)
 {
+    if (cap < CELL_MAX)
+        cap = CELL_MAX;
     sink s = {fd, malloc(cap), cap, 0, 0};
     if (!s.buf)
         return ENOMEM;
@@ -288,23 +290,18 @@ int vsg_table_write(int fd, int64_t n_rows, int64_t n_cols, const int64_t *spec,
                 const int64_t *off = (const int64_t *)(uintptr_t)c[2];
                 put(&s, base + off[r], off[r + 1] - off[r]);
             } else {
-                char tmp[CELL_MAX];
-                const int direct = s.cap - s.len >= CELL_MAX;
-                char *p = direct ? s.buf + s.len : tmp;
+                if (s.cap - s.len < CELL_MAX)
+                    drain(&s);
                 const char *cell = base + r * c[2];
                 double x;
                 int64_t v;
                 if (c[0] == KIND_F64) {
                     memcpy(&x, cell, sizeof x);
-                    p = put_float(p, x, ryu);
+                    s.len = put_float(s.buf + s.len, x, ryu) - s.buf;
                 } else {
                     memcpy(&v, cell, sizeof v);
-                    p = put_int(p, v);
+                    s.len = put_int(s.buf + s.len, v) - s.buf;
                 }
-                if (direct)
-                    s.len = p - s.buf;
-                else
-                    put(&s, tmp, p - tmp);
             }
             put(&s, j + 1 < n_cols ? "," : "\n", 1);
         }
@@ -317,54 +314,21 @@ int vsg_table_write(int fd, int64_t n_rows, int64_t n_cols, const int64_t *spec,
 /* ---- the reader ---- */
 
 /* what vsg_table_read stopped at, in err[0] */
-enum { READ_IO = 1, READ_FIELD, READ_WIDTH, READ_ROWS };
+enum { READ_IO = 1, READ_FIELD, READ_WIDTH, READ_ROWS, READ_END };
 enum { FIELD_TEXT = 64 }; /* the bytes of a bad field it copies out */
 
-/* The byte length of the whitespace character at p, or 0: the characters
-   Python's str.strip() strips, but for the line ends \n and \r. */
-static size_t space_at(const unsigned char *p, const unsigned char *end)
-{
-    const ptrdiff_t left = end - p;
-    if (left <= 0)
-        return 0;
-    switch (p[0]) {
-    case ' ': case '\t': case '\v': case '\f': case 0x1c: case 0x1d: case 0x1e: case 0x1f:
-        return 1;
-    case 0xc2: /* U+0085, U+00A0 */
-        return left >= 2 && (p[1] == 0x85 || p[1] == 0xa0) ? 2 : 0;
-    case 0xe1: /* U+1680 */
-        return left >= 3 && p[1] == 0x9a && p[2] == 0x80 ? 3 : 0;
-    case 0xe2: /* U+2000 .. U+200A, U+2028, U+2029, U+202F, U+205F */
-        if (left < 3)
-            return 0;
-        if (p[1] == 0x80)
-            return p[2] <= 0x8a || p[2] == 0xa8 || p[2] == 0xa9 || p[2] == 0xaf ? 3 : 0;
-        return p[1] == 0x81 && p[2] == 0x9f ? 3 : 0;
-    case 0xe3: /* U+3000 */
-        return left >= 3 && p[1] == 0x80 && p[2] == 0x80 ? 3 : 0;
-    }
-    return 0;
-}
-
-static const char *skip_space(const char *p, const char *end)
-{
-    size_t n;
-    while ((n = space_at((const unsigned char *)p, (const unsigned char *)end)))
-        p += n;
-    return p;
-}
-
-/* The NUL-terminated field s of len bytes as a float, in *v: 1 if it is one.
-   strtod also reads hexadecimal and nan(chars), which Python's float() does not. */
+/* The NUL-terminated field s of len bytes as a float, in *v: 1 if strtod reads
+   all of it.  strtod also skips leading whitespace and reads hexadecimal and
+   nan(chars), none of which vsg_table_write writes. */
 static int parse_number(const char *s, size_t len, locale_t c_locale, double *v)
 {
-    const char *end = s + len, *p = skip_space(s, end);
-    const char *digits = p + (*p == '+' || *p == '-');
+    const char *digits = s + (*s == '+' || *s == '-');
     char *stop;
-    if (p == end || (digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X')))
+    if (len == 0 || *s == ' ' || (*s >= '\t' && *s <= '\r')
+        || (digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X')))
         return 0;
-    *v = strtod_l(p, &stop, c_locale);
-    return stop != p && stop[-1] != ')' && skip_space(stop, end) == end;
+    *v = strtod_l(s, &stop, c_locale);
+    return stop == s + len && stop[-1] != ')';
 }
 
 typedef struct {
@@ -425,28 +389,27 @@ static void end_row(reader *r)
     if (!r->err[0] && r->col != r->n_cols)
         fail(r, READ_WIDTH, (r->col < r->n_cols ? r->col : r->n_cols) + 1, r->col);
     r->rows++;
+    r->line++;
     r->col = 0;
 }
 
-/* Parse the lines after the header line in the first size bytes of fd, read
+/* Parse bytes start .. size - 1 of fd, the rows after the header line, read
  * through one buffer of cap bytes, into out: rows of n_cols floats, at most
- * max_rows of them.  A line that is empty or starts with '#' is skipped.
- * Returns the number of rows, or -1 with err = {what, line, column, count}:
- * READ_IO with count the errno; READ_FIELD with count the length of the
- * field's first bytes, copied to text (FIELD_TEXT bytes); READ_WIDTH with
- * count the row's fields; READ_ROWS.  Lines and columns count from 1. */
-int64_t vsg_table_read(int fd, int64_t size, int64_t n_cols, double *out, int64_t max_rows,
-                       int64_t cap, int64_t *err, char *text)
+ * max_rows of them.  Returns the number of rows, or -1 with err = {what, line,
+ * column, count}: READ_IO with count the errno; READ_FIELD with count the
+ * length of the field's first bytes, copied to text (FIELD_TEXT bytes);
+ * READ_WIDTH with count the row's fields; READ_ROWS; READ_END for a last row
+ * with no line end.  Lines and columns count from 1, the header's line too. */
+int64_t vsg_table_read(int fd, int64_t start, int64_t size, int64_t n_cols, double *out,
+                       int64_t max_rows, int64_t cap, int64_t *err, char *text)
 {
-    reader r = {n_cols, max_rows, 0, 1, 0, out, err, text,
+    reader r = {n_cols, max_rows, 0, 2, 0, out, err, text,
                 newlocale(LC_ALL_MASK, "C", (locale_t)0), malloc(64), 0, 64};
     char *buf = malloc(cap);
-    /* in the header line, in a comment, on a line with a field, after a \r */
-    int header = 1, comment = 0, started = 0, after_cr = 0;
     err[0] = 0;
     if (!buf || !r.s || !r.c_locale)
         fail(&r, READ_IO, 0, ENOMEM);
-    for (int64_t off = 0; off < size && !err[0];) {
+    for (int64_t off = start; off < size && !err[0];) {
         const ssize_t got = pread(fd, buf, cap < size - off ? cap : size - off, off);
         if (got == 0) /* the file shrank */
             break;
@@ -457,40 +420,21 @@ int64_t vsg_table_read(int fd, int64_t size, int64_t n_cols, double *out, int64_
         }
         off += got;
         for (const char *p = buf, *end = buf + got; p < end && !err[0];) {
-            const char ch = *p;
-            if (ch == '\n' || ch == '\r') {
-                if (ch == '\r' || !after_cr) { /* the \n of a \r\n ends no line */
-                    if (header)
-                        header = 0;
-                    else if (started)
-                        end_row(&r);
-                    r.line++;
-                    comment = started = 0;
-                }
-                after_cr = ch == '\r';
-                p++;
-                continue;
-            }
-            after_cr = 0;
-            if (header || comment || ch == '#') {
-                comment = !header;
-                p++;
-            } else if (ch == ',') {
-                started = 1;
+            const char *q = p;
+            while (q < end && *q != ',' && *q != '\n')
+                q++;
+            append(&r, p, q - p);
+            if (q == end)
+                break;
+            if (*q == ',')
                 end_field(&r);
-                p++;
-            } else {
-                const char *q = p;
-                while (q < end && *q != ',' && *q != '\n' && *q != '\r' && *q != '#')
-                    q++;
-                started = 1;
-                append(&r, p, q - p);
-                p = q;
-            }
+            else
+                end_row(&r);
+            p = q + 1;
         }
     }
-    if (!err[0] && started) /* a last line with no line end */
-        end_row(&r);
+    if (!err[0] && (r.col || r.len))
+        fail(&r, READ_END, r.col + 1, 0);
     free(buf);
     free(r.s);
     if (r.c_locale)

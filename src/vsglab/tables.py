@@ -7,9 +7,13 @@ in their shortest round-trip form and load back exactly.
 The bodies are formatted and parsed in C (`tables.c`, built and loaded by
 `vsglab.rk4` on the first table read or write), streamed through one buffer
 of `CHUNK_BYTES`: `write_table` writes each float's shortest digits as
-`repr()` lays them out, each int in decimal and each str as its UTF-8 bytes,
-and `read_table` parses each field with `strtod` into one array, accepting
-Python's float syntax, surrounding whitespace, `#` comments and empty lines.
+`repr()` lays them out, each int in decimal and each str as its UTF-8 bytes.
+`read_table` reads that grammar and no other: the header's bytes, then rows of
+`,`-separated fields with a `\\n` after every row, each field parsed whole
+with `strtod` as Python's float syntax without surrounding whitespace,
+underscores, hexadecimal or `nan(…)`.  A last row with no `\\n`, a cut file,
+is an error, and so are `\\r\\n` line ends, `#` comments and blank lines;
+each names the file, the line and the column.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ CHUNK_BYTES = 2**16
 _KINDS = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}
 _TEXT = 2
 # what `vsg_table_read` stopped at, and the bytes of a bad field it copies out
-READ_IO, READ_FIELD, READ_WIDTH, READ_ROWS = range(1, 5)
+READ_IO, READ_FIELD, READ_WIDTH, READ_ROWS, READ_END = range(1, 6)
 FIELD_TEXT = 64
 
 
@@ -97,38 +101,39 @@ def write_table(path: str | Path, names: Sequence[str], columns: Sequence) -> No
 def read_table(path: str | Path, columns: Sequence[str]) -> np.ndarray:
     """(rows, columns) float array of a table whose header must be `columns`.
 
-    A foreign header, no data row, a field that is not a float or rows of another
-    width raise `ValueError` naming the file, and for the last two the line and
-    the column.
+    A foreign header, no data row, a field that is not a float, rows of another
+    width or a last row with no line end raise `ValueError` naming the file, and
+    for all but the first two the line and the column.
     """
     read = rk4.library().vsg_table_read
     n = len(columns)
-    with open(path) as f:
-        header = f.readline().rstrip("\r\n")
-        if header != ",".join(columns):
-            raise ValueError(f"{path}: header {header!r} is not {','.join(columns)!r}")
-        if not f.readline().strip():
-            raise ValueError(f"{path}: no data row after the header")
-        size = os.fstat(f.fileno()).st_size
+    with open(path, "rb") as f:
+        header = f.readline().removesuffix(b"\n")
+        if header != ",".join(columns).encode():
+            raise ValueError(f"{path}: header {header.decode(errors='replace')!r} "
+                             f"is not {','.join(columns)!r}")
+        start, size = f.tell(), os.fstat(f.fileno()).st_size
         # a row takes at least two bytes a column, so this holds every row and
-        # a last partial one; the pages past the rows read are never touched,
-        # and they are given back below
-        data = np.empty((size // max(1, 2 * n) + 1, n))
+        # a cut last one; the pages past the rows read are never touched, and
+        # they are given back below
+        data = np.empty(((size - start) // max(1, 2 * n) + 1, n))
         err = np.zeros(4, dtype=np.int64)
         text = np.zeros(FIELD_TEXT, dtype=np.uint8)
-        rows = read(f.fileno(), size, n, data.ctypes.data, len(data), CHUNK_BYTES,
+        rows = read(f.fileno(), start, size, n, data.ctypes.data, len(data), CHUNK_BYTES,
                     err.ctypes.data, text.ctypes.data)
     what, line, column, count = err.tolist()
     where = f"{path}: line {line}, column {column}"
     if what == READ_IO:
         raise OSError(count, os.strerror(count), str(path))
     if what == READ_FIELD:
-        field = text[:count].tobytes().decode(errors="replace").strip()
+        field = text[:count].tobytes().decode(errors="replace")
         raise ValueError(f"{where}: {field!r} is not a float")
     if what == READ_WIDTH:
         raise ValueError(f"{where}: the row has {count} fields, the header names {n}")
     if what == READ_ROWS:
         raise ValueError(f"{where}: more rows than the file's size allows")
+    if what == READ_END:
+        raise ValueError(f"{where}: the last row has no line end")
     if rows == 0:
         raise ValueError(f"{path}: no data row after the header")
     data.resize((rows, n), refcheck=False)

@@ -68,6 +68,16 @@ def test_gains_rejects_bad_inputs(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {given} needs {missing}")
+    # targets whose K_ip = omega_n^2/A is 0 or infinite, or that are not finite
+    for args, named in ((["--ts", "inf"], "t_s"), (["--xi", "inf"], "xi"),
+                        (["--ts", "nan"], "t_s"), (["--ts", "1e300"], "t_s = 1e+300 s and xi"),
+                        (["--ts", "1e-300"], "t_s = 1e-300 s and xi")):
+        capsys.readouterr()
+        assert main(["gains", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert "d_p" not in captured.err
 
 
 def test_bode_fixed_gains_margins_decrease(tmp_path, capsys):
@@ -447,8 +457,8 @@ def test_paper_repro_exits_2_when_the_cvsg_stage_raises(tmp_path, capsys, monkey
             in capsys.readouterr().err)
 
 
-def test_paper_repro_reaps_the_cvsg_child_when_the_avsg_stage_raises(tmp_path, capsys,
-                                                                     monkeypatch):
+def test_paper_repro_joins_the_cvsg_thread_when_the_avsg_stage_raises(tmp_path, capsys,
+                                                                         monkeypatch):
     def infeasible(_):
         raise InfeasibleOperatingPointError("no operating point at SCR 0.3")
 

@@ -2,6 +2,7 @@
 unbuilt."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from vsglab import cli, rk4
+from vsglab import cli, rk4, tables
 from vsglab.sim import TIMESERIES_COLUMNS, SimConfig, run_scenario
 
 
@@ -115,6 +116,32 @@ def test_c_source_compiles_without_a_warning(source):
 
 def test_c_sources_are_every_c_file_of_the_package():
     assert sorted(rk4.SOURCES) == sorted(Path(rk4.__file__).parent.glob("*.c"))
+
+
+def c_enums(source: Path) -> dict[str, int]:
+    """Each enumerator of the `enum { … }` blocks of a C source, with its value."""
+    text = re.sub(r"/\*.*?\*/", "", source.read_text(), flags=re.S)
+    values = {}
+    for body in re.findall(r"\benum\s*\{(.*?)\}", text, flags=re.S):
+        value = 0
+        for item in filter(None, map(str.strip, body.split(","))):
+            name, _, given = map(str.strip, item.partition("="))
+            value = int(given, 0) if given else value
+            values[name] = value
+            value += 1
+    return values
+
+
+def test_python_copies_of_c_enums_have_the_c_values():
+    c = {name: value for source in rk4.SOURCES for name, value in c_enums(source).items()}
+    assert c["READ_END"] == 5 and c["FAIL_NON_FINITE"] == 4  # the parse itself
+    copies = {}
+    for module, pattern in ((rk4, r"(Y|PAR|ROW|IX|STOP|FAIL)_[A-Z_]+"),
+                            (tables, r"READ_[A-Z]+|FIELD_TEXT")):
+        copies.update((name, value) for name, value in vars(module).items()
+                      if re.fullmatch(pattern, name) or name in c)
+    assert sorted(copies.keys() - c.keys()) == []  # each copy has a C counterpart
+    assert copies == {name: c[name] for name in copies}
 
 
 def test_importing_the_cli_builds_and_loads_nothing():

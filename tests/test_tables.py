@@ -57,7 +57,8 @@ def written(names, cols, chunk_bytes: int) -> bytes:
         return path.read_bytes()
 
 
-# buffers down to one byte, so that most rows straddle two or more of them
+# buffers down to one byte (the writer takes at least 32), so that most rows
+# straddle two or more of them
 @settings(max_examples=80, deadline=None)
 @given(table(), st.sampled_from([1, 7, 64, CHUNK_BYTES]))
 def test_bytes_are_the_rowwise_str_join(tab, chunk_bytes):
@@ -141,7 +142,7 @@ def test_strided_reversed_and_broadcast_columns_are_written_as_their_values(tmp_
     ([[1.0, 2.0], [[1.0], [2.0]]], "column 'b' is not a 1-D"),
     ([[1.0, 2.0], [True, False]], "column 'b' is not a 1-D"),
 ])
-def test_malformed_columns_raise_before_the_file_or_a_fork(tmp_path, columns, named):
+def test_malformed_columns_raise_before_the_file(tmp_path, columns, named):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match=named):
         write_table(path, ["a", "b"], columns)
@@ -149,18 +150,11 @@ def test_malformed_columns_raise_before_the_file_or_a_fork(tmp_path, columns, na
 
 
 @pytest.mark.parametrize("body, rows", [
-    (" 1.5 ,\t-2\n\x0b3\xa0,\u30004\x0c\n", [[1.5, -2.0], [3.0, 4.0]]),  # surrounding spaces
     ("+1,+2.5e3\n", [[1.0, 2500.0]]),
-    ("# a comment\n1,2 # the rest of the line\n#\n3,4#\n", [[1.0, 2.0], [3.0, 4.0]]),
-    ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
-    ("1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
-    ("1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),  # no final line end
-    ("1,2\n\n3,4\n\r\n", [[1.0, 2.0], [3.0, 4.0]]),  # empty lines
     ("NaN,Infinity\nnan,-INF\n-nAn,+inFINity\ninf,iNf\n",
      [[math.nan, math.inf], [math.nan, -math.inf], [math.nan, math.inf], [math.inf, math.inf]]),
     ("1e999,1e-999\n.5,5.\n", [[math.inf, 0.0], [0.5, 5.0]]),
-], ids=["spaces", "plus", "comments", "crlf", "cr", "no-final-newline", "blank-lines",
-        "nan-inf", "range"])
+], ids=["plus", "nan-inf", "range"])
 def test_read_table_accepts_what_loadtxt_accepted(tmp_path, body, rows):
     path = tmp_path / "t.csv"
     path.write_bytes(("a,b\n" + body).encode())
@@ -174,14 +168,53 @@ def test_read_table_accepts_what_loadtxt_accepted(tmp_path, body, rows):
     ("1,-0X1p3\n", 2, 2),
     ("1,nan(1)\n", 2, 2),
     ("1,2\n1_0,1\n", 3, 1),
-    ("1,2\n\n3\n", 4, 2),  # a ragged row
+    ("1,2\n\n3\n", 3, 1),  # an empty line, one empty field, before a ragged row
     ("1,2\n 1 2,3\n", 3, 1),
-    ("1,2\r\n3,abc\r\n", 3, 2),
-    ("1,2\n   \n", 3, 1),  # a line of spaces is a row of one empty field
+    ("1,2\r\n3,abc\r\n", 2, 2),
+    ("1,2\n   \n", 3, 1),  # a line of spaces is a row of one field of spaces
+    (" 1.5 ,\t-2\n\x0b3\xa0,\u30004\x0c\n", 2, 1),  # surrounding spaces
+    ("# a comment\n1,2 # the rest of the line\n#\n3,4#\n", 2, 1),
+    ("1,2\r\n3,4\r\n", 2, 2),
+    ("1,2\r3,4\r", 2, 2),
+    ("1,2\n3,4", 3, 2),  # no final line end
+    ("1,2\n\n3,4\n\r\n", 3, 1),  # an empty line
+    ("1.0,2.5\n3.0,4.56", 3, 2),  # cut inside its last field
 ], ids=["empty", "trailing-comma", "hex", "hex-float", "nan-payload", "underscore", "ragged",
-        "inner-space", "word", "spaces-line"])
+        "inner-space", "word", "spaces-line", "spaces", "comments", "crlf", "cr",
+        "no-final-newline", "blank-lines", "cut"])
 def test_read_table_names_the_file_line_and_column_of_a_bad_body(tmp_path, body, line, column):
     path = tmp_path / "t.csv"
     path.write_bytes(("a,b\n" + body).encode())
     with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}, column {column}: ")):
         read_table(path, ["a", "b"])
+
+
+@pytest.mark.parametrize("body, message", [
+    ("1,x \n", "line 2, column 2: 'x ' is not a float"),
+    ("1,2\r\n", "line 2, column 2: '2\\r' is not a float"),
+], ids=["trailing-space", "crlf"])
+def test_read_table_quotes_the_bad_field_as_read(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(("a,b\n" + body).encode())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read_table(path, ["a", "b"])
+
+
+def test_every_cut_of_a_table_reads_its_whole_rows_or_raises(tmp_path):
+    names, cols = ["t", "x"], [[0.0, 0.5, 1.0], [4.56789, -1e-300, math.inf]]
+    whole = tmp_path / "whole.csv"
+    write_table(whole, names, cols)
+    data = whole.read_bytes()
+    header = data.index(b"\n") + 1
+    for end in range(header, len(data) + 1):
+        path = tmp_path / "cut.csv"
+        path.write_bytes(data[:end])
+        rows = data[header:end].count(b"\n")
+        if end == header:
+            with pytest.raises(ValueError, match="no data row"):
+                read_table(path, names)
+        elif data[end - 1:end] == b"\n":
+            np.testing.assert_array_equal(read_table(path, names), np.array(cols).T[:rows])
+        else:
+            with pytest.raises(ValueError, match=f"line {rows + 2}, column .: the last row"):
+                read_table(path, names)
