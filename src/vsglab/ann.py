@@ -98,13 +98,9 @@ class NormalizationError(ValueError):
     """A feature or target has zero variance on the fit split."""
 
 
-def tansig(x):
-    """Hyperbolic-tangent sigmoid, 2/(1+exp(-2x)) - 1 == tanh(x)."""
-    return np.tanh(x)
-
-
 _ACTIVATIONS = {
-    "tansig": (tansig, lambda a: 1.0 - a * a),   # derivative in terms of output
+    # tansig, 2/(1+exp(-2x)) - 1, is tanh; its derivative in terms of the output
+    "tansig": (np.tanh, lambda a: 1.0 - a * a),
     "linear": (lambda x: x, lambda a: np.ones_like(a)),
 }
 
@@ -369,7 +365,7 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
         xr = float(rng.choice(DATASET_XR_VALUES))
         p_ref = float(rng.uniform(*DATASET_P_FRAC_RANGE)) * S_RATED
         q_ref = float(rng.uniform(*DATASET_Q_FRAC_RANGE)) * S_RATED
-        z = scr_to_impedance(scr, xr, V_G, S_RATED)
+        z = scr_to_impedance(scr, xr)
         try:
             op = solve_operating_point(p_ref, q_ref, z, V_G)
         except InfeasibleOperatingPointError:

@@ -20,20 +20,20 @@ import sys
 import time
 from pathlib import Path
 
-from . import ann, presets
+from . import ann
 from .estimator import read_estimate_log_csv, write_estimate_log_csv
-from .grid import (JacobianPQ, S_RATED, V_G, scr_to_impedance, solve_operating_point,
-                   jacobian)
+from .grid import JacobianPQ, V_G, scr_to_impedance, solve_operating_point, jacobian
 from .report import ComparisonReport, build_comparison, render_text, write_tables
 from .sim import (BASELINE_GAINS, XR_RATIO_DEFAULT, SimConfig, ScenarioEvent, SimResult,
-                  TimeSeries, run_scenario, impedance_schedule, load_scenario, save_scenario)
+                  TimeSeries, benchmark_config, benchmark_events, run_scenario,
+                  impedance_schedule, load_scenario, save_scenario)
 from .smallsignal import (DesignTargets, schedule_gains, open_loop_p,
                           bode, phase_margin, p_loop_info, q_loop_info,
                           write_frequency_response_csv)
 
 
 def _jac_from_grid(scr: float, xr: float, p: float, q: float) -> JacobianPQ:
-    z = scr_to_impedance(scr, xr, V_G, S_RATED)
+    z = scr_to_impedance(scr, xr)
     op = solve_operating_point(p, q, z, V_G)
     return jacobian(op, z)
 
@@ -150,8 +150,8 @@ def cmd_simulate(args) -> int:
         if args.mode:
             cfg = dataclasses.replace(cfg, mode=args.mode)
     else:
-        cfg = presets.benchmark_config(args.mode or "cvsg")
-        events = presets.benchmark_events()
+        cfg = benchmark_config(args.mode or "cvsg")
+        events = benchmark_events()
     model = norm = None
     if cfg.mode == "avsg" and cfg.estimator_kind == "ann":
         if not args.model:
@@ -166,7 +166,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg, events = load_scenario(args.scenario) if args.scenario else (
-        presets.benchmark_config("avsg"), presets.benchmark_events())
+        benchmark_config("avsg"), benchmark_events())
     # imported here, not at the top, so that `import vsglab.cli` does not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
@@ -199,8 +199,8 @@ def run_paper_repro(outdir: Path, seed: int = 0, model_path: Path | None = None,
     # imported here, not at the top, so that `import vsglab.cli` does not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
-    cfg = presets.benchmark_config("avsg", dt_sim=200e-6 if quick else 50e-6)
-    events = presets.benchmark_events()
+    cfg = benchmark_config("avsg", dt_sim=200e-6 if quick else 50e-6)
+    events = benchmark_events()
     with ThreadPoolExecutor(1) as pool:
         cvsg_run = pool.submit(_simulate_stage, dataclasses.replace(cfg, mode="cvsg"), events,
                                None, None, outdir)

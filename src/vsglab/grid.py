@@ -28,14 +28,13 @@ class InfeasibleOperatingPointError(RuntimeError):
 class GridImpedance:
     """Series grid impedance Z_g = R_g + jX_g at the 50 Hz nominal frequency.
 
-    x_g == OMEGA0_DEFAULT * l_g must hold (checked to 1e-12 relative).  x_g = 0
-    is tolerated only for resistive-limit oracle checks; normal use has
-    x_g > 0.
+    The inductance `l_g` is derived from the reactance, x_g / OMEGA0_DEFAULT.
+    x_g = 0 is tolerated only for resistive-limit oracle checks; normal use
+    has x_g > 0.
     """
 
     r_g: float
     x_g: float
-    l_g: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_g) and math.isfinite(self.x_g)):
@@ -46,13 +45,11 @@ class GridImpedance:
             raise ValueError(f"x_g must be >= 0, got {self.x_g}")
         if self.r_g == 0.0 and self.x_g == 0.0:
             raise DegenerateImpedanceError("r_g and x_g are both zero")
-        scale = max(abs(self.x_g), 1.0)
-        if abs(self.x_g - OMEGA0_DEFAULT * self.l_g) > 1e-12 * scale:
-            raise ValueError("x_g must equal OMEGA0_DEFAULT * l_g")
 
-    @classmethod
-    def from_rx(cls, r_g: float, x_g: float) -> "GridImpedance":
-        return cls(r_g=r_g, x_g=x_g, l_g=x_g / OMEGA0_DEFAULT)
+    @property
+    def l_g(self) -> float:
+        """Grid inductance, H."""
+        return self.x_g / OMEGA0_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -130,20 +127,19 @@ def jacobian(op: OperatingPoint, z: GridImpedance) -> JacobianPQ:
     return JacobianPQ(a=a, b=b, c=c, d=d)
 
 
-def scr_to_impedance(scr: float, xr_ratio: float, v_g: float, s_rated: float) -> GridImpedance:
-    """Grid impedance realizing a given short-circuit ratio.
+def scr_to_impedance(scr: float, xr_ratio: float) -> GridImpedance:
+    """Grid impedance realizing a given short-circuit ratio on the plant.
 
-    SCR = 3 V_g^2 / (|Z| S_rated) with V_g per-phase RMS, so
-    |Z| = 3 V_g^2 / (SCR S_rated); the X/R ratio fixes the angle.
+    SCR = 3 V_G^2 / (|Z| S_RATED) with V_G per-phase RMS, so
+    |Z| = 3 V_G^2 / (SCR S_RATED); the X/R ratio fixes the angle.
     """
-    if scr <= 0.0:
-        raise ValueError(f"scr must be > 0, got {scr}")
-    if xr_ratio <= 0.0:
-        raise ValueError(f"xr_ratio must be > 0, got {xr_ratio}")
-    z_mag = 3.0 * v_g * v_g / (scr * s_rated)
+    for name, value in (("scr", scr), ("xr_ratio", xr_ratio)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    z_mag = 3.0 * V_G * V_G / (scr * S_RATED)
     x_g = z_mag * xr_ratio / math.sqrt(1.0 + xr_ratio * xr_ratio)
     r_g = x_g / xr_ratio
-    return GridImpedance.from_rx(r_g, x_g)
+    return GridImpedance(r_g, x_g)
 
 
 def solve_operating_point(p_target: float, q_target: float, z: GridImpedance,
@@ -155,8 +151,11 @@ def solve_operating_point(p_target: float, q_target: float, z: GridImpedance,
     Q-V droop gain `d_q` gives the steady state of the VSG outer loops,
     and `v_nom` matters only then.  Searches |delta| < pi/2, V_pcc in
     [0.5, 1.5] v_g for at most 50 Newton steps.  The residual tolerance
-    `tol` is relative to max(|P|, |Q|, 1).
+    `tol` is relative to max(|P|, |Q|, 1), so both targets must be finite.
     """
+    for name, value in (("p_target", p_target), ("q_target", q_target)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     max_iter = 50
     scale = max(abs(p_target), abs(q_target), 1.0)
     delta, v = 0.0, v_g

@@ -33,8 +33,9 @@ enum { ROW_R, ROW_L, ROW_R_EST, ROW_L_EST, ROW_DP, ROW_KIP, ROW_DQ, ROW_KIQ, ROW
    estimator samples */
 enum { IX_K, IX_SAMPLED, IX_OUT_ROW, IX_WIN_LEN, IX_N_STEPS, IX_DEC_OUT, IX_DEC_EST,
        IX_WIN_CAP };
-/* what the run stopped at; on a failure ix[IX_K] is the failing step */
-enum { STOP_END, STOP_EVENT, STOP_WINDOW, FAIL_STAGE_ANGLE, FAIL_NON_FINITE };
+/* what the run stopped at; on a failure ix[IX_K] is the failing step, the
+   first whose result is not finite (an infinite stage angle makes it NaN) */
+enum { STOP_END, STOP_EVENT, STOP_WINDOW, FAIL_NON_FINITE };
 
 #define OUT_COLS 14 /* t, p, q, delta, omega, v_cmd, then the row's eight */
 
@@ -114,12 +115,7 @@ int vsg_rk4_run(double *y, const double *par, const double *row, int64_t *ix,
            -0.0 is the one start that leaves k1 as it is. */
         double ds = d, ws = w, vs = v, pfs = pf, qfs = qf;
         double sum_d = -0.0, sum_w = -0.0, sum_v = -0.0, sum_pf = -0.0, sum_qf = -0.0;
-        status = -1;
         for (int j = 0; j < 4; j++) {
-            if (isinf(ds)) { /* math.sin rejects it */
-                status = FAIL_STAGE_ANGLE;
-                break;
-            }
             const double sd = sin(ds);
             const double cd = cos(ds);
             const double vvg = vs * vg;
@@ -144,8 +140,6 @@ int vsg_rk4_run(double *y, const double *par, const double *row, int64_t *ix,
             ws = w + step[j] * dw;
             vs = v + step[j] * dv;
         }
-        if (status >= 0)
-            break;
         d = d + s6 * sum_d;
         w = w + s6 * sum_w;
         v = v + s6 * sum_v;

@@ -32,7 +32,7 @@ ROW_R, ROW_L, ROW_R_EST, ROW_L_EST, ROW_DP, ROW_KIP, ROW_DQ, ROW_KIQ = range(8)
 IX_K, IX_SAMPLED, IX_OUT_ROW, IX_WIN_LEN, IX_N_STEPS, IX_DEC_OUT, IX_DEC_EST, IX_WIN_CAP \
     = range(8)
 # what a run stopped at
-STOP_END, STOP_EVENT, STOP_WINDOW, FAIL_STAGE_ANGLE, FAIL_NON_FINITE = range(5)
+STOP_END, STOP_EVENT, STOP_WINDOW, FAIL_NON_FINITE = range(4)
 
 
 class KernelBuildError(RuntimeError):

@@ -1,6 +1,6 @@
 """Small-signal machinery for the VSG power loops.
 
-Control-law and open/closed-loop transfer functions, Bode evaluation
+The active open-loop transfer function, loop characteristics, Bode evaluation
 with phase unwrapping, phase-margin extraction, and the gain-scheduling
 rule that pins the active loop at omega_n = 4/(xi*Ts) with damping xi
 and the reactive loop at a first-order pole with ~1% steady-state error.
@@ -77,9 +77,6 @@ class TransferFunction:
         if not all(math.isfinite(c) for c in self.num + self.den):
             raise ValueError("coefficients must be finite")
 
-    def scaled(self, k: float) -> "TransferFunction":
-        return TransferFunction(num=tuple(k * c for c in self.num), den=self.den)
-
 
 @dataclass(frozen=True)
 class FrequencyResponse:
@@ -113,24 +110,12 @@ class FirstOrderInfo:
     pole: float    # rad/s (negative)
 
 
-def control_tf_p(gains: VsgGains) -> TransferFunction:
-    """Active control law: K_ip / (s^2 + D_p K_ip s)."""
-    return TransferFunction(num=(gains.k_ip,), den=(0.0, gains.d_p * gains.k_ip, 1.0))
-
-
 def open_loop_p(gains: VsgGains, jac_a: float) -> TransferFunction:
-    """Active open loop: control law times the static P-delta gain A."""
+    """Active open loop: the control law K_ip / (s^2 + D_p K_ip s) times the
+    static P-delta gain A."""
     if jac_a <= 0.0:
         raise DesignRegionError(f"A must be > 0, got {jac_a}")
-    return control_tf_p(gains).scaled(jac_a)
-
-
-def closed_loop_p(gains: VsgGains, jac_a: float) -> TransferFunction:
-    """Active closed loop: K_ip A / (s^2 + D_p K_ip s + K_ip A)."""
-    if jac_a <= 0.0:
-        raise DesignRegionError(f"A must be > 0, got {jac_a}")
-    ka = gains.k_ip * jac_a
-    return TransferFunction(num=(ka,), den=(ka, gains.d_p * gains.k_ip, 1.0))
+    return TransferFunction(num=(jac_a * gains.k_ip,), den=(0.0, gains.d_p * gains.k_ip, 1.0))
 
 
 def p_loop_info(gains: VsgGains, jac_a: float) -> SecondOrderInfo:
@@ -153,12 +138,17 @@ def q_loop_info(gains: VsgGains, jac_d: float) -> FirstOrderInfo:
     )
 
 
+def _unusable(gain: float) -> bool:
+    return gain == 0.0 or not math.isfinite(gain)
+
+
 def schedule_gains(jac, targets: DesignTargets = DesignTargets()) -> VsgGains:
     """Recompute the four VSG gains from the Jacobian entries A and D.
 
     Active loop: omega_n = 4/(xi*Ts), K_ip = omega_n^2/A, D_p = 2 xi omega_n / K_ip
     (A/2 and 16/A for the default targets).  Reactive loop: D_q = D/divisor,
-    K_iq = (4/Ts)/(D + D_q).
+    K_iq = (4/Ts)/(D + D_q).  Targets that make a gain 0 or not finite at this A
+    or D raise SchedulingError naming the targets and the entry.
     """
     a, d = jac.a, jac.d
     if not (a > 0.0 and math.isfinite(a)):
@@ -167,12 +157,17 @@ def schedule_gains(jac, targets: DesignTargets = DesignTargets()) -> VsgGains:
         raise SchedulingError(f"Jacobian entry D must be > 0, got {d}")
     omega_n = 4.0 / (targets.xi * targets.t_s)
     k_ip = omega_n * omega_n / a
-    if k_ip == 0.0 or math.isinf(k_ip):
-        raise SchedulingError(f"t_s = {targets.t_s} s and xi = {targets.xi} give K_ip = "
-                              f"omega_n^2/A = {k_ip}: omega_n = {omega_n} rad/s, A = {a}")
-    d_p = 2.0 * targets.xi * omega_n / k_ip
+    # K_ip is checked before D_p divides by it
+    if _unusable(k_ip) or _unusable(d_p := 2.0 * targets.xi * omega_n / k_ip):
+        raise SchedulingError(f"t_s = {targets.t_s} s and xi = {targets.xi} cannot be met "
+                              f"at A = {a}: omega_n = {omega_n} rad/s gives an active-loop "
+                              f"gain of 0 or not finite")
     d_q = d / targets.q_droop_divisor
     k_iq = (4.0 / targets.t_s) / (d + d_q)
+    if _unusable(d_q) or _unusable(k_iq):
+        raise SchedulingError(f"t_s = {targets.t_s} s and q_droop_divisor = "
+                              f"{targets.q_droop_divisor} cannot be met at D = {d}: they give "
+                              f"a reactive-loop gain of 0 or not finite")
     return VsgGains(d_p=d_p, k_ip=k_ip, d_q=d_q, k_iq=k_iq)
 
 

@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from vsglab import ann, presets
-from vsglab.sim import run_scenario
+from vsglab import ann
+from vsglab.sim import benchmark_config, benchmark_events, run_scenario
 
 
 SEED = 0
@@ -36,9 +36,9 @@ def benchmark_runs(trained):
     """CVSG and AVSG 60 s benchmark results plus total wall seconds, the two runs
     in turn: the fixed-gain CVSG run takes about 0.2 s of the total."""
     model, norm = trained[0], trained[1]
-    events = presets.benchmark_events()
+    events = benchmark_events()
     t0 = time.perf_counter()
-    res_c = run_scenario(presets.benchmark_config("cvsg"), events)
-    res_a = run_scenario(presets.benchmark_config("avsg"), events, model=model, norm=norm)
+    res_c = run_scenario(benchmark_config("cvsg"), events)
+    res_a = run_scenario(benchmark_config("avsg"), events, model=model, norm=norm)
     elapsed = time.perf_counter() - t0
     return res_c, res_a, events, elapsed

@@ -22,7 +22,8 @@ from vsglab.grid import (GridImpedance, OperatingPoint, JacobianPQ, power_flow,
                          jacobian, scr_to_impedance, solve_operating_point)
 from vsglab.metrics import settling_time, percent_overshoot, estimation_metrics
 from vsglab.report import build_comparison
-from vsglab.smallsignal import (VsgGains, schedule_gains, closed_loop_p,
+from vsglab.sim import benchmark_config
+from vsglab.smallsignal import (VsgGains, schedule_gains,
                                 p_loop_info, q_loop_info, open_loop_p, bode,
                                 phase_margin)
 
@@ -36,7 +37,7 @@ def test_jacobian_matches_finite_differences_on_1000_points():
         op = OperatingPoint(delta0=rng.uniform(-1.4, 1.4),
                             v_pcc0=rng.uniform(60.0, 160.0),
                             v_g=rng.uniform(90.0, 130.0))
-        z = GridImpedance.from_rx(rng.uniform(0.0, 5.0), rng.uniform(0.05, 10.0))
+        z = GridImpedance(rng.uniform(0.0, 5.0), rng.uniform(0.05, 10.0))
         j = jacobian(op, z)
         h_d, h_v = 1e-5, 1e-4
         pp = power_flow(OperatingPoint(op.delta0 + h_d, op.v_pcc0, op.v_g), z)
@@ -56,11 +57,10 @@ def test_scheduling_identity_is_exact_for_100_random_designs():
         a = float(10.0 ** rng.uniform(-2.0, 6.0))
         d = float(10.0 ** rng.uniform(-2.0, 6.0))
         g = schedule_gains(JacobianPQ(a=a, b=0.0, c=0.0, d=d))
-        tf = closed_loop_p(g, a)
-        # characteristic polynomial s^2 + 8 s + 16: omega_n = 4, xi = 1
-        assert tf.den[2] == 1.0
-        assert abs(tf.den[1] - 8.0) <= 1e-12 * 8.0
-        assert abs(tf.den[0] - 16.0) <= 1e-12 * 16.0
+        # closed loop K_ip A / (s^2 + D_p K_ip s + K_ip A), whose characteristic
+        # polynomial is s^2 + 8 s + 16: omega_n = 4, xi = 1
+        assert abs(g.d_p * g.k_ip - 8.0) <= 1e-12 * 8.0
+        assert abs(g.k_ip * a - 16.0) <= 1e-12 * 16.0
         info = q_loop_info(g, d)
         assert abs(info.pole + 4.0) <= 1e-12 * 4.0
 
@@ -69,7 +69,7 @@ def test_phase_margin_drops_with_grid_strength_unless_rescheduled():
     t0 = time.perf_counter()
     fixed, scheduled = [], []
     for scr in (2.0, 8.0, 20.0):
-        z = scr_to_impedance(scr, 5.0, 110.0, 5000.0)
+        z = scr_to_impedance(scr, 5.0)
         j = jacobian(solve_operating_point(2000.0, 1000.0, z, 110.0), z)
         fixed.append(phase_margin(bode(open_loop_p(BASELINE, j.a))))
         g = schedule_gains(j)
@@ -80,7 +80,7 @@ def test_phase_margin_drops_with_grid_strength_unless_rescheduled():
 
 
 def test_design_rule_step_response():
-    z = scr_to_impedance(2.0, 5.0, 110.0, 5000.0)
+    z = scr_to_impedance(2.0, 5.0)
     j = jacobian(solve_operating_point(2000.0, 1000.0, z, 110.0), z)
     g = schedule_gains(j)
     info = p_loop_info(g, j.a)
@@ -154,9 +154,8 @@ def test_every_estimate_arrives_one_cycle_after_its_window_opens(benchmark_runs)
 
 
 def test_estimation_accuracy_across_grid_strengths(benchmark_runs):
-    from vsglab import presets
     _, res_a, events, _ = benchmark_runs
-    cfg = presets.benchmark_config("avsg")
+    cfg = benchmark_config("avsg")
     stats = estimation_metrics(res_a.estimates, _truth_schedule(cfg, events), 60.0)
     assert len(stats) == 3
     for s in stats:
@@ -172,10 +171,9 @@ def test_estimation_accuracy_across_grid_strengths(benchmark_runs):
 
 
 def test_adaptive_mode_keeps_step_response_constant(benchmark_runs):
-    from vsglab import presets
     res_c, res_a, events, elapsed = benchmark_runs
     assert elapsed < 120.0
-    cfg = presets.benchmark_config("avsg")
+    cfg = benchmark_config("avsg")
     rep = build_comparison(res_c.series, res_a.series, events, res_a.estimates,
                            _truth_schedule(cfg, events))
 
@@ -200,9 +198,8 @@ def test_fixed_gains_accumulate_more_oscillation_energy_when_grid_stiffens(bench
     # D_p*K_ip the CVSG step ISE is step^2*(1+4*xi^2)/(2*D_p*K_ip), which is
     # bounded above by the critically damped design's 0.3125*step^2 for every
     # grid strength, so the expected ordering cannot occur.
-    from vsglab import presets
     res_c, res_a, events, _ = benchmark_runs
-    cfg = presets.benchmark_config("avsg")
+    cfg = benchmark_config("avsg")
     rep = build_comparison(res_c.series, res_a.series, events, res_a.estimates,
                            _truth_schedule(cfg, events))
     # setpoint steps after the grid first stiffens (SCR 8 at t=20, SCR 20 at t=40)

@@ -1,19 +1,16 @@
 """Network forward/Jacobian math, LM training mechanics, and data plumbing."""
 
 import json
-import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from vsglab import ann
 from vsglab.ann import (MlpModel, Normalizer, NormalizationError,
                         DatasetConfig, init_model, forward, error_jacobian,
                         lm_step, train, train_on_dataset, generate_dataset,
                         split_dataset, save_model, load_model,
-                        save_dataset_csv, load_dataset_csv, tansig, SAMPLE_DT)
+                        save_dataset_csv, load_dataset_csv, SAMPLE_DT)
 from vsglab.tables import read_table
 
 
@@ -34,12 +31,6 @@ def set_recipe(monkeypatch, max_epochs, goal_mse=ann.GOAL_MSE, n_hidden=ann.N_HI
 
 
 # --- activations and forward pass --------------------------------------------
-
-@given(st.floats(-20.0, 20.0))
-def test_tansig_matches_logistic_form(x):
-    ref = 2.0 / (1.0 + math.exp(-2.0 * x)) - 1.0
-    assert tansig(x) == pytest.approx(ref, abs=1e-15)
-
 
 def test_forward_shapes():
     m = init_model(4, 3, 2, seed=1)

@@ -68,16 +68,26 @@ def test_gains_rejects_bad_inputs(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {given} needs {missing}")
-    # targets whose K_ip = omega_n^2/A is 0 or infinite, or that are not finite
+    # targets that are not finite or that no finite, nonzero gains meet (K_ip, D_p
+    # or K_iq overflows or underflows, or D_q does), and power targets and grids
+    # that are not finite: the error names them, not a gain
     for args, named in ((["--ts", "inf"], "t_s"), (["--xi", "inf"], "xi"),
                         (["--ts", "nan"], "t_s"), (["--ts", "1e300"], "t_s = 1e+300 s and xi"),
-                        (["--ts", "1e-300"], "t_s = 1e-300 s and xi")):
+                        (["--ts", "1e-300"], "t_s = 1e-300 s and xi"),
+                        (["--xi", "1e-320", "--ts", "1e300"], "xi = 1e-320 cannot be met at A"),
+                        (["--divisor", "1e-320"], "q_droop_divisor = 1e-320 cannot be met at D"),
+                        (["--a", "5", "--d", "1e-320"], "cannot be met at D = 1e-320"),
+                        (["--q", "inf"], "q_target must be finite"),
+                        (["--p=-inf"], "p_target must be finite"),
+                        (["--scr", "nan"], "scr must be finite"),
+                        (["--scr", "inf"], "scr must be finite"),
+                        (["--xr", "inf"], "xr_ratio must be finite")):
         capsys.readouterr()
         assert main(["gains", *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and named in captured.err
-        assert "d_p" not in captured.err
+        assert not any(gain in captured.err.lower() for gain in ("d_p", "k_ip", "d_q", "k_iq"))
 
 
 def test_bode_fixed_gains_margins_decrease(tmp_path, capsys):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from vsglab.grid import (GridImpedance, OperatingPoint, DegenerateImpedanceError,
-                         InfeasibleOperatingPointError, power_flow, jacobian,
+from vsglab.grid import (OMEGA0_DEFAULT, GridImpedance, OperatingPoint,
+                         DegenerateImpedanceError, InfeasibleOperatingPointError,
+                         power_flow, jacobian,
                          scr_to_impedance, solve_operating_point)
 
 
 def z_rx(r, x):
-    return GridImpedance.from_rx(r, x)
+    return GridImpedance(r, x)
 
 
 def op(delta, v, vg=110.0):
@@ -54,7 +55,7 @@ def test_jacobian_reactive_line_values():
 
 
 def test_scr_to_impedance_weak_grid():
-    z = scr_to_impedance(2.0, 5.0, 110.0, 5000.0)
+    z = scr_to_impedance(2.0, 5.0)
     assert math.hypot(z.r_g, z.x_g) == pytest.approx(3.63, rel=1e-12)
     assert z.x_g == pytest.approx(3.560, abs=1e-3)
     assert z.r_g == pytest.approx(0.712, abs=1e-3)
@@ -77,12 +78,12 @@ def test_solve_operating_point_inverse_of_power_flow():
 # --- invariants --------------------------------------------------------------
 
 def test_impedance_requires_consistent_reactance():
-    with pytest.raises(ValueError):
-        GridImpedance(r_g=0.1, x_g=1.0, l_g=1.0)
+    # the inductance is derived from the reactance, so the two always agree
+    assert GridImpedance(r_g=0.1, x_g=1.0).l_g == 1.0 / OMEGA0_DEFAULT
     with pytest.raises(DegenerateImpedanceError):
-        GridImpedance.from_rx(0.0, 0.0)
+        GridImpedance(0.0, 0.0)
     with pytest.raises(ValueError):
-        GridImpedance.from_rx(-0.1, 1.0)
+        GridImpedance(-0.1, 1.0)
 
 
 def test_operating_point_domain():
@@ -141,7 +142,7 @@ def test_jacobian_matches_finite_differences(o, z):
 
 @given(st.floats(0.5, 50.0), st.floats(0.5, 20.0))
 def test_scr_round_trip(scr, xr):
-    z = scr_to_impedance(scr, xr, 110.0, 5000.0)
+    z = scr_to_impedance(scr, xr)
     assert math.hypot(z.r_g, z.x_g) == pytest.approx(3.0 * 110.0 ** 2 / (scr * 5000.0),
                                                      rel=1e-12)
     assert z.x_g / z.r_g == pytest.approx(xr, rel=1e-12)
@@ -150,7 +151,7 @@ def test_scr_round_trip(scr, xr):
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.0, 3000.0), st.floats(-1000.0, 1500.0), st.floats(1.5, 30.0))
 def test_solve_is_right_inverse_of_power_flow(p, q, scr):
-    z = scr_to_impedance(scr, 5.0, 110.0, 5000.0)
+    z = scr_to_impedance(scr, 5.0)
     try:
         o = solve_operating_point(p, q, z, 110.0)
     except InfeasibleOperatingPointError:

@@ -1,13 +1,15 @@
 """Every module of the package and of its tests uses each name it imports (no linter needed),
-and no module of the package forks."""
+no module of the package forks, and README's module table names every module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "vsglab"
+README = TESTS.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,3 +63,10 @@ def test_unused_import_is_reported():
 def test_a_fork_is_reported():
     source = "import os\nfrom os import fork\npid = os.fork()\nos.forkpty\nfork = 1\n"
     assert os_forks(source) == [2, 3]
+
+
+def test_readme_module_table_names_exactly_the_package_modules():
+    section = README.read_text().split("## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `vsglab\.(\w+)` \|", section, flags=re.M)
+    assert len(rows) == len(set(rows))
+    assert sorted(rows) == sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")

@@ -11,7 +11,7 @@ from vsglab.grid import JacobianPQ, scr_to_impedance, solve_operating_point, jac
 from vsglab.smallsignal import (VsgGains, DesignTargets, TransferFunction,
                                 DesignRegionError, SchedulingError, NoCrossoverError,
                                 ExcludedPointError,
-                                control_tf_p, open_loop_p, closed_loop_p, p_loop_info,
+                                open_loop_p, p_loop_info,
                                 q_loop_info, schedule_gains, bode, phase_margin,
                                 default_omega_grid, write_frequency_response_csv)
 from vsglab.tables import read_table
@@ -24,25 +24,27 @@ def jac(a, d):
 
 
 def solved_jacobian(scr, p=2000.0, q=1000.0):
-    z = scr_to_impedance(scr, 5.0, 110.0, 5000.0)
+    z = scr_to_impedance(scr, 5.0)
     return jacobian(solve_operating_point(p, q, z, 110.0), z)
 
 
 # --- transfer-function forms -------------------------------------------------
 
+# the control law K_ip / (s^2 + D_p K_ip s) is the open loop at A = 1
+
 def test_control_tf_p_coefficients():
-    tf = control_tf_p(VsgGains(d_p=2.0, k_ip=1.0, d_q=1.0, k_iq=1.0))
+    tf = open_loop_p(VsgGains(d_p=2.0, k_ip=1.0, d_q=1.0, k_iq=1.0), 1.0)
     assert tf.num == (1.0,)
     assert tf.den == (0.0, 2.0, 1.0)
 
 
 def test_control_tf_p_baseline_damping_product():
-    tf = control_tf_p(BASELINE)
+    tf = open_loop_p(BASELINE, 1.0)
     assert tf.den[1] == pytest.approx(16.007, abs=1e-3)
 
 
 def test_control_tf_p_integrates_at_dc():
-    tf = control_tf_p(VsgGains(d_p=2.0, k_ip=1.0, d_q=1.0, k_iq=1.0))
+    tf = open_loop_p(VsgGains(d_p=2.0, k_ip=1.0, d_q=1.0, k_iq=1.0), 1.0)
     assert bode(tf, np.array([1e-9])).mag_db[0] > 160.0   # |tf| > 1e8
 
 
@@ -80,12 +82,10 @@ def test_schedule_gains_rejects_nonpositive_entries():
 @given(st.floats(1e-2, 1e6), st.floats(1e-2, 1e6))
 def test_scheduled_p_loop_characteristic_polynomial(a, d):
     g = schedule_gains(jac(a, d))
-    tf = closed_loop_p(g, a)
-    # s^2 + 8 s + 16, independent of the operating point
-    assert tf.den[2] == 1.0
-    assert abs(tf.den[1] - 8.0) <= 8e-12
-    assert abs(tf.den[0] - 16.0) <= 16e-12
-    assert abs(tf.num[0] - 16.0) <= 16e-12
+    # the closed loop K_ip A / (s^2 + D_p K_ip s + K_ip A) has the characteristic
+    # polynomial s^2 + 8 s + 16, independent of the operating point
+    assert abs(g.d_p * g.k_ip - 8.0) <= 8e-12
+    assert abs(g.k_ip * a - 16.0) <= 16e-12
 
 
 @given(st.floats(1e-2, 1e6), st.floats(1e-2, 1e6))
