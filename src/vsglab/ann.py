@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import rk4
 from .grid import (OMEGA0_DEFAULT, S_RATED, V_G, scr_to_impedance, solve_operating_point,
                    InfeasibleOperatingPointError)
 from .tables import read_table, write_table
@@ -43,8 +44,6 @@ MODEL_FILE_VERSION = 1
 WINDOW_LEN = 100
 SAMPLE_DT = 200e-6
 
-SQRT2 = math.sqrt(2.0)
-
 _module = sys.modules[__name__]
 
 
@@ -55,39 +54,6 @@ def __getattr__(name: str):
     from scipy.linalg import cho_factor, cho_solve
     globals().update(cho_factor=cho_factor, cho_solve=cho_solve)
     return globals()[name]
-
-
-def pcc_waveforms(t, delta, v_pcc, r_g, x_g, v_g: float = V_G) -> tuple[np.ndarray, np.ndarray]:
-    """Instantaneous single-phase PCC voltage and grid current at times `t`.
-
-    v = sqrt(2) V_pcc sin(w0 t + delta) and i = sqrt(2) |I| sin(w0 t + arg I),
-    where I = (V_pcc e^{j delta} - V_g) / (R_g + j X_g) is the current phasor.
-    `delta`, `v_pcc`, `r_g` and `x_g` broadcast to the shape of the phasors
-    (one per sample in the simulator, one per window in the dataset), and that
-    shape with `t` to the samples'.  Each finite sample is, bit for bit, what
-    CPython's complex arithmetic on the scalars gives: the float operands are
-    promoted to complex, the quotient is Smith's division (`_Py_c_quot`), the
-    magnitude `hypot` and the angle `math.atan2`, which `np.arctan2` is not.
-    """
-    delta, v_pcc, r_g, x_g = (np.asarray(a, dtype=float) for a in (delta, v_pcc, r_g, x_g))
-    cd, sd = np.cos(delta), np.sin(delta)
-    a_re = v_pcc * cd - 0.0 * sd - v_g
-    a_im = v_pcc * sd + 0.0 * cd
-    with np.errstate(divide="ignore", invalid="ignore"):  # in the branch not taken
-        ratio = x_g / r_g  # |R| >= |X|: divide through by R
-        denom = r_g + x_g * ratio
-        by_r = ((a_re + a_im * ratio) / denom, (a_im - a_re * ratio) / denom)
-        ratio = r_g / x_g  # otherwise by X
-        denom = r_g * ratio + x_g
-        by_x = ((a_re * ratio + a_im) / denom, (a_im * ratio - a_re) / denom)
-    r_major = np.abs(r_g) >= np.abs(x_g)
-    i_re = np.where(r_major, by_r[0], by_x[0])
-    i_im = np.where(r_major, by_r[1], by_x[1])
-    i_arg = np.fromiter(map(math.atan2, i_im.ravel().tolist(), i_re.ravel().tolist()),
-                        float, i_re.size).reshape(i_re.shape)
-    wt = OMEGA0_DEFAULT * t
-    return (SQRT2 * v_pcc * np.sin(wt + delta),
-            SQRT2 * np.hypot(i_re, i_im) * np.sin(wt + i_arg))
 
 
 class TrainingFailureError(RuntimeError):
@@ -347,12 +313,13 @@ class DatasetConfig:
 
 def generate_dataset(cfg: DatasetConfig) -> Dataset:
     """Steady-state windows over randomized SCR and operating point, each
-    starting at t0 = SAMPLE_DT, on the cycle grid every online window opens on."""
+    starting at t0 = SAMPLE_DT, on the cycle grid every online window opens on.
+    The samples are the simulator's: `rk4.c` synthesizes both."""
     if cfg.n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_samples
-    phasors = np.empty((4, n))  # delta, V_pcc, R_g, X_g of each window
+    phasors = np.empty((n, 4))  # delta, V_pcc, R_g, X_g of each window
     targets = np.empty((n, 2))
     scr_col = np.empty(n)
     xr_col = np.empty(n)
@@ -370,7 +337,7 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
             op = solve_operating_point(p_ref, q_ref, z, V_G)
         except InfeasibleOperatingPointError:
             continue  # resample
-        phasors[:, i] = (op.delta0, op.v_pcc0, z.r_g, z.x_g)
+        phasors[i] = (op.delta0, op.v_pcc0, z.r_g, z.x_g)
         if noise is not None:  # voltage then current noise, drawn in window order
             noise[i] = rng.normal(0.0, cfg.noise_std, 2 * WINDOW_LEN)
         targets[i] = (z.r_g, z.l_g)
@@ -378,7 +345,9 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
         p_col[i], q_col[i] = p_ref, q_ref
         i += 1
     t = SAMPLE_DT + np.arange(WINDOW_LEN) * SAMPLE_DT
-    inputs = np.hstack(pcc_waveforms(t, *phasors[:, :, None]))
+    inputs = np.empty((n, 2 * WINDOW_LEN))
+    rk4.library().vsg_window_waveforms(n, WINDOW_LEN, t.ctypes.data, phasors.ctypes.data,
+                                       OMEGA0_DEFAULT, V_G, inputs.ctypes.data)
     if noise is not None:
         inputs += noise
     return Dataset(inputs, targets, scr_col, xr_col, p_col, q_col, np.full(n, SAMPLE_DT))

@@ -131,7 +131,8 @@ def scr_to_impedance(scr: float, xr_ratio: float) -> GridImpedance:
     """Grid impedance realizing a given short-circuit ratio on the plant.
 
     SCR = 3 V_G^2 / (|Z| S_RATED) with V_G per-phase RMS, so
-    |Z| = 3 V_G^2 / (SCR S_RATED); the X/R ratio fixes the angle.
+    |Z| = 3 V_G^2 / (SCR S_RATED); the X/R ratio fixes the angle.  ValueError
+    names both inputs when R or X overflows, underflows to 0 or is NaN.
     """
     for name, value in (("scr", scr), ("xr_ratio", xr_ratio)):
         if not (math.isfinite(value) and value > 0.0):
@@ -139,6 +140,9 @@ def scr_to_impedance(scr: float, xr_ratio: float) -> GridImpedance:
     z_mag = 3.0 * V_G * V_G / (scr * S_RATED)
     x_g = z_mag * xr_ratio / math.sqrt(1.0 + xr_ratio * xr_ratio)
     r_g = x_g / xr_ratio
+    if not (0.0 < r_g < math.inf and 0.0 < x_g < math.inf):
+        raise ValueError(f"scr = {scr!r} and xr_ratio = {xr_ratio!r} give no representable "
+                         f"impedance: r_g = {r_g!r} and x_g = {x_g!r} ohm")
     return GridImpedance(r_g, x_g)
 
 

@@ -11,10 +11,19 @@
  * across R + jX.  With the filter the loops act on P_f, Q_f, the first-order
  * lag of P, Q at cutoff wc; without it P_f, Q_f are not integrated.
  *
+ * Each estimator sample is the instantaneous single-phase PCC voltage and grid
+ * current, v = sqrt(2) V sin(w0 t + delta) and i = sqrt(2) |I| sin(w0 t + arg I),
+ * where I = (V e^{j delta} - vg) / (R + jX) is the current phasor.  The kernel
+ * synthesizes one at every sample; vsg_window_waveforms synthesizes the
+ * dataset's windows, one phasor per window, with the same arithmetic.
+ *
  * Every floating-point expression is written in the order, and with the
  * association, that vsglab's Python code evaluates it in, and the file is
  * built with -ffp-contract=off, so that no multiply-add is fused: a run gives,
- * bit for bit, the rows that classical RK4 in Python gives.
+ * bit for bit, the rows that classical RK4 in Python gives.  Each waveform
+ * sample is, bit for bit, what CPython's complex arithmetic gives on the
+ * scalars: the float operands promoted to complex, Smith's division
+ * (_Py_c_quot) in both of its branches, and libm's hypot, atan2 and sin.
  */
 
 #include <math.h>
@@ -38,10 +47,60 @@ enum { IX_K, IX_SAMPLED, IX_OUT_ROW, IX_WIN_LEN, IX_N_STEPS, IX_DEC_OUT, IX_DEC_
 enum { STOP_END, STOP_EVENT, STOP_WINDOW, FAIL_NON_FINITE };
 
 #define OUT_COLS 14 /* t, p, q, delta, omega, v_cmd, then the row's eight */
+#define WIN_COLS 3  /* t, v, i */
+
+/* The magnitude and angle of the current phasor (v e^{j d} - vg) / (r + jx), as
+   CPython evaluates abs() and math.atan2 of (v * complex(cos d, sin d) - vg) /
+   complex(r, x). */
+static void current_phasor(double d, double v, double vg, double r, double x,
+                           double *mag, double *arg)
+{
+    const double cd = cos(d);
+    const double sd = sin(d);
+    const double a_re = v * cd - 0.0 * sd - vg;
+    const double a_im = v * sd + 0.0 * cd - 0.0;
+    double i_re, i_im;
+    if (fabs(r) >= fabs(x)) { /* divide through by r */
+        const double ratio = x / r;
+        const double denom = r + x * ratio;
+        i_re = (a_re + a_im * ratio) / denom;
+        i_im = (a_im - a_re * ratio) / denom;
+    } else { /* by x */
+        const double ratio = r / x;
+        const double denom = r * ratio + x;
+        i_re = (a_re * ratio + a_im) / denom;
+        i_im = (a_im * ratio - a_re) / denom;
+    }
+    *mag = hypot(i_re, i_im);
+    *arg = atan2(i_im, i_re);
+}
+
+/* The sample at time t of the sinusoid of RMS value rms and phase phase. */
+static double wave(double rms, double w0, double t, double phase)
+{
+    return sqrt(2.0) * rms * sin(w0 * t + phase);
+}
+
+/* The dataset's windows.  For each of the n rows (delta, V, R, X) of ph, one
+ * row of out: the window's len samples of v at the times t[0 .. len), then
+ * its len samples of i; vg is the grid's voltage and w0 its frequency.
+ */
+void vsg_window_waveforms(int64_t n, int64_t len, const double *t, const double *ph,
+                          double w0, double vg, double *out)
+{
+    for (int64_t k = 0; k < n; k++, ph += 4, out += 2 * len) {
+        double mag, arg;
+        current_phasor(ph[0], ph[1], vg, ph[2], ph[3], &mag, &arg);
+        for (int64_t j = 0; j < len; j++) {
+            out[j] = wave(ph[1], w0, t[j], ph[0]);
+            out[len + j] = wave(mag, w0, t[j], arg);
+        }
+    }
+}
 
 /* Integrate step k = ix[IX_K] onwards.  Each step takes, in order: the stop at
  * an event (before its estimator sample, so the event applies first), the
- * estimator sample (t, delta, V, R, X) at every dec_est-th step after t = 0,
+ * estimator sample (t, v, i) at every dec_est-th step after t = 0,
  * the output row at every dec_out-th step, and the RK4 step.  A full window
  * of ix[IX_WIN_CAP] samples stops the run after its last sample, with
  * ix[IX_SAMPLED] set, so that the next call resumes step k after its sample.
@@ -77,12 +136,11 @@ int vsg_rk4_run(double *y, const double *par, const double *row, int64_t *ix,
                 break;
             }
             if (dec_est > 0 && k > 0 && k % dec_est == 0) {
-                double *s = win + 5 * win_len;
+                double *s = win + WIN_COLS * win_len, mag, arg;
+                current_phasor(d, v, vg, r, x, &mag, &arg);
                 s[0] = t;
-                s[1] = d;
-                s[2] = v;
-                s[3] = r;
-                s[4] = x;
+                s[1] = wave(v, w0, t, d);
+                s[2] = wave(mag, w0, t, arg);
                 if (++win_len == win_cap) {
                     status = STOP_WINDOW;
                     break;

@@ -75,14 +75,17 @@ def build() -> Path:
 @functools.cache
 def library():
     """The loaded library, its entry points typed: `vsg_rk4_run(y, par, row, ix, out,
-    win)`, each argument the address of a C-contiguous float64 (`ix`: int64) array,
-    and `tables.c`'s `vsg_table_write` and `vsg_table_read`."""
+    win)`, each argument the address of a C-contiguous float64 (`ix`: int64) array;
+    `vsg_window_waveforms(n, len, t, ph, w0, vg, out)`, which writes the (n, 2 len)
+    v-then-i samples of the n (delta, V, R, X) rows of `ph` at the `len` times `t`
+    into `out`; and `tables.c`'s `vsg_table_write` and `vsg_table_read`."""
     import ctypes
 
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
     lib = ctypes.CDLL(str(build()))
     for name, restype, argtypes in (
             ("vsg_rk4_run", ctypes.c_int, [ptr] * 6),
+            ("vsg_window_waveforms", None, [i64, i64, ptr, ptr, f64, f64, ptr]),
             ("vsg_table_write", ctypes.c_int, [ctypes.c_int, i64, i64, ptr, ptr, i64]),
             ("vsg_table_read", i64, [ctypes.c_int, i64, i64, i64, ptr, i64, i64, ptr, ptr])):
         fn = getattr(lib, name)

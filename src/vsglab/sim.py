@@ -7,13 +7,12 @@ stage, optionally through a first-order P/Q measurement filter that adds
 two states.  Every step is integrated by one compiled kernel (`vsglab.rk4`),
 which runs from a state to the next stop: a scenario event, a full estimator
 window, or the end of the run.  On the way it writes the decimated output
-rows and, in adaptive mode, the phasor state of every estimator sample into
-the one estimator buffer.  Inner voltage/current loops are modeled as ideal
-(the PCC voltage magnitude tracks the command instantly).
-At the stops, this module steps the SCR or the power set-points of the
-scenario's events, and synthesizes a full window's waveforms in one
-`ann.pcc_waveforms` call and hands them to the estimator whole; accepted
-estimates reschedule the gains.  A step that leaves the finite range stops
+rows and, in adaptive mode, the instantaneous PCC voltage and grid current of
+every estimator sample into the one estimator buffer.  Inner voltage/current
+loops are modeled as ideal (the PCC voltage magnitude tracks the command
+instantly).  At the stops, this module steps the SCR or the power set-points of
+the scenario's events, and hands each full window to the estimator whole;
+accepted estimates reschedule the gains.  A step that leaves the finite range stops
 the run with one `NumericFailureError`, naming the step's time.
 
 The plant is the one the estimator was trained at, no scenario's setting:
@@ -34,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rk4
-from .ann import SAMPLE_DT, WINDOW_LEN, pcc_waveforms
+from .ann import SAMPLE_DT, WINDOW_LEN
 from .grid import (GridImpedance, JacobianPQ, scr_to_impedance,
                    solve_operating_point, _pf, _pf_jac, OMEGA0_DEFAULT, S_RATED, V_G)
 from .smallsignal import VsgGains, DesignTargets, schedule_gains, SchedulingError
@@ -225,10 +224,10 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
     prev_applied: EstimateRecord | None = None
 
     # The kernel's arrays (`vsglab.rk4`).  It integrates from step ix[IX_K] to
-    # the next stop and writes the output rows into `out` and the (t, delta, V,
-    # R, X) of each estimator sample into `window`, the one estimator buffer:
-    # every SAMPLE_DT after t = 0, so each window of WINDOW_LEN samples opens
-    # on the cycle grid.
+    # the next stop and writes the output rows into `out` and the (t, v, i) of
+    # each estimator sample into `window`, the one estimator buffer: every
+    # SAMPLE_DT after t = 0, so each window of WINDOW_LEN samples opens on the
+    # cycle grid.
     y = np.array([d, OMEGA0_DEFAULT, v, *_pf(d, v, V_G, z.r_g, z.x_g)])
     par = np.array([h, V_G, OMEGA0_DEFAULT, cfg.meas_lpf_cutoff or 0.0, z.x_g,
                     sp.p_ref, sp.q_ref, events[0].time if events else math.inf])
@@ -238,7 +237,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
                    0 if estimator is None else int(round(SAMPLE_DT / h)), WINDOW_LEN],
                   dtype=np.int64)
     out = np.empty((n_out, len(TIMESERIES_COLUMNS)))
-    window = np.empty((WINDOW_LEN, 5))
+    window = np.empty((WINDOW_LEN, 3))
     run = rk4.library().vsg_rk4_run
     args = [a.ctypes.data for a in (y, par, row, ix, out, window)]
     ev_idx = 0
@@ -262,11 +261,10 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
                         estimator.truth = (z.r_g, z.l_g)
             par[rk4.PAR_T_EVENT] = events[ev_idx].time if ev_idx < len(events) else math.inf
         elif stop == rk4.STOP_WINDOW:
-            # the window is full: synthesize its waveforms in one call and hand
-            # them to the estimator whole, before the step's output row
+            # the window is full: hand it to the estimator whole, before the
+            # step's output row
             ix[rk4.IX_WIN_LEN] = 0
-            t_w, *phasors = window.T
-            rec = estimator.push_window(t_w, *pcc_waveforms(t_w, *phasors))
+            rec = estimator.push_window(*window.T)
             if rec is None:  # only for a window with a non-finite sample
                 continue
             applied = gate_gain_update(rec, prev_applied)

@@ -81,7 +81,11 @@ def test_gains_rejects_bad_inputs(capsys):
                         (["--p=-inf"], "p_target must be finite"),
                         (["--scr", "nan"], "scr must be finite"),
                         (["--scr", "inf"], "scr must be finite"),
-                        (["--xr", "inf"], "xr_ratio must be finite")):
+                        (["--xr", "inf"], "xr_ratio must be finite"),
+                        # finite grids whose R and X overflow or underflow to 0
+                        (["--xr", "1e300"], "scr = 2.0 and xr_ratio = 1e+300 give no"),
+                        (["--scr", "1e308"], "scr = 1e+308 and xr_ratio = 5.0 give no"),
+                        (["--scr", "1e-320"], "scr = 1e-320 and xr_ratio = 5.0 give no")):
         capsys.readouterr()
         assert main(["gains", *args]) == 2
         captured = capsys.readouterr()

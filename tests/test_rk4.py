@@ -1,6 +1,7 @@
 """Building and loading the compiled library, and what importing the package leaves
 unbuilt."""
 
+import ctypes
 import os
 import re
 import subprocess
@@ -142,6 +143,36 @@ def test_python_copies_of_c_enums_have_the_c_values():
                       if re.fullmatch(pattern, name) or name in c)
     assert sorted(copies.keys() - c.keys()) == []  # each copy has a C counterpart
     assert copies == {name: c[name] for name in copies}
+
+
+def c_entry_points(source: Path) -> dict[str, tuple[str, list[str]]]:
+    """Each function named vsg_* that a C source defines without `static`: its return
+    type and its parameters' declarations."""
+    text = re.sub(r"/\*.*?\*/", "", source.read_text(), flags=re.S)
+    return {name: (restype, [p.strip() for p in params.split(",")])
+            for restype, name, params
+            in re.findall(r"^(\w+)\s+(vsg_\w+)\(([^)]*)\)\s*\{", text, flags=re.M)}
+
+
+C_TYPES = {"void": None, "int": ctypes.c_int, "int64_t": ctypes.c_int64,
+           "double": ctypes.c_double}
+
+
+def ctypes_type(param: str):
+    """The ctypes type a C parameter declaration is passed as: a pointer as an address."""
+    return ctypes.c_void_p if "*" in param else C_TYPES[param.split()[0]]
+
+
+def test_every_c_entry_point_is_typed():
+    # an untyped call passes a Python float as an int and reads every result as an int
+    entry = {name: sig for source in rk4.SOURCES for name, sig in c_entry_points(source).items()}
+    assert {"vsg_rk4_run", "vsg_window_waveforms", "vsg_table_write",
+            "vsg_table_read"} <= entry.keys()
+    lib = rk4.library()
+    for name, (restype, params) in entry.items():
+        fn = getattr(lib, name)
+        assert fn.restype is C_TYPES[restype], name
+        assert fn.argtypes == [ctypes_type(p) for p in params], name
 
 
 def test_importing_the_cli_builds_and_loads_nothing():

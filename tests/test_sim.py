@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsglab.ann import WINDOW_LEN, pcc_waveforms
+from vsglab import rk4, sim
+from vsglab.ann import WINDOW_LEN
 from vsglab.grid import (scr_to_impedance, power_flow, solve_operating_point,
                          InfeasibleOperatingPointError)
 from vsglab.grid import _pf
@@ -198,11 +199,23 @@ def test_a_held_bit_exact_fixed_point_is_left_as_the_textbook_steps_leave_it(cas
 
 # --- waveform synthesis ----------------------------------------------------------
 
-def test_pcc_waveforms_rms_and_power():
+def window_waveforms(t, phasors):
+    """The (n, 2 len) v-then-i samples at the `len` times `t` of the n (delta, V, R,
+    X) rows of `phasors`, from the dataset's C entry point."""
+    t = np.array(t, dtype=float)
+    ph = np.array(phasors, dtype=float).reshape(-1, 4)
+    out = np.empty((len(ph), 2 * len(t)))
+    rk4.library().vsg_window_waveforms(len(ph), len(t), t.ctypes.data, ph.ctypes.data,
+                                       OMEGA0, 110.0, out.ctypes.data)
+    return out
+
+
+def test_window_waveforms_rms_and_power():
     z = scr_to_impedance(2.0, 5.0)
     op = solve_operating_point(2000.0, 1000.0, z, 110.0)
     # one full cycle at the estimator rate
-    v, i = pcc_waveforms(200e-6 * np.arange(1, 101), op.delta0, op.v_pcc0, z.r_g, z.x_g)
+    v, i = window_waveforms(200e-6 * np.arange(1, 101),
+                            [(op.delta0, op.v_pcc0, z.r_g, z.x_g)]).reshape(2, 100)
     assert math.sqrt(np.mean(v ** 2)) == pytest.approx(op.v_pcc0, rel=1e-9)
     # mean instantaneous single-phase power equals P/3
     assert np.mean(v * i) == pytest.approx(2000.0 / 3.0, rel=1e-6)
@@ -229,8 +242,9 @@ IMPEDANCE = st.tuples(st.floats(0.01, 3.0),  # R, then X/R on both sides of 1
        z1=IMPEDANCE, z2=IMPEDANCE, change=st.integers(0, WINDOW_LEN))
 def test_window_waveforms_are_the_scalar_samples_bit_for_bit(k0, h, d0, d_step, zeros, v0,
                                                             v_step, z1, z2, change):
-    # one window as the simulator records it: t = k h, a drifting angle with
-    # some exact +-0.0, and the grid impedance changing at sample `change`
+    # one window's samples as the simulator meets them, each its own window of one
+    # sample: t = k h, a drifting angle with some exact +-0.0, and the grid
+    # impedance changing at sample `change`
     t = [(k0 + j) * h for j in range(WINDOW_LEN)]
     delta = [d0 + j * d_step for j in range(WINDOW_LEN)]
     for j, zero in zeros:
@@ -239,8 +253,39 @@ def test_window_waveforms_are_the_scalar_samples_bit_for_bit(k0, h, d0, d_step, 
     rx = [(r, r * xr) for r, xr in (z1, z2)]
     r, x = zip(*(rx[j >= change] for j in range(WINDOW_LEN)))
     want = np.array([scalar_sample(*s) for s in zip(t, delta, v, r, x)]).T
-    got = np.array(pcc_waveforms(*map(np.array, (t, delta, v, r, x))))
+    got = np.array([window_waveforms([s[0]], [s[1:]])[0] for s in zip(t, delta, v, r, x)]).T
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("h", [50e-6, 200e-6])
+def test_each_estimator_sample_is_the_scalar_sample_of_its_row(monkeypatch, h):
+    # the windows the estimator is handed, across an SCR step between two steps
+    # in the middle of the second window to X/R 0.7, which takes the other
+    # branch of the division
+    windows = []
+
+    class Recording(sim.OracleEstimator):
+        def push_window(self, t, v, i):
+            windows.append(np.array([t, v, i]).T)
+            return super().push_window(t, v, i)
+
+    monkeypatch.setattr(sim, "OracleEstimator", Recording)
+    events = [ScenarioEvent(time=0.03013, kind="set_scr", value=8.0, xr_ratio=0.7)]
+    cfg = short_config(duration=0.1, dt_sim=h, out_period=200e-6, mode="avsg",
+                       estimator_kind="oracle")
+    s = run_scenario(cfg, events).series
+    sched = impedance_schedule(cfg, events)
+    rows = {t: (d, v, r) for t, d, v, r in zip(*(getattr(s, c).tolist()
+                                                 for c in ("t", "delta", "v_cmd", "r_g_true")))}
+    assert len(windows) == 5
+    for t, v_got, i_got in np.concatenate(windows).tolist():
+        d, v, r = rows[t]  # a sample off the output-row grid has no row
+        z = [z for start, z in sched if start <= t][-1]
+        assert r == z.r_g
+        want = scalar_sample(t, d, v, z.r_g, z.x_g)
+        assert np.array([v_got, i_got]).tobytes() == np.array(want).tobytes(), t
+    # the second window straddles the step
+    assert {rows[t][2] for t in windows[1][:, 0].tolist()} == {z.r_g for _, z in sched}
 
 
 # --- equilibrium -----------------------------------------------------------------
