@@ -32,8 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rk4
-from .grid import (OMEGA0_DEFAULT, S_RATED, V_G, scr_to_impedance, solve_operating_point,
-                   InfeasibleOperatingPointError)
+from .grid import OMEGA0_DEFAULT, S_RATED, V_G, operating_points, scr_to_impedance
 from .tables import read_table, write_table
 
 MODEL_FILE_VERSION = 1
@@ -319,38 +318,30 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_samples
+    draws = np.empty((n, 4))    # SCR, X/R, P, Q of each window
     phasors = np.empty((n, 4))  # delta, V_pcc, R_g, X_g of each window
     targets = np.empty((n, 2))
-    scr_col = np.empty(n)
-    xr_col = np.empty(n)
-    p_col = np.empty(n)
-    q_col = np.empty(n)
     noise = np.empty((n, 2 * WINDOW_LEN)) if cfg.noise_std > 0.0 else None
-    i = 0
-    while i < n:
-        scr = float(rng.choice(DATASET_SCR_VALUES))
-        xr = float(rng.choice(DATASET_XR_VALUES))
-        p_ref = float(rng.uniform(*DATASET_P_FRAC_RANGE)) * S_RATED
-        q_ref = float(rng.uniform(*DATASET_Q_FRAC_RANGE)) * S_RATED
-        z = scr_to_impedance(scr, xr)
-        try:
-            op = solve_operating_point(p_ref, q_ref, z, V_G)
-        except InfeasibleOperatingPointError:
-            continue  # resample
-        phasors[i] = (op.delta0, op.v_pcc0, z.r_g, z.x_g)
-        if noise is not None:  # voltage then current noise, drawn in window order
-            noise[i] = rng.normal(0.0, cfg.noise_std, 2 * WINDOW_LEN)
-        targets[i] = (z.r_g, z.l_g)
-        scr_col[i], xr_col[i] = scr, xr
-        p_col[i], q_col[i] = p_ref, q_ref
-        i += 1
+    todo = np.arange(n)
+    while todo.size:  # draw in window order, then redraw the windows with no operating point
+        for i in todo.tolist():
+            draws[i] = (rng.choice(DATASET_SCR_VALUES), rng.choice(DATASET_XR_VALUES),
+                        rng.uniform(*DATASET_P_FRAC_RANGE) * S_RATED,
+                        rng.uniform(*DATASET_Q_FRAC_RANGE) * S_RATED)
+            z = scr_to_impedance(*draws[i, :2].tolist())
+            phasors[i, 2:], targets[i] = (z.r_g, z.x_g), (z.r_g, z.l_g)
+            if noise is not None:  # voltage then current noise
+                noise[i] = rng.normal(0.0, cfg.noise_std, 2 * WINDOW_LEN)
+        delta, v = operating_points(*draws[todo, 2:].T, *phasors[todo, 2:].T)
+        phasors[todo, 0], phasors[todo, 1] = delta, v
+        todo = todo[np.isnan(v)]
     t = SAMPLE_DT + np.arange(WINDOW_LEN) * SAMPLE_DT
     inputs = np.empty((n, 2 * WINDOW_LEN))
     rk4.library().vsg_window_waveforms(n, WINDOW_LEN, t.ctypes.data, phasors.ctypes.data,
                                        OMEGA0_DEFAULT, V_G, inputs.ctypes.data)
     if noise is not None:
         inputs += noise
-    return Dataset(inputs, targets, scr_col, xr_col, p_col, q_col, np.full(n, SAMPLE_DT))
+    return Dataset(inputs, targets, *draws.T, np.full(n, SAMPLE_DT))
 
 
 def split_dataset(ds: Dataset, seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:

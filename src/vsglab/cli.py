@@ -22,32 +22,35 @@ from pathlib import Path
 
 from . import ann
 from .estimator import read_estimate_log_csv, write_estimate_log_csv
-from .grid import JacobianPQ, V_G, scr_to_impedance, solve_operating_point, jacobian
+from .grid import JacobianPQ, scr_to_impedance, solve_operating_point, jacobian
 from .report import ComparisonReport, build_comparison, render_text, write_tables
 from .sim import (BASELINE_GAINS, XR_RATIO_DEFAULT, SimConfig, ScenarioEvent, SimResult,
                   TimeSeries, benchmark_config, benchmark_events, run_scenario,
                   impedance_schedule, load_scenario, save_scenario)
-from .smallsignal import (DesignTargets, schedule_gains, open_loop_p,
+from .smallsignal import (DesignRegionError, DesignTargets, schedule_gains, open_loop_p,
                           bode, phase_margin, p_loop_info, q_loop_info,
                           write_frequency_response_csv)
 
 
-def _jac_from_grid(scr: float, xr: float, p: float, q: float) -> JacobianPQ:
+def _jac_from_grid(scr: float, xr: float, p: float, q: float) -> tuple[JacobianPQ, str]:
+    """The Jacobian at the solved operating point, and a design error's prefix naming it."""
     z = scr_to_impedance(scr, xr)
-    op = solve_operating_point(p, q, z, V_G)
-    return jacobian(op, z)
+    op = solve_operating_point(p, q, z)
+    return jacobian(op, z), (f"scr = {scr!r} and xr = {xr!r} at P = {p!r} W and Q = {q!r} var "
+                             f"solve to delta = {op.delta0!r} rad and V = {op.v_pcc0!r} V, where ")
 
 
 def cmd_gains(args) -> int:
     if (args.a is None) != (args.d is None):
         given, missing = ("--a", "--d") if args.d is None else ("--d", "--a")
         raise ValueError(f"{given} needs {missing}: gains come from both entries or the grid")
-    if args.a is not None:
-        jac = JacobianPQ(a=args.a, b=0.0, c=0.0, d=args.d)
-    else:
-        jac = _jac_from_grid(args.scr, args.xr, args.p, args.q)
+    jac, where = ((JacobianPQ(a=args.a, b=0.0, c=0.0, d=args.d), "") if args.a is not None
+                  else _jac_from_grid(args.scr, args.xr, args.p, args.q))
     targets = DesignTargets(t_s=args.ts, xi=args.xi, q_droop_divisor=args.divisor)
-    g = schedule_gains(jac, targets)
+    try:
+        g = schedule_gains(jac, targets)
+    except DesignRegionError as exc:
+        raise DesignRegionError(f"{where}{exc}") from None
     pinfo = p_loop_info(g, jac.a)
     qinfo = q_loop_info(g, jac.d)
     print(f"A    = {jac.a:.6g} W/rad")
@@ -66,9 +69,12 @@ def cmd_bode(args) -> int:
     tag = "scheduled" if args.scheduled else "fixed"
     curves = []
     for scr in (float(s) for s in args.scr_list.split(",")):
-        jac = _jac_from_grid(scr, args.xr, args.p, args.q)
-        g = schedule_gains(jac) if args.scheduled else BASELINE_GAINS
-        fr = bode(open_loop_p(g, jac.a))
+        jac, where = _jac_from_grid(scr, args.xr, args.p, args.q)
+        try:
+            g = schedule_gains(jac) if args.scheduled else BASELINE_GAINS
+            fr = bode(open_loop_p(g, jac.a))
+        except DesignRegionError as exc:
+            raise DesignRegionError(f"{where}{exc}") from None
         curves.append((scr, fr, phase_margin(fr)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -2,14 +2,17 @@
 
 Active/reactive power flow across a series R+jX grid impedance, the
 analytic 2x2 Jacobian of that map, conversion between short-circuit
-ratio (SCR) and impedance, and a damped-Newton operating-point solver.
-All quantities are per-phase RMS; powers are three-phase totals.
+ratio (SCR) and impedance, and operating points in closed form, as the
+roots of one quartic in the PCC voltage.  All quantities are per-phase
+RMS; powers are three-phase totals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 OMEGA0_DEFAULT = 100.0 * math.pi  # 50 Hz nominal
 V_G = 110.0       # plant rating: grid voltage, V RMS per phase
@@ -21,7 +24,8 @@ class DegenerateImpedanceError(ValueError):
 
 
 class InfeasibleOperatingPointError(RuntimeError):
-    """Newton solve for an operating point failed to converge."""
+    """No operating point carries the targets: no root of the power-flow quartic
+    has V_pcc in (0.5, 1.5) V_G and |delta| < pi/2."""
 
 
 @dataclass(frozen=True)
@@ -146,55 +150,54 @@ def scr_to_impedance(scr: float, xr_ratio: float) -> GridImpedance:
     return GridImpedance(r_g, x_g)
 
 
-def solve_operating_point(p_target: float, q_target: float, z: GridImpedance,
-                          v_g: float, *, tol: float = 1e-9, d_q: float = 0.0,
-                          v_nom: float = 0.0) -> OperatingPoint:
-    """Damped Newton solve of the power-flow equations for (delta, V_pcc).
+def operating_points(p_target, q_target, r_g, x_g, *, d_q: float = 0.0) -> tuple[np.ndarray, ...]:
+    """Operating points (delta, V_pcc) of arrays of targets and grid impedances.
 
-    Solves P = p_target and Q + d_q (V_pcc - v_nom) = q_target; a nonzero
-    Q-V droop gain `d_q` gives the steady state of the VSG outer loops,
-    and `v_nom` matters only then.  Searches |delta| < pi/2, V_pcc in
-    [0.5, 1.5] v_g for at most 50 Newton steps.  The residual tolerance
-    `tol` is relative to max(|P|, |Q|, 1), so both targets must be finite.
+    With S = P + jQ and Q = q_target - d_q (V_pcc - V_G), the two-bus power flow
+    V_pcc V_G e^{j delta} = V_pcc^2 - conj(Z) S / 3 (Kundur, Power System Stability
+    and Control, 1994) squares to a quartic in V_pcc, whose roots are the eigenvalues
+    of its companion matrix; a real one has an imaginary part of exactly 0.  Each
+    point is the largest real root in (0.5, 1.5) V_G, if |delta| < pi/2 there, and
+    NaN where there is none or the quartic overflows.
     """
+    p, q, r, x = np.broadcast_arrays(p_target, q_target, r_g, x_g)
+    # conj(Z) S / 3 = (a0 - a1 V) + j (b0 - b1 V) once Q carries the droop
+    q0 = q + d_q * V_G
+    a0, a1 = (r * p + x * q0) / 3.0, x * d_q / 3.0
+    b0, b1 = (r * q0 - x * p) / 3.0, r * d_q / 3.0
+    # (V^2 + a1 V - a0)^2 + (b0 - b1 V)^2 - V_G^2 V^2 = 0, monic
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.stack([-2.0 * a1, 2.0 * a0 - a1 * a1 - b1 * b1 + V_G * V_G,
+                        2.0 * (a0 * a1 + b0 * b1), -(a0 * a0 + b0 * b0)], axis=-1)
+    companion = np.zeros(p.shape + (4, 4))  # all roots 0 where the quartic overflows
+    companion[..., 0, :] = np.where(np.isfinite(top).all(axis=-1, keepdims=True), top, 0.0)
+    companion[..., (1, 2, 3), (0, 1, 2)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    in_range = (roots.imag == 0.0) & (0.5 * V_G < roots.real) & (roots.real < 1.5 * V_G)
+    v = np.fmax.reduce(np.where(in_range, roots.real, np.nan), axis=-1)
+    delta = np.arctan2(b1 * v - b0, v * v - a0 + a1 * v)
+    ok = np.abs(delta) < math.pi / 2
+    return np.where(ok, delta, np.nan), np.where(ok, v, np.nan)
+
+
+def solve_operating_point(p_target: float, q_target: float, z: GridImpedance, *,
+                          d_q: float = 0.0) -> OperatingPoint:
+    """`operating_points` at one point: P = p_target and Q + d_q (V_pcc - V_G) = q_target,
+    the steady state of the VSG outer loops when the Q-V droop gain d_q is nonzero.
+    Where no root qualifies, InfeasibleOperatingPointError names the targets, the
+    grid and the maximum power transfer (at Q = q_target)."""
     for name, value in (("p_target", p_target), ("q_target", q_target)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    max_iter = 50
-    scale = max(abs(p_target), abs(q_target), 1.0)
-    delta, v = 0.0, v_g
-
-    def residual(d: float, vv: float) -> tuple[float, float, float]:
-        p, q = _pf(d, vv, v_g, z.r_g, z.x_g)
-        rp, rq = p - p_target, q + d_q * (vv - v_nom) - q_target
-        return rp, rq, math.hypot(rp, rq)
-
-    rp, rq, rn = residual(delta, v)
-    for _ in range(max_iter):
-        if rn <= tol * scale:
-            return OperatingPoint(delta0=delta, v_pcc0=v, v_g=v_g)
-        a, b, c, d = _pf_jac(delta, v, v_g, z.r_g, z.x_g)
-        d += d_q
-        det = a * d - b * c
-        if det == 0.0 or not math.isfinite(det):
-            raise InfeasibleOperatingPointError("singular Jacobian during Newton solve")
-        dd = (d * rp - b * rq) / det
-        dv = (-c * rp + a * rq) / det
-        # step halving until the residual shrinks and stays in the domain
-        step = 1.0
-        for _ in range(40):
-            d_new = delta - step * dd
-            v_new = v - step * dv
-            if abs(d_new) < math.pi / 2 and 0.5 * v_g < v_new < 1.5 * v_g:
-                rp_n, rq_n, rn_n = residual(d_new, v_new)
-                if rn_n < rn:
-                    delta, v, rp, rq, rn = d_new, v_new, rp_n, rq_n, rn_n
-                    break
-            step *= 0.5
-        else:
-            raise InfeasibleOperatingPointError(
-                f"no descent step found at residual {rn:.3e}")
-    if rn <= tol * scale:
-        return OperatingPoint(delta0=delta, v_pcc0=v, v_g=v_g)
-    raise InfeasibleOperatingPointError(
-        f"Newton did not converge in {max_iter} iterations (residual {rn:.3e})")
+    delta, v = operating_points(p_target, q_target, z.r_g, z.x_g, d_q=d_q)
+    if math.isnan(v):
+        r, x = z.r_g, z.x_g
+        b = (r * q_target - x * p_target) / 3.0
+        limit = V_G * V_G * (V_G * V_G / 4.0 + (r * p_target + x * q_target) / 3.0)
+        raise InfeasibleOperatingPointError(
+            f"no V_pcc in ({0.5 * V_G:g}, {1.5 * V_G:g}) V with |delta| < pi/2 carries P = "
+            f"{p_target!r} W and Q = {q_target!r} var over R = {r!r} ohm and X = {x!r} ohm: "
+            + (f"they are beyond the maximum power transfer, (R Q - X P)^2 / 9 = {b * b:.6g} "
+               f"V^4 > V_G^2 (V_G^2 / 4 + (R P + X Q) / 3) = {limit:.6g} V^4" if b * b > limit
+               else "they are within the maximum power transfer, at a V_pcc outside that range"))
+    return OperatingPoint(delta0=float(delta), v_pcc0=float(v), v_g=V_G)

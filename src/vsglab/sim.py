@@ -202,8 +202,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
 
     sp = cfg.setpoints
     gains = cfg.gains
-    op = solve_operating_point(sp.p_ref, sp.q_ref, z, V_G, tol=1e-10,
-                               d_q=gains.d_q, v_nom=V_G)
+    op = solve_operating_point(sp.p_ref, sp.q_ref, z, d_q=gains.d_q)
     d, v = op.delta0, op.v_pcc0
 
     estimator = None

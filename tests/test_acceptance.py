@@ -70,7 +70,7 @@ def test_phase_margin_drops_with_grid_strength_unless_rescheduled():
     fixed, scheduled = [], []
     for scr in (2.0, 8.0, 20.0):
         z = scr_to_impedance(scr, 5.0)
-        j = jacobian(solve_operating_point(2000.0, 1000.0, z, 110.0), z)
+        j = jacobian(solve_operating_point(2000.0, 1000.0, z), z)
         fixed.append(phase_margin(bode(open_loop_p(BASELINE, j.a))))
         g = schedule_gains(j)
         scheduled.append(phase_margin(bode(open_loop_p(g, j.a))))
@@ -81,7 +81,7 @@ def test_phase_margin_drops_with_grid_strength_unless_rescheduled():
 
 def test_design_rule_step_response():
     z = scr_to_impedance(2.0, 5.0)
-    j = jacobian(solve_operating_point(2000.0, 1000.0, z, 110.0), z)
+    j = jacobian(solve_operating_point(2000.0, 1000.0, z), z)
     g = schedule_gains(j)
     info = p_loop_info(g, j.a)
     assert info.t_s_rule == pytest.approx(1.000, rel=1e-12)

@@ -16,7 +16,7 @@ import pytest
 from vsglab import cli
 from vsglab.ann import DatasetConfig, generate_dataset
 from vsglab.cli import main
-from vsglab.grid import InfeasibleOperatingPointError
+from vsglab.grid import InfeasibleOperatingPointError, scr_to_impedance, solve_operating_point
 from vsglab.sim import (NumericFailureError, SimConfig, ScenarioEvent, Setpoints, TimeSeries,
                         save_scenario, scenario_to_dict)
 from vsglab.smallsignal import VsgGains
@@ -79,6 +79,8 @@ def test_gains_rejects_bad_inputs(capsys):
                         (["--a", "5", "--d", "1e-320"], "cannot be met at D = 1e-320"),
                         (["--q", "inf"], "q_target must be finite"),
                         (["--p=-inf"], "p_target must be finite"),
+                        # targets whose power-flow quartic overflows
+                        (["--p", "1e300"], "P = 1e+300 W and Q = 1000.0 var over R = "),
                         (["--scr", "nan"], "scr must be finite"),
                         (["--scr", "inf"], "scr must be finite"),
                         (["--xr", "inf"], "xr_ratio must be finite"),
@@ -92,6 +94,24 @@ def test_gains_rejects_bad_inputs(capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and named in captured.err
         assert not any(gain in captured.err.lower() for gain in ("d_p", "k_ip", "d_q", "k_iq"))
+
+
+def test_gains_and_bode_name_the_grid_they_cannot_design_at(tmp_path, capsys):
+    # a nearly resistive grid solves to an operating point where A < 0: the error
+    # names the grid, the targets and the solved point
+    op = solve_operating_point(2000.0, 1000.0, scr_to_impedance(2.0, 1e-3))
+    named = (f"scr = 2.0 and xr = 0.001 at P = 2000.0 W and Q = 1000.0 var solve to "
+             f"delta = {op.delta0!r} rad and V = {op.v_pcc0!r} V, where ")
+    assert main(["gains", "--xr", "1e-3"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}Jacobian entry A must be > 0")
+    for scheduled in ([], ["--scheduled"]):
+        assert main(["bode", "--scr-list", "2", "--xr", "1e-3", *scheduled,
+                     "--out", str(tmp_path / "bode")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+    assert not (tmp_path / "bode").exists()
+    # a grid too weak to carry the targets at all
+    assert main(["gains", "--scr", "0.3"]) == 2
+    assert "are beyond the maximum power transfer" in capsys.readouterr().err
 
 
 def test_bode_fixed_gains_margins_decrease(tmp_path, capsys):

@@ -2,14 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, assume, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsglab.grid import (OMEGA0_DEFAULT, GridImpedance, OperatingPoint,
                          DegenerateImpedanceError, InfeasibleOperatingPointError,
-                         power_flow, jacobian,
+                         power_flow, jacobian, operating_points,
                          scr_to_impedance, solve_operating_point)
+from vsglab.sim import BASELINE_GAINS
 
 
 def z_rx(r, x):
@@ -63,14 +65,14 @@ def test_scr_to_impedance_weak_grid():
 
 
 def test_solve_operating_point_null():
-    o = solve_operating_point(0.0, 0.0, z_rx(0.5, 3.0), 110.0)
+    o = solve_operating_point(0.0, 0.0, z_rx(0.5, 3.0))
     assert o.delta0 == pytest.approx(0.0, abs=1e-12)
     assert o.v_pcc0 == pytest.approx(110.0, abs=1e-9)
 
 
 def test_solve_operating_point_inverse_of_power_flow():
     z = z_rx(0.0, 3.63)
-    o = solve_operating_point(998.33, 49.96, z, 110.0)
+    o = solve_operating_point(998.33, 49.96, z)
     assert o.delta0 == pytest.approx(0.1, abs=1e-4)
     assert o.v_pcc0 == pytest.approx(110.0, abs=0.01)
 
@@ -96,7 +98,31 @@ def test_operating_point_domain():
 def test_infeasible_target_raises():
     # far beyond the line's transfer capability
     with pytest.raises(InfeasibleOperatingPointError):
-        solve_operating_point(1e9, 0.0, z_rx(0.0, 3.63), 110.0)
+        solve_operating_point(1e9, 0.0, z_rx(0.0, 3.63))
+    # the default targets on an SCR 0.3 grid: the error names the targets, the grid
+    # and the limit they break; on an SCR 2 grid 20 kvar is within the limit but
+    # needs a PCC voltage far above the grid's
+    for scr, q, cause in ((0.3, 1000.0, "beyond the maximum power transfer, (R Q - X P)^2 / 9"),
+                          (2.0, 20000.0, "within the maximum power transfer, at a V_pcc "
+                                         "outside that range")):
+        z = scr_to_impedance(scr, 5.0)
+        with pytest.raises(InfeasibleOperatingPointError) as err:
+            solve_operating_point(2000.0, q, z)
+        assert str(err.value).startswith(
+            f"no V_pcc in (55, 165) V with |delta| < pi/2 carries P = 2000.0 W and Q = {q!r} var "
+            f"over R = {z.r_g!r} ohm and X = {z.x_g!r} ohm: they are {cause}")
+
+
+def test_solves_a_grid_at_the_edge_of_double_precision():
+    # a nearly ideal, purely resistive grid (|Z| = 7e-10 ohm, X = 7e-310 ohm), where
+    # one ulp of V_pcc moves P by 6e-3 W, so no double meets a 1e-9 relative
+    # residual: the solved point is as close as a few ulps of V_pcc allow
+    z = scr_to_impedance(1e10, 1e-300)
+    o = solve_operating_point(2000.0, 1000.0, z)
+    pq, j = power_flow(o, z), jacobian(o, z)
+    ulps = 4.0 * (abs(j.a) * math.ulp(o.delta0) + abs(j.b) * math.ulp(o.v_pcc0))
+    assert abs(pq.p - 2000.0) <= 1e-9 * 2000.0 + ulps
+    assert abs(pq.q - 1000.0) <= 1e-9 * 2000.0
 
 
 # --- properties --------------------------------------------------------------
@@ -148,15 +174,25 @@ def test_scr_round_trip(scr, xr):
     assert z.x_g / z.r_g == pytest.approx(xr, rel=1e-12)
 
 
+POINTS = st.tuples(st.floats(0.0, 3000.0), st.floats(-1000.0, 1500.0), st.floats(1.5, 30.0))
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.floats(0.0, 3000.0), st.floats(-1000.0, 1500.0), st.floats(1.5, 30.0))
-def test_solve_is_right_inverse_of_power_flow(p, q, scr):
-    z = scr_to_impedance(scr, 5.0)
-    try:
-        o = solve_operating_point(p, q, z, 110.0)
-    except InfeasibleOperatingPointError:
-        assume(False)
-    pq = power_flow(o, z)
-    scale = max(abs(p), abs(q), 1.0)
-    assert abs(pq.p - p) <= 1e-6 * scale
-    assert abs(pq.q - q) <= 1e-6 * scale
+@given(st.lists(POINTS, min_size=1, max_size=8), st.sampled_from([0.0, BASELINE_GAINS.d_q]))
+def test_solve_is_right_inverse_of_power_flow(points, d_q):
+    # with and without the VSG's Q-V droop; each point of one array call is the
+    # scalar solve's, bit for bit, and NaN where the scalar solve raises
+    zs = [scr_to_impedance(scr, 5.0) for _, _, scr in points]
+    deltas, vs = operating_points([p for p, _, _ in points], [q for _, q, _ in points],
+                                  [z.r_g for z in zs], [z.x_g for z in zs], d_q=d_q)
+    for (p, q, _), z, delta, v in zip(points, zs, deltas, vs):
+        try:
+            o = solve_operating_point(p, q, z, d_q=d_q)
+        except InfeasibleOperatingPointError:
+            assert math.isnan(delta) and math.isnan(v)
+            continue
+        assert np.array([o.delta0, o.v_pcc0]).tobytes() == np.array([delta, v]).tobytes()
+        pq = power_flow(o, z)
+        scale = max(abs(p), abs(q), 1.0)
+        assert abs(pq.p - p) <= 1e-9 * scale
+        assert abs(pq.q + d_q * (o.v_pcc0 - 110.0) - q) <= 1e-9 * scale

@@ -17,7 +17,8 @@ from vsglab.grid import _pf
 from vsglab.sim import (RETIRED_SCENARIO_KEYS, TIMESERIES_COLUMNS, Setpoints, ScenarioEvent,
                         SimConfig, TimeSeries, NumericFailureError,
                         impedance_schedule, run_scenario, scenario_to_dict,
-                        scenario_from_dict, save_scenario, load_scenario)
+                        scenario_from_dict, save_scenario, load_scenario, benchmark_config,
+                        benchmark_events)
 from vsglab.cli import _truth_schedule
 from vsglab.smallsignal import DesignTargets, VsgGains
 
@@ -77,8 +78,7 @@ def textbook_rk4(cfg, events, gains=None):
     z = scr_to_impedance(cfg.scr, xr)
     r, x = z.r_g, z.x_g
     kz = 3.0 / (r * r + x * x)
-    op = solve_operating_point(cfg.setpoints.p_ref, cfg.setpoints.q_ref, z, vg, tol=1e-10,
-                               d_q=g.d_q, v_nom=vg)
+    op = solve_operating_point(cfg.setpoints.p_ref, cfg.setpoints.q_ref, z, d_q=g.d_q)
     pref, qref, wc = cfg.setpoints.p_ref, cfg.setpoints.q_ref, cfg.meas_lpf_cutoff
 
     def rates(d, w, v, pf, qf):
@@ -212,7 +212,7 @@ def window_waveforms(t, phasors):
 
 def test_window_waveforms_rms_and_power():
     z = scr_to_impedance(2.0, 5.0)
-    op = solve_operating_point(2000.0, 1000.0, z, 110.0)
+    op = solve_operating_point(2000.0, 1000.0, z)
     # one full cycle at the estimator rate
     v, i = window_waveforms(200e-6 * np.arange(1, 101),
                             [(op.delta0, op.v_pcc0, z.r_g, z.x_g)]).reshape(2, 100)
@@ -293,17 +293,31 @@ def test_each_estimator_sample_is_the_scalar_sample_of_its_row(monkeypatch, h):
 def test_solve_equilibrium_satisfies_loop_balance():
     z = scr_to_impedance(2.0, 5.0)
     sp = Setpoints(2000.0, 1000.0)
-    op = solve_operating_point(sp.p_ref, sp.q_ref, z, 110.0, tol=1e-10,
-                               d_q=GAINS.d_q, v_nom=110.0)
+    op = solve_operating_point(sp.p_ref, sp.q_ref, z, d_q=GAINS.d_q)
     pq = power_flow(op, z)
     assert pq.p == pytest.approx(2000.0, abs=1e-5)
     assert pq.q + GAINS.d_q * (op.v_pcc0 - 110.0) == pytest.approx(1000.0, abs=1e-5)
+    # every (SCR, P, Q) the 60 s benchmark settles at, as a run would start there
+    cfg, segments = benchmark_config("cvsg"), []
+    scr, p, q = cfg.scr, cfg.setpoints.p_ref, cfg.setpoints.q_ref
+    for ev in [*benchmark_events(), None]:
+        segments.append((scr, p, q))
+        if ev is not None:
+            scr, p, q = {"set_scr": (ev.value, p, q), "set_p_ref": (scr, ev.value, q),
+                         "set_q_ref": (scr, p, ev.value)}[ev.kind]
+    assert len(set(segments)) == 6
+    for scr, p, q in segments:
+        z = scr_to_impedance(scr, cfg.xr_ratio)
+        op = solve_operating_point(p, q, z, d_q=cfg.gains.d_q)
+        pq, scale = power_flow(op, z), max(abs(p), abs(q), 1.0)
+        assert abs(pq.p - p) <= 1e-9 * scale
+        assert abs(pq.q + cfg.gains.d_q * (op.v_pcc0 - 110.0) - q) <= 1e-9 * scale
 
 
 def test_solve_equilibrium_infeasible():
     z = scr_to_impedance(2.0, 5.0)
     with pytest.raises(InfeasibleOperatingPointError):
-        solve_operating_point(1e8, 0.0, z, 110.0, tol=1e-10, d_q=GAINS.d_q, v_nom=110.0)
+        solve_operating_point(1e8, 0.0, z, d_q=GAINS.d_q)
 
 
 # --- scenario runner -------------------------------------------------------------
@@ -377,12 +391,13 @@ def test_bad_scr_event_fails_before_integration():
 
 def test_divergence_raises_numeric_failure():
     # K_ip D_p = 2e5 1/s puts the P-loop pole far outside RK4's stability
-    # region at 50 us; the angle runs off to infinity inside a step, whose
-    # state the NaN of sin(inf) then makes non-finite
+    # region at 50 us; a 100 W P-step at 1 ms excites it (the run starts on its
+    # exact equilibrium, a fixed point of the steps), the angle runs off to
+    # infinity inside a step, whose state the NaN of sin(inf) then makes non-finite
     cfg = short_config(duration=1.0, gains=VsgGains(2087.0, 100.0, 0.687, 0.115))
     with pytest.raises(NumericFailureError,
-                       match=r"^non-finite state after the RK4 step at t = 0\.006200$"):
-        run_scenario(cfg, [])
+                       match=r"^non-finite state after the RK4 step at t = 0\.006950$"):
+        run_scenario(cfg, [ScenarioEvent(time=0.001, kind="set_p_ref", value=2100.0)])
     # with K_iq = 1e6 the voltage loop leaves the finite range in the first step
     cfg = short_config(duration=1.0, gains=VsgGains(2087.0, 0.00767, 0.687, 1e6))
     with pytest.raises(NumericFailureError,

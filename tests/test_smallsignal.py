@@ -25,7 +25,7 @@ def jac(a, d):
 
 def solved_jacobian(scr, p=2000.0, q=1000.0):
     z = scr_to_impedance(scr, 5.0)
-    return jacobian(solve_operating_point(p, q, z, 110.0), z)
+    return jacobian(solve_operating_point(p, q, z), z)
 
 
 # --- transfer-function forms -------------------------------------------------
