@@ -564,8 +564,8 @@ def load_model(path: str | Path) -> tuple[MlpModel, Normalizer]:
     if type(doc) is not dict:
         raise ValueError(f"model file must be an object, got {type(doc).__name__}")
     try:
-        if doc["version"] != MODEL_FILE_VERSION:
-            raise ValueError(f"unsupported model file version {doc['version']}")
+        if type(doc["version"]) is not int or doc["version"] != MODEL_FILE_VERSION:
+            raise ValueError(f"unsupported model file version {doc['version']!r}")
         for key, value in (("target_transform", "log"), ("output_activation", "linear")):
             if doc[key] != value:
                 raise ValueError(f"unsupported {key} {doc[key]!r}")

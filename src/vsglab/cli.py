@@ -27,7 +27,7 @@ from .report import ComparisonReport, build_comparison, render_text, write_table
 from .sim import (BASELINE_GAINS, XR_RATIO_DEFAULT, SimConfig, ScenarioEvent, SimResult,
                   TimeSeries, benchmark_config, benchmark_events, run_scenario,
                   impedance_schedule, load_scenario, save_scenario)
-from .smallsignal import (DesignRegionError, DesignTargets, schedule_gains, open_loop_p,
+from .smallsignal import (DesignRegionError, DesignTargets, NoCrossoverError, schedule_gains,
                           bode, phase_margin, p_loop_info, q_loop_info,
                           write_frequency_response_csv)
 
@@ -72,10 +72,10 @@ def cmd_bode(args) -> int:
         jac, where = _jac_from_grid(scr, args.xr, args.p, args.q)
         try:
             g = schedule_gains(jac) if args.scheduled else BASELINE_GAINS
-            fr = bode(open_loop_p(g, jac.a))
-        except DesignRegionError as exc:
-            raise DesignRegionError(f"{where}{exc}") from None
-        curves.append((scr, fr, phase_margin(fr)))
+            fr = bode(g, jac.a)
+            curves.append((scr, fr, phase_margin(fr)))
+        except (DesignRegionError, NoCrossoverError) as exc:
+            raise type(exc)(f"{where}{exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for scr, fr, _ in curves:
@@ -228,17 +228,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="vsglab",
                                 description="VSG adaptive gain scheduling toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    # the grid and set-points default to the simulator's start, the targets to the design's
+    start, targets = SimConfig.setpoints, DesignTargets()
 
     g = sub.add_parser("gains", help="scheduled gains and predicted loop metrics")
     g.add_argument("--a", type=float, help="static P-delta gain A [W/rad]")
     g.add_argument("--d", type=float, help="static Q-V gain D [var/V]")
-    g.add_argument("--scr", type=float, default=2.0)
+    g.add_argument("--scr", type=float, default=SimConfig.scr)
     g.add_argument("--xr", type=float, default=XR_RATIO_DEFAULT)
-    g.add_argument("--p", type=float, default=2000.0)
-    g.add_argument("--q", type=float, default=1000.0)
-    g.add_argument("--ts", type=float, default=1.0)
-    g.add_argument("--xi", type=float, default=1.0)
-    g.add_argument("--divisor", type=float, default=100.0)
+    g.add_argument("--p", type=float, default=start.p_ref)
+    g.add_argument("--q", type=float, default=start.q_ref)
+    g.add_argument("--ts", type=float, default=targets.t_s)
+    g.add_argument("--xi", type=float, default=targets.xi)
+    g.add_argument("--divisor", type=float, default=targets.q_droop_divisor)
     g.set_defaults(func=cmd_gains)
 
     b = sub.add_parser("bode", help="open-loop Bode curves and phase margins over SCRs")
@@ -246,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--scheduled", action="store_true",
                    help="use scheduled gains instead of the fixed baseline")
     b.add_argument("--xr", type=float, default=XR_RATIO_DEFAULT)
-    b.add_argument("--p", type=float, default=2000.0)
-    b.add_argument("--q", type=float, default=1000.0)
+    b.add_argument("--p", type=float, default=start.p_ref)
+    b.add_argument("--q", type=float, default=start.q_ref)
     b.add_argument("--out", default="out")
     b.set_defaults(func=cmd_bode)
 

@@ -1,9 +1,10 @@
 """Small-signal machinery for the VSG power loops.
 
-The active open-loop transfer function, loop characteristics, Bode evaluation
-with phase unwrapping, phase-margin extraction, and the gain-scheduling
-rule that pins the active loop at omega_n = 4/(xi*Ts) with damping xi
-and the reactive loop at a first-order pole with ~1% steady-state error.
+Loop characteristics, the gain-scheduling rule that pins the active loop at
+omega_n = 4/(xi*Ts) with damping xi and the reactive loop at a first-order
+pole with ~1% steady-state error, and the Bode response and phase margin of
+the one loop that rule designs: the active open loop
+L(s) = A K_ip / (s (s + D_p K_ip)).
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ class SchedulingError(DesignRegionError):
 
 class NoCrossoverError(ValueError):
     """The magnitude response never crosses 0 dB on the evaluated grid."""
-
-
-class ExcludedPointError(ValueError):
-    """Transfer-function evaluation hit a pole on the imaginary axis."""
 
 
 @dataclass(frozen=True)
@@ -65,20 +62,6 @@ class DesignTargets:
 
 
 @dataclass(frozen=True)
-class TransferFunction:
-    """Rational transfer function; coefficients in ascending powers of s."""
-
-    num: tuple[float, ...]
-    den: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.den or self.den[-1] == 0.0:
-            raise ValueError("denominator leading coefficient must be nonzero")
-        if not all(math.isfinite(c) for c in self.num + self.den):
-            raise ValueError("coefficients must be finite")
-
-
-@dataclass(frozen=True)
 class FrequencyResponse:
     """Sampled frequency response with unwrapped phase."""
 
@@ -108,14 +91,6 @@ class FirstOrderInfo:
     e_inf: float   # steady-state error fraction
     tau: float     # time constant, s
     pole: float    # rad/s (negative)
-
-
-def open_loop_p(gains: VsgGains, jac_a: float) -> TransferFunction:
-    """Active open loop: the control law K_ip / (s^2 + D_p K_ip s) times the
-    static P-delta gain A."""
-    if jac_a <= 0.0:
-        raise DesignRegionError(f"A must be > 0, got {jac_a}")
-    return TransferFunction(num=(jac_a * gains.k_ip,), den=(0.0, gains.d_p * gains.k_ip, 1.0))
 
 
 def p_loop_info(gains: VsgGains, jac_a: float) -> SecondOrderInfo:
@@ -171,24 +146,18 @@ def schedule_gains(jac, targets: DesignTargets = DesignTargets()) -> VsgGains:
     return VsgGains(d_p=d_p, k_ip=k_ip, d_q=d_q, k_iq=k_iq)
 
 
-def default_omega_grid() -> np.ndarray:
-    """400 log-spaced points from 1e-2 to 1e3 rad/s."""
-    return np.logspace(-2.0, 3.0, 400)
-
-
-def bode(tf: TransferFunction, omega: np.ndarray | None = None) -> FrequencyResponse:
-    """Magnitude (dB) and unwrapped phase (deg) of tf(j omega)."""
-    if omega is None:
-        omega = default_omega_grid()
-    omega = np.asarray(omega, dtype=float)
+def bode(gains: VsgGains, jac_a: float, omega: np.ndarray | None = None) -> FrequencyResponse:
+    """Magnitude (dB) and unwrapped phase (deg) of the active open loop, the control
+    law K_ip / (s^2 + D_p K_ip s) times the static P-delta gain A, at s = j omega
+    (by default 400 log-spaced points from 1e-2 to 1e3 rad/s).  Its poles, 0 and
+    -D_p K_ip, are off the positive imaginary axis."""
+    if jac_a <= 0.0:
+        raise DesignRegionError(f"A must be > 0, got {jac_a}")
+    omega = np.logspace(-2.0, 3.0, 400) if omega is None else np.asarray(omega, dtype=float)
     if np.any(omega <= 0) or np.any(np.diff(omega) <= 0):
         raise ValueError("omega grid must be positive and strictly increasing")
     s = 1j * omega
-    num = np.polynomial.polynomial.polyval(s, np.asarray(tf.num))
-    den = np.polynomial.polynomial.polyval(s, np.asarray(tf.den))
-    if np.any(den == 0):
-        raise ExcludedPointError("grid point coincides with an imaginary-axis pole")
-    h = num / den
+    h = (jac_a * gains.k_ip) / (s * (s + gains.d_p * gains.k_ip))
     mag_db = 20.0 * np.log10(np.abs(h))
     phase_deg = np.degrees(np.unwrap(np.angle(h)))
     return FrequencyResponse(omega=omega, mag_db=mag_db, phase_deg=phase_deg)
@@ -203,7 +172,8 @@ def phase_margin(fr: FrequencyResponse) -> float:
         i = exact[-1]
         return 180.0 + float(fr.phase_deg[i])
     if crossings.size == 0:
-        raise NoCrossoverError("magnitude response never crosses 0 dB on the grid")
+        raise NoCrossoverError(f"the magnitude response never crosses 0 dB on the grid from "
+                               f"{fr.omega[0]:g} to {fr.omega[-1]:g} rad/s")
     i = crossings[-1]
     logw = np.log10(fr.omega)
     frac = mag[i] / (mag[i] - mag[i + 1])

@@ -114,6 +114,15 @@ def test_gains_and_bode_name_the_grid_they_cannot_design_at(tmp_path, capsys):
     assert "are beyond the maximum power transfer" in capsys.readouterr().err
 
 
+def test_bode_names_the_grid_whose_loop_has_no_crossover(tmp_path, capsys):
+    # on so stiff a grid the fixed gains cross 0 dB above the 1e3 rad/s end of the grid
+    assert main(["bode", "--scr-list", "2,1e6", "--out", str(tmp_path / "bode")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scr = 1000000.0 and xr = 5.0 at P = 2000.0 W")
+    assert "never crosses 0 dB on the grid from 0.01 to 1000 rad/s" in err
+    assert not (tmp_path / "bode").exists()
+
+
 def test_bode_fixed_gains_margins_decrease(tmp_path, capsys):
     assert main(["bode", "--scr-list", "2,8,20", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -210,6 +219,11 @@ MALFORMED_INPUTS = {
                                     "target_transform 'identity'"),
     "model-without-target_transform": ("model", _drop("target_transform"),
                                        "'target_transform'"),
+    # JSON's true and 1.0 compare equal to the version 1 but are not it
+    "boolean-version": ("model", lambda d: d.update(version=True),
+                        "unsupported model file version True"),
+    "float-version": ("model", lambda d: d.update(version=1.0),
+                      "unsupported model file version 1.0"),
     "scenario-without-sim": ("scenario", _drop("sim"), "'sim'"),
     "scenario-without-setpoints": ("scenario", _drop("sim", "setpoints"), "'setpoints'"),
     "gains-without-k_iq": ("scenario", _drop("sim", "gains", "k_iq"), "'k_iq'"),

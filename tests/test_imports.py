@@ -1,8 +1,11 @@
 """Every module of the package and of its tests uses each name it imports (no linter needed),
-no module of the package forks, and README's module table names every module."""
+no module of the package forks, README's module table names every module, and the suite's
+pytest settings let a failing property test fail alone."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "vsglab"
 README = TESTS.parent / "README.md"
+PYPROJECT = TESTS.parent / "pyproject.toml"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -70,3 +74,18 @@ def test_readme_module_table_names_exactly_the_package_modules():
     rows = re.findall(r"^\| `vsglab\.(\w+)` \|", section, flags=re.M)
     assert len(rows) == len(set(rows))
     assert sorted(rows) == sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def test_a_failing_property_test_does_not_stop_the_run(tmp_path):
+    # hypothesis's report hook for a failing @given test raises mypy_extensions'
+    # DeprecationWarning; unless the config ignores it, filterwarnings = error turns it
+    # into an INTERNALERROR that ends the run before the next test
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_a_failing_property(n):\n    assert n != n\n\n\n"
+        "def test_a_passing_test():\n    pass\n")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-c", str(PYPROJECT),
+                           "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_two.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout.splitlines()[-1]

@@ -1,4 +1,5 @@
-"""Loop transfer functions, gain scheduling, and Bode/phase-margin tools."""
+"""Loop characteristics, gain scheduling, and the active open loop's Bode response and
+phase margin."""
 
 import math
 
@@ -8,12 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vsglab.grid import JacobianPQ, scr_to_impedance, solve_operating_point, jacobian
-from vsglab.smallsignal import (VsgGains, DesignTargets, TransferFunction,
+from vsglab.smallsignal import (VsgGains, DesignTargets,
                                 DesignRegionError, SchedulingError, NoCrossoverError,
-                                ExcludedPointError,
-                                open_loop_p, p_loop_info,
-                                q_loop_info, schedule_gains, bode, phase_margin,
-                                default_omega_grid, write_frequency_response_csv)
+                                p_loop_info, q_loop_info, schedule_gains, bode, phase_margin,
+                                write_frequency_response_csv)
 from vsglab.tables import read_table
 
 BASELINE = VsgGains(d_p=2087.0, k_ip=0.00767, d_q=0.687, k_iq=0.115)
@@ -28,38 +27,62 @@ def solved_jacobian(scr, p=2000.0, q=1000.0):
     return jacobian(solve_operating_point(p, q, z), z)
 
 
-# --- transfer-function forms -------------------------------------------------
+# --- the active open loop ----------------------------------------------------
+
+# L(s) = c / (s (s + b)) with b = D_p K_ip and c = A K_ip; the SCRs are the
+# benchmark's grids (2, 8, 20) and two between them, each with the fixed
+# baseline and with its scheduled gains
+SCRS = (2.0, 3.3, 8.0, 12.7, 20.0)
+DESIGNS = [pytest.param(scr, scheduled, id=f"scr{scr:g}-{'scheduled' if scheduled else 'fixed'}")
+           for scr in SCRS for scheduled in (False, True)]
+
+
+def design(scr, scheduled):
+    """(gains, A) of the active loop at `scr`."""
+    j = solved_jacobian(scr)
+    return (schedule_gains(j) if scheduled else BASELINE), j.a
+
+
+@pytest.mark.parametrize("scr, scheduled", DESIGNS)
+def test_bode_is_the_active_loop_in_closed_form(scr, scheduled):
+    g, a = design(scr, scheduled)
+    b, c = g.d_p * g.k_ip, a * g.k_ip
+    fr = bode(g, a)
+    w = fr.omega
+    np.testing.assert_allclose(10.0 ** (fr.mag_db / 20.0), c / (w * np.sqrt(w * w + b * b)),
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fr.phase_deg, -90.0 - np.degrees(np.arctan(w / b)),
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scr, scheduled", DESIGNS)
+def test_phase_margin_is_the_closed_form_within_a_hundredth_of_a_degree(scr, scheduled):
+    # |L(j w_c)| = 1 gives w_c^4 + b^2 w_c^2 - c^2 = 0, and the phase there is
+    # -90 deg - atan(w_c / b), so the margin is atan(b / w_c)
+    g, a = design(scr, scheduled)
+    b, c = g.d_p * g.k_ip, a * g.k_ip
+    w_c = math.sqrt((math.sqrt(b ** 4 + 4.0 * c * c) - b * b) / 2.0)
+    assert abs(phase_margin(bode(g, a)) - math.degrees(math.atan(b / w_c))) < 0.01
+
 
 # the control law K_ip / (s^2 + D_p K_ip s) is the open loop at A = 1
 
-def test_control_tf_p_coefficients():
-    tf = open_loop_p(VsgGains(d_p=2.0, k_ip=1.0, d_q=1.0, k_iq=1.0), 1.0)
-    assert tf.num == (1.0,)
-    assert tf.den == (0.0, 2.0, 1.0)
-
-
-def test_control_tf_p_baseline_damping_product():
-    tf = open_loop_p(BASELINE, 1.0)
-    assert tf.den[1] == pytest.approx(16.007, abs=1e-3)
-
-
 def test_control_tf_p_integrates_at_dc():
-    tf = open_loop_p(VsgGains(d_p=2.0, k_ip=1.0, d_q=1.0, k_iq=1.0), 1.0)
-    assert bode(tf, np.array([1e-9])).mag_db[0] > 160.0   # |tf| > 1e8
-
-
-def test_transfer_function_validation():
-    with pytest.raises(ValueError):
-        TransferFunction(num=(1.0,), den=(1.0, 0.0))
-    with pytest.raises(ValueError):
-        TransferFunction(num=(math.nan,), den=(1.0,))
+    g = VsgGains(d_p=2.0, k_ip=1.0, d_q=1.0, k_iq=1.0)
+    assert bode(g, 1.0, np.array([1e-9])).mag_db[0] > 160.0   # |L| > 1e8
 
 
 def test_open_loop_requires_positive_static_gain():
     with pytest.raises(DesignRegionError):
-        open_loop_p(BASELINE, 0.0)
+        bode(BASELINE, 0.0)
     with pytest.raises(DesignRegionError):
         q_loop_info(BASELINE, -5.0)
+
+
+def test_phase_margin_requires_crossover():
+    # A = 1e9 puts the baseline loop's crossover near 2.8e3 rad/s, above the grid's 1e3
+    with pytest.raises(NoCrossoverError, match="from 0.01 to 1000 rad/s"):
+        phase_margin(bode(BASELINE, 1e9))
 
 
 # --- gain scheduling ---------------------------------------------------------
@@ -113,53 +136,21 @@ def test_schedule_gains_custom_targets():
 
 # --- bode and phase margin ---------------------------------------------------
 
-def test_phase_margin_pure_integrator():
-    assert phase_margin(bode(TransferFunction(num=(1.0,), den=(0.0, 1.0)))) \
-        == pytest.approx(90.0, abs=1e-6)
-
-
-def test_phase_margin_double_integrator():
-    assert phase_margin(bode(TransferFunction(num=(1.0,), den=(0.0, 0.0, 1.0)))) \
-        == pytest.approx(0.0, abs=1e-6)
-
-
-def test_phase_margin_requires_crossover():
-    # static gain below unity never crosses 0 dB
-    with pytest.raises(NoCrossoverError):
-        phase_margin(bode(TransferFunction(num=(0.5,), den=(1.0,))))
-
-
 def test_frequency_response_csv_loads_back_exactly(tmp_path):
-    fr = bode(open_loop_p(BASELINE, 10000.0))
+    fr = bode(BASELINE, 10000.0)
     path = tmp_path / "bode.csv"
     write_frequency_response_csv(fr, path)
     data = read_table(path, ["omega_rad_s", "mag_db", "phase_deg"])
     np.testing.assert_array_equal(data.T, [fr.omega, fr.mag_db, fr.phase_deg])
 
 
-def test_bode_of_product_is_sum_of_factors():
-    f1 = TransferFunction(num=(1.0,), den=(1.0, 1.0))
-    f2 = TransferFunction(num=(2.0,), den=(1.0, 0.3, 1.0))
-    f12 = TransferFunction(num=(2.0,), den=(1.0, 1.3, 1.3, 1.0))   # (1 + s)(1 + 0.3 s + s^2)
-    w = default_omega_grid()
-    fr1, fr2, fr12 = bode(f1, w), bode(f2, w), bode(f12, w)
-    np.testing.assert_allclose(fr12.mag_db, fr1.mag_db + fr2.mag_db, atol=1e-9)
-    np.testing.assert_allclose(fr12.phase_deg, fr1.phase_deg + fr2.phase_deg, atol=1e-9)
-
-
-def test_bode_rejects_a_grid_point_on_an_imaginary_axis_pole():
-    # 1 / (1 + s^2) has its poles at s = +-j; the grid hits omega = 1 exactly
-    with pytest.raises(ExcludedPointError):
-        bode(TransferFunction((1.0,), (1.0, 0.0, 1.0)), np.array([0.5, 1.0, 2.0]))
-
-
 def test_unwrapped_phase_is_continuous():
-    fr = bode(open_loop_p(BASELINE, 10000.0))
+    fr = bode(BASELINE, 10000.0)
     assert np.all(np.abs(np.diff(fr.phase_deg)) < 180.0)
 
 
 def test_fixed_gain_phase_margin_decreases_with_grid_strength():
-    pm = [phase_margin(bode(open_loop_p(BASELINE, solved_jacobian(scr).a)))
+    pm = [phase_margin(bode(BASELINE, solved_jacobian(scr).a))
           for scr in (2.0, 8.0, 20.0)]
     assert pm[0] > pm[1] > pm[2]
 
@@ -168,7 +159,7 @@ def test_scheduled_phase_margin_is_invariant():
     pm = []
     for scr in (2.0, 8.0, 20.0):
         j = solved_jacobian(scr)
-        pm.append(phase_margin(bode(open_loop_p(schedule_gains(j), j.a))))
+        pm.append(phase_margin(bode(schedule_gains(j), j.a)))
     assert max(pm) - min(pm) < 0.1
 
 
