@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rk4
 from .grid import OMEGA0_DEFAULT, S_RATED, V_G, operating_points, scr_to_impedance
-from .tables import read_table, write_table
+from .tables import read_json, read_table, write_table
 
 MODEL_FILE_VERSION = 1
 
@@ -556,11 +556,11 @@ def save_model(path: str | Path, model: MlpModel, norm: Normalizer,
 
 
 def load_model(path: str | Path) -> tuple[MlpModel, Normalizer]:
-    """What `save_model` wrote; ValueError names a missing key, a document that is not
-    an object, `dims` that are not three positive integers, another version, target
-    transform or output activation, or the first array not finite (JSON's NaN and
-    Infinity) or not of the length `dims` give."""
-    doc = json.loads(Path(path).read_text())
+    """What `save_model` wrote; ValueError names the file when it is not UTF-8 JSON, and
+    a missing key, a document that is not an object, `dims` that are not three positive
+    integers, another version, target transform or output activation, or the first
+    array not finite (JSON's NaN and Infinity) or not of the length `dims` give."""
+    doc = read_json(path)
     if type(doc) is not dict:
         raise ValueError(f"model file must be an object, got {type(doc).__name__}")
     try:

@@ -27,9 +27,8 @@ from .report import ComparisonReport, build_comparison, render_text, write_table
 from .sim import (BASELINE_GAINS, XR_RATIO_DEFAULT, SimConfig, ScenarioEvent, SimResult,
                   TimeSeries, benchmark_config, benchmark_events, run_scenario,
                   impedance_schedule, load_scenario, save_scenario)
-from .smallsignal import (DesignRegionError, DesignTargets, NoCrossoverError, schedule_gains,
-                          bode, phase_margin, p_loop_info, q_loop_info,
-                          write_frequency_response_csv)
+from .smallsignal import (DesignRegionError, DesignTargets, schedule_gains, bode, phase_margin,
+                          p_loop_info, q_loop_info, write_frequency_response_csv)
 
 
 def _jac_from_grid(scr: float, xr: float, p: float, q: float) -> tuple[JacobianPQ, str]:
@@ -68,13 +67,12 @@ def cmd_gains(args) -> int:
 def cmd_bode(args) -> int:
     tag = "scheduled" if args.scheduled else "fixed"
     curves = []
-    for scr in (float(s) for s in args.scr_list.split(",")):
+    for scr in args.scr_list:
         jac, where = _jac_from_grid(scr, args.xr, args.p, args.q)
         try:
             g = schedule_gains(jac) if args.scheduled else BASELINE_GAINS
-            fr = bode(g, jac.a)
-            curves.append((scr, fr, phase_margin(fr)))
-        except (DesignRegionError, NoCrossoverError) as exc:
+            curves.append((scr, bode(g, jac.a), phase_margin(g, jac.a)))
+        except DesignRegionError as exc:
             raise type(exc)(f"{where}{exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -224,6 +222,19 @@ def cmd_paper_repro(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _scr_list(text: str) -> list[float]:
+    """--scr-list: SCRs separated by commas."""
+    return [float(s) for s in text.split(",")]  # argparse names the flag on a ValueError
+
+
+def _seed(text: str) -> int:
+    """--seed: numpy's generators take an integer >= 0."""
+    seed = int(text)  # a ValueError here makes argparse name the flag and the text
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="vsglab",
                                 description="VSG adaptive gain scheduling toolkit")
@@ -244,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gains)
 
     b = sub.add_parser("bode", help="open-loop Bode curves and phase margins over SCRs")
-    b.add_argument("--scr-list", default="2,8,20")
+    b.add_argument("--scr-list", type=_scr_list, default="2,8,20")
     b.add_argument("--scheduled", action="store_true",
                    help="use scheduled gains instead of the fixed baseline")
     b.add_argument("--xr", type=float, default=XR_RATIO_DEFAULT)
@@ -256,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dataset", help="generate a training dataset CSV")
     d.add_argument("--out", required=True)
     d.add_argument("--n", type=int, default=5000)
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=_seed, default=0)
     d.add_argument("--noise", type=float, default=0.0)
     d.set_defaults(func=cmd_dataset)
 
     t = sub.add_parser("train", help="train the impedance estimator")
     t.add_argument("--dataset", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed, default=0)
     t.set_defaults(func=cmd_train)
 
     s = sub.add_parser("simulate", help="run a scenario and write the trace CSV")
@@ -284,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("paper-repro",
                        help="full pipeline: dataset, training, both modes, report")
     r.add_argument("--out", default="out/repro")
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_seed, default=0)
     r.add_argument("--model", help="reuse an existing model instead of training")
     r.add_argument("--quick", action="store_true",
                    help="small dataset and coarse step for smoke runs")

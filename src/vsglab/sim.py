@@ -39,7 +39,7 @@ from .grid import (GridImpedance, JacobianPQ, scr_to_impedance,
 from .smallsignal import VsgGains, DesignTargets, schedule_gains, SchedulingError
 from .estimator import (GATE_THRESHOLD, OnlineEstimator, OracleEstimator, EstimateRecord,
                         gate_gain_update)
-from .tables import read_table, write_table
+from .tables import read_json, read_table, write_table
 
 # The 60 s benchmark's initial grid and the fixed CVSG baseline gains, which
 # the adaptive mode also starts from; `SimConfig` defaults to both.
@@ -366,4 +366,4 @@ def save_scenario(path: str | Path, cfg: SimConfig, events: list[ScenarioEvent])
 
 
 def load_scenario(path: str | Path) -> tuple[SimConfig, list[ScenarioEvent]]:
-    return scenario_from_dict(json.loads(Path(path).read_text()))
+    return scenario_from_dict(read_json(path))

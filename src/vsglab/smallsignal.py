@@ -26,10 +26,6 @@ class SchedulingError(DesignRegionError):
     """Gain scheduling rejected the Jacobian entries; keep previous gains."""
 
 
-class NoCrossoverError(ValueError):
-    """The magnitude response never crosses 0 dB on the evaluated grid."""
-
-
 @dataclass(frozen=True)
 class VsgGains:
     """The four schedulable VSG power-loop parameters."""
@@ -69,10 +65,6 @@ class FrequencyResponse:
     mag_db: np.ndarray
     phase_deg: np.ndarray  # unwrapped
 
-    def __post_init__(self) -> None:
-        if np.any(np.diff(self.omega) <= 0):
-            raise ValueError("frequency grid must be strictly increasing")
-
 
 @dataclass(frozen=True)
 class SecondOrderInfo:
@@ -87,7 +79,6 @@ class SecondOrderInfo:
 class FirstOrderInfo:
     """Derived characteristics of the reactive (first-order) closed loop."""
 
-    y_inf: float   # steady-state value for a unit step reference
     e_inf: float   # steady-state error fraction
     tau: float     # time constant, s
     pole: float    # rad/s (negative)
@@ -106,7 +97,6 @@ def q_loop_info(gains: VsgGains, jac_d: float) -> FirstOrderInfo:
         raise DesignRegionError(f"D must be > 0, got {jac_d}")
     total = gains.d_q + jac_d
     return FirstOrderInfo(
-        y_inf=jac_d / total,
         e_inf=gains.d_q / total,
         tau=1.0 / (gains.k_iq * total),
         pole=-gains.k_iq * total,
@@ -163,24 +153,14 @@ def bode(gains: VsgGains, jac_a: float, omega: np.ndarray | None = None) -> Freq
     return FrequencyResponse(omega=omega, mag_db=mag_db, phase_deg=phase_deg)
 
 
-def phase_margin(fr: FrequencyResponse) -> float:
-    """180 deg + phase at the gain crossover (linear interp in log-omega/dB)."""
-    mag = fr.mag_db
-    crossings = np.nonzero(np.diff(np.sign(mag)) != 0)[0]
-    exact = np.nonzero(mag == 0.0)[0]
-    if exact.size:
-        i = exact[-1]
-        return 180.0 + float(fr.phase_deg[i])
-    if crossings.size == 0:
-        raise NoCrossoverError(f"the magnitude response never crosses 0 dB on the grid from "
-                               f"{fr.omega[0]:g} to {fr.omega[-1]:g} rad/s")
-    i = crossings[-1]
-    logw = np.log10(fr.omega)
-    frac = mag[i] / (mag[i] - mag[i + 1])
-    logwc = logw[i] + frac * (logw[i + 1] - logw[i])
-    phase = fr.phase_deg[i] + (logwc - logw[i]) / (logw[i + 1] - logw[i]) * (
-        fr.phase_deg[i + 1] - fr.phase_deg[i])
-    return 180.0 + float(phase)
+def phase_margin(gains: VsgGains, jac_a: float) -> float:
+    """Phase margin (deg) of the active open loop, a function of the closed loop's
+    damping xi alone: atan(2 xi / sqrt(sqrt(1 + 4 xi^4) - 2 xi^2)) (Franklin, Powell &
+    Emami-Naeini, Feedback Control of Dynamic Systems), written so that a large xi
+    does not cancel."""
+    xi = p_loop_info(gains, jac_a).xi
+    two_xi2 = 2.0 * xi * xi
+    return math.degrees(math.atan(2.0 * xi * math.sqrt(math.hypot(1.0, two_xi2) + two_xi2)))
 
 
 def write_frequency_response_csv(fr: FrequencyResponse, path: str | Path) -> None:

@@ -14,11 +14,15 @@ with `strtod` as Python's float syntax without surrounding whitespace,
 underscores, hexadecimal or `nan(…)`.  A last row with no `\\n`, a cut file,
 is an error, and so are `\\r\\n` line ends, `#` comments and blank lines;
 each names the file, the line and the column.
+
+`read_json` reads the JSON documents saved beside the tables, the model and
+scenario files, and names the file when it is not UTF-8 JSON.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import os
 from collections.abc import Sequence
 from pathlib import Path
@@ -138,3 +142,14 @@ def read_table(path: str | Path, columns: Sequence[str]) -> np.ndarray:
         raise ValueError(f"{path}: no data row after the header")
     data.resize((rows, n), refcheck=False)
     return data
+
+
+def read_json(path: str | Path):
+    """The JSON document in the file at `path`.  A file that is not UTF-8 text, or not
+    JSON, raises `ValueError` naming it, and for JSON the line and the column."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from None

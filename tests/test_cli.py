@@ -16,10 +16,11 @@ import pytest
 from vsglab import cli
 from vsglab.ann import DatasetConfig, generate_dataset
 from vsglab.cli import main
-from vsglab.grid import InfeasibleOperatingPointError, scr_to_impedance, solve_operating_point
-from vsglab.sim import (NumericFailureError, SimConfig, ScenarioEvent, Setpoints, TimeSeries,
-                        save_scenario, scenario_to_dict)
-from vsglab.smallsignal import VsgGains
+from vsglab.grid import (InfeasibleOperatingPointError, jacobian, scr_to_impedance,
+                         solve_operating_point)
+from vsglab.sim import (BASELINE_GAINS, NumericFailureError, SimConfig, ScenarioEvent, Setpoints,
+                        TimeSeries, save_scenario, scenario_to_dict)
+from vsglab.smallsignal import VsgGains, phase_margin, schedule_gains
 from vsglab.tables import write_table
 
 # a trained 200 -> 8 -> 2 estimator kept with the benchmark
@@ -114,29 +115,26 @@ def test_gains_and_bode_name_the_grid_they_cannot_design_at(tmp_path, capsys):
     assert "are beyond the maximum power transfer" in capsys.readouterr().err
 
 
-def test_bode_names_the_grid_whose_loop_has_no_crossover(tmp_path, capsys):
-    # on so stiff a grid the fixed gains cross 0 dB above the 1e3 rad/s end of the grid
-    assert main(["bode", "--scr-list", "2,1e6", "--out", str(tmp_path / "bode")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: scr = 1000000.0 and xr = 5.0 at P = 2000.0 W")
-    assert "never crosses 0 dB on the grid from 0.01 to 1000 rad/s" in err
-    assert not (tmp_path / "bode").exists()
+@pytest.mark.parametrize("scheduled", [False, True], ids=["fixed", "scheduled"])
+def test_bode_prints_the_phase_margin_of_each_grid(tmp_path, capsys, scheduled):
+    tag, flag = ("scheduled", ["--scheduled"]) if scheduled else ("fixed", [])
+    assert main(["bode", "--scr-list", "2,8,20", *flag, "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for scr, line in zip((2, 8, 20), lines, strict=True):
+        z = scr_to_impedance(scr, 5.0)
+        j = jacobian(solve_operating_point(2000.0, 1000.0, z), z)
+        g = schedule_gains(j) if scheduled else BASELINE_GAINS
+        assert line == f"SCR {scr}: phase margin {phase_margin(g, j.a):.3f} deg"
+        assert (tmp_path / f"bode_p_{tag}_scr{scr}.csv").exists()
 
 
-def test_bode_fixed_gains_margins_decrease(tmp_path, capsys):
-    assert main(["bode", "--scr-list", "2,8,20", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    margins = [float(line.split()[-2]) for line in out.strip().splitlines()]
-    assert margins[0] > margins[1] > margins[2]
-    assert (tmp_path / "bode_p_fixed_scr2.csv").exists()
-    assert (tmp_path / "bode_p_fixed_scr20.csv").exists()
-
-
-def test_bode_scheduled_margins_agree(tmp_path, capsys):
-    assert main(["bode", "--scr-list", "2,20", "--scheduled", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    margins = [float(line.split()[-2]) for line in out.strip().splitlines()]
-    assert abs(margins[0] - margins[1]) < 0.1
+def test_bode_prints_the_margin_of_a_loop_crossing_above_the_sampled_curve(tmp_path, capsys):
+    # on grids this stiff the fixed gains cross 0 dB above the curve's 1e3 rad/s
+    assert main(["bode", "--scr-list", "1e5,1e6", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ("SCR 100000: phase margin 0.473 deg\n"
+                                       "SCR 1e+06: phase margin 0.150 deg\n")
+    assert (tmp_path / "bode_p_fixed_scr100000.csv").exists()
+    assert (tmp_path / "bode_p_fixed_scr1e+06.csv").exists()
 
 
 def test_dataset_then_train(tmp_path, capsys):
@@ -189,6 +187,47 @@ def test_rejected_input_leaves_no_out_directory(tmp_path, case):
                             str(tmp_path / "missing.json")]}[case]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, named", [(b"not json\n", "is not JSON: Expecting value: "
+                                                          "line 1 column 1 (char 0)"),
+                                            (b"\xff\xfe{", "is not UTF-8 text: ")],
+                         ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("case", ["simulate-model", "simulate-config", "evaluate-scenario",
+                                  "paper-repro-model"])
+def test_a_model_or_scenario_file_that_is_not_json_is_named(tmp_path, capsys, case, content,
+                                                            named):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    missing = str(tmp_path / "missing.csv")
+    argv = {"simulate-model": ["simulate", "--mode", "avsg", "--model", str(bad)],
+            "simulate-config": ["simulate", "--config", str(bad)],
+            "evaluate-scenario": ["evaluate", "--cvsg", missing, "--avsg", missing,
+                                  "--scenario", str(bad)],
+            "paper-repro-model": ["paper-repro", "--quick", "--model", str(bad)]}[case]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad} {named}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["bode-scr-list", "dataset-seed", "train-seed",
+                                  "paper-repro-seed"])
+def test_a_bad_flag_value_is_named_and_writes_nothing(tmp_path, capsys, case):
+    # numpy's generators take a seed >= 0; the dataset lets train get that far
+    ds = tmp_path / "ds.csv"
+    assert main(["dataset", "--out", str(ds), "--n", "20"]) == 0
+    argv, flag = {"bode-scr-list": (["bode", "--scr-list", "2,,8"], "--scr-list"),
+                  "dataset-seed": (["dataset", "--n", "20", "--seed", "-1"], "--seed"),
+                  "train-seed": (["train", "--dataset", str(ds), "--seed", "-1"], "--seed"),
+                  "paper-repro-seed": (["paper-repro", "--quick", "--seed", "-1"],
+                                       "--seed")}[case]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--out", str(out)])
+    assert exited.value.code == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 phase margin."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from vsglab.grid import JacobianPQ, scr_to_impedance, solve_operating_point, jacobian
 from vsglab.smallsignal import (VsgGains, DesignTargets,
-                                DesignRegionError, SchedulingError, NoCrossoverError,
+                                DesignRegionError, SchedulingError,
                                 p_loop_info, q_loop_info, schedule_gains, bode, phase_margin,
                                 write_frequency_response_csv)
 from vsglab.tables import read_table
@@ -30,9 +31,10 @@ def solved_jacobian(scr, p=2000.0, q=1000.0):
 # --- the active open loop ----------------------------------------------------
 
 # L(s) = c / (s (s + b)) with b = D_p K_ip and c = A K_ip; the SCRs are the
-# benchmark's grids (2, 8, 20) and two between them, each with the fixed
+# benchmark's grids (2, 8, 20), two between them and one so stiff that the fixed
+# baseline crosses 0 dB above the default curve's 1e3 rad/s, each with the fixed
 # baseline and with its scheduled gains
-SCRS = (2.0, 3.3, 8.0, 12.7, 20.0)
+SCRS = (2.0, 3.3, 8.0, 12.7, 20.0, 1e5)
 DESIGNS = [pytest.param(scr, scheduled, id=f"scr{scr:g}-{'scheduled' if scheduled else 'fixed'}")
            for scr in SCRS for scheduled in (False, True)]
 
@@ -57,12 +59,23 @@ def test_bode_is_the_active_loop_in_closed_form(scr, scheduled):
 
 @pytest.mark.parametrize("scr, scheduled", DESIGNS)
 def test_phase_margin_is_the_closed_form_within_a_hundredth_of_a_degree(scr, scheduled):
-    # |L(j w_c)| = 1 gives w_c^4 + b^2 w_c^2 - c^2 = 0, and the phase there is
-    # -90 deg - atan(w_c / b), so the margin is atan(b / w_c)
+    # the margin, computed from xi, against the sampled curve at the crossover w_c,
+    # the positive root of w_c^4 + b^2 w_c^2 - c^2 = 0 (|L(j w_c)| = 1)
     g, a = design(scr, scheduled)
     b, c = g.d_p * g.k_ip, a * g.k_ip
-    w_c = math.sqrt((math.sqrt(b ** 4 + 4.0 * c * c) - b * b) / 2.0)
-    assert abs(phase_margin(bode(g, a)) - math.degrees(math.atan(b / w_c))) < 0.01
+    w_c = math.sqrt(2.0 * c * c / (math.sqrt(b ** 4 + 4.0 * c * c) + b * b))
+    fr = bode(g, a, np.array([w_c]))
+    assert abs(fr.mag_db[0]) < 1e-9
+    assert abs(180.0 + fr.phase_deg[0] - phase_margin(g, a)) < 1e-9
+
+
+@pytest.mark.parametrize("xi, margin", [(1e200, 90.0), (1e-200, math.degrees(2e-200))])
+def test_phase_margin_holds_at_extreme_damping(xi, margin):
+    # omega_n = sqrt(K_ip A) = 1, so xi = D_p / 2, and 2 xi^2 overflows or underflows
+    g = VsgGains(d_p=2.0 * xi, k_ip=1.0, d_q=1.0, k_iq=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phase_margin(g, 1.0) == pytest.approx(margin, rel=1e-12)
 
 
 # the control law K_ip / (s^2 + D_p K_ip s) is the open loop at A = 1
@@ -76,13 +89,9 @@ def test_open_loop_requires_positive_static_gain():
     with pytest.raises(DesignRegionError):
         bode(BASELINE, 0.0)
     with pytest.raises(DesignRegionError):
+        phase_margin(BASELINE, 0.0)
+    with pytest.raises(DesignRegionError):
         q_loop_info(BASELINE, -5.0)
-
-
-def test_phase_margin_requires_crossover():
-    # A = 1e9 puts the baseline loop's crossover near 2.8e3 rad/s, above the grid's 1e3
-    with pytest.raises(NoCrossoverError, match="from 0.01 to 1000 rad/s"):
-        phase_margin(bode(BASELINE, 1e9))
 
 
 # --- gain scheduling ---------------------------------------------------------
@@ -116,7 +125,6 @@ def test_scheduled_q_loop_pole_and_dc_gain(a, d):
     g = schedule_gains(jac(a, d))
     info = q_loop_info(g, d)
     assert abs(info.pole + 4.0) <= 4e-12
-    assert abs(info.y_inf - 100.0 / 101.0) <= 1e-12
     assert info.e_inf == pytest.approx(1.0 / 101.0, rel=1e-12)
 
 
@@ -134,7 +142,7 @@ def test_schedule_gains_custom_targets():
     assert info.t_s_rule == pytest.approx(2.0, rel=1e-12)
 
 
-# --- bode and phase margin ---------------------------------------------------
+# --- the sampled curve ------------------------------------------------------
 
 def test_frequency_response_csv_loads_back_exactly(tmp_path):
     fr = bode(BASELINE, 10000.0)
@@ -147,20 +155,6 @@ def test_frequency_response_csv_loads_back_exactly(tmp_path):
 def test_unwrapped_phase_is_continuous():
     fr = bode(BASELINE, 10000.0)
     assert np.all(np.abs(np.diff(fr.phase_deg)) < 180.0)
-
-
-def test_fixed_gain_phase_margin_decreases_with_grid_strength():
-    pm = [phase_margin(bode(BASELINE, solved_jacobian(scr).a))
-          for scr in (2.0, 8.0, 20.0)]
-    assert pm[0] > pm[1] > pm[2]
-
-
-def test_scheduled_phase_margin_is_invariant():
-    pm = []
-    for scr in (2.0, 8.0, 20.0):
-        j = solved_jacobian(scr)
-        pm.append(phase_margin(bode(schedule_gains(j), j.a)))
-    assert max(pm) - min(pm) < 0.1
 
 
 def test_gains_must_be_positive():
