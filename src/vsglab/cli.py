@@ -162,6 +162,11 @@ def cmd_simulate(args) -> int:
             print("error: avsg mode needs --model", file=sys.stderr)
             return 2
         model, norm = ann.load_model(args.model)
+    elif args.model:
+        run = ("a cvsg run" if cfg.mode == "cvsg"
+               else f"an avsg run with the {cfg.estimator_kind} estimator")
+        print(f"error: --model given, but {run} reads no model", file=sys.stderr)
+        return 2
     out = Path(args.out)
     result = _simulate_stage(cfg, events, model, norm, out)
     print(f"wrote {len(result.series)} rows to {out / f'timeseries_{cfg.mode}.csv'}")

@@ -19,7 +19,6 @@ class StepMetrics:
     settling_time_s: float | None   # None = never settled within the window
     overshoot_pct: float
     steady_state_error_pct: float   # |final - reference| as % of the step size
-    band: float
 
 
 def _window(t: np.ndarray, y: np.ndarray, t_start: float, t_end: float):
@@ -94,17 +93,18 @@ def step_metrics(t: np.ndarray, y: np.ndarray, t_event: float, reference: float,
     ov = percent_overshoot(t, y, t_event, y0, y_final, t_end=t_end)
     step = reference - y0
     sse = abs(y_final - reference) / abs(step) * 100.0 if step != 0 else 0.0
-    return StepMetrics(settling_time_s=ts, overshoot_pct=ov,
-                       steady_state_error_pct=sse, band=band)
+    return StepMetrics(settling_time_s=ts, overshoot_pct=ov, steady_state_error_pct=sse)
 
 
-def oscillation_energy(t: np.ndarray, y: np.ndarray, t_event: float,
-                       horizon: float = 2.0, y_final: float | None = None) -> float:
-    """Integral of the squared deviation from the final value over the horizon."""
-    tw, yw = _window(t, y, t_event, t_event + horizon)
-    if y_final is None:
-        y_final = steady_value(t, y, t_event, t_event + horizon)
-    return float(np.trapezoid((yw - y_final) ** 2, tw))
+ISE_HORIZON_S = 2.0  # the window after an event that oscillation_energy integrates over
+
+
+def oscillation_energy(t: np.ndarray, y: np.ndarray, t_event: float) -> float:
+    """Integral of the squared deviation from the final value, the tail mean of
+    `steady_value`, over the ISE_HORIZON_S after the event."""
+    t_end = t_event + ISE_HORIZON_S
+    tw, yw = _window(t, y, t_event, t_end)
+    return float(np.trapezoid((yw - steady_value(t, y, t_event, t_end)) ** 2, tw))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ class EventComparison:
     channel: str                 # p_pcc or q_pcc
     cvsg: StepMetrics | None     # None for set_scr events (no reference step)
     avsg: StepMetrics | None
-    ise_cvsg: float              # squared-deviation energy over 2 s post-event
+    ise_cvsg: float              # squared-deviation energy over metrics.ISE_HORIZON_S
     ise_avsg: float
 
 

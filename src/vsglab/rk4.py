@@ -78,7 +78,11 @@ def library():
     win)`, each argument the address of a C-contiguous float64 (`ix`: int64) array;
     `vsg_window_waveforms(n, len, t, ph, w0, vg, out)`, which writes the (n, 2 len)
     v-then-i samples of the n (delta, V, R, X) rows of `ph` at the `len` times `t`
-    into `out`; and `tables.c`'s `vsg_table_write` and `vsg_table_read`."""
+    into `out`; and `tables.c`'s `vsg_table_write(fd, n_rows, n_cols, spec, ryu, cap)`,
+    which formats the table body through one buffer of `cap` bytes, and
+    `vsg_table_read(fd, start, n_cols, out, max_rows, cap, err, text)`, which parses it
+    one row at a time from a stdio buffer of `cap` bytes, from byte `start` to the end
+    of the file."""
     import ctypes
 
     f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
@@ -87,7 +91,7 @@ def library():
             ("vsg_rk4_run", ctypes.c_int, [ptr] * 6),
             ("vsg_window_waveforms", None, [i64, i64, ptr, ptr, f64, f64, ptr]),
             ("vsg_table_write", ctypes.c_int, [ctypes.c_int, i64, i64, ptr, ptr, i64]),
-            ("vsg_table_read", i64, [ctypes.c_int, i64, i64, i64, ptr, i64, i64, ptr, ptr])):
+            ("vsg_table_read", i64, [ctypes.c_int, i64, i64, ptr, i64, i64, ptr, ptr])):
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
     return lib

@@ -268,9 +268,9 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
                 continue
             applied = gate_gain_update(rec, prev_applied)
             if applied:
-                # estimates can stray slightly negative during transients
-                z_hat = GridImpedance(max(rec.r_g_hat, 0.0),
-                                      max(OMEGA0_DEFAULT * rec.l_g_hat, 1e-9))
+                # both estimators give R, L >= 0; the floor keeps X > 0 where the
+                # network's exp() underflows to L = 0
+                z_hat = GridImpedance(rec.r_g_hat, max(OMEGA0_DEFAULT * rec.l_g_hat, 1e-9))
                 d, v = float(y[rk4.Y_DELTA]), float(y[rk4.Y_V])
                 ja, jb, jc, jd = _pf_jac(d, v, V_G, z_hat.r_g, z_hat.x_g)
                 try:

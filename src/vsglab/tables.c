@@ -1,4 +1,5 @@
-/* The bodies of vsglab's CSV tables, formatted and parsed through one buffer.
+/* The bodies of vsglab's CSV tables: formatted through one buffer, parsed one
+ * row at a time where each row lies in a stdio buffer.
  *
  * vsg_table_write formats rows of float64, int64 and UTF-8 text columns.  A
  * float is written as Python's repr() writes it: the shortest digits that read
@@ -14,6 +15,7 @@
 #include <locale.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 #include <unistd.h>
@@ -331,113 +333,72 @@ static int parse_number(const char *s, size_t len, locale_t c_locale, double *v)
     return stop == s + len && stop[-1] != ')';
 }
 
-typedef struct {
-    int64_t n_cols, max_rows, rows, line, col;
-    double *out;
-    int64_t *err;
-    char *text;
-    locale_t c_locale;
-    char *s; /* the field read so far, which may span chunks */
-    size_t len, cap;
-} reader;
-
-static void fail(reader *r, int64_t what, int64_t column, int64_t count)
+/* Parse the rows of fd after the header line, from byte start to the end of
+ * the file, into out: rows of n_cols floats, at most max_rows of them.  Each
+ * row is read whole by getline through a stdio buffer of cap bytes, and each
+ * field is parsed where it lies.  Returns the number of rows, or -1 with err =
+ * {what, line, column, count}: READ_IO with count the errno; READ_FIELD with
+ * count the length of the field's first bytes, copied to text (FIELD_TEXT
+ * bytes); READ_WIDTH with count the row's fields; READ_ROWS; READ_END for a
+ * last row with no line end, once its ','-ended fields are parsed.  Lines and
+ * columns count from 1, the header's line too. */
+int64_t vsg_table_read(int fd, int64_t start, int64_t n_cols, double *out, int64_t max_rows,
+                       int64_t cap, int64_t *err, char *text)
 {
-    r->err[0] = what;
-    r->err[1] = r->line;
-    r->err[2] = column;
-    r->err[3] = count;
-}
-
-static void append(reader *r, const char *src, size_t n)
-{
-    if (r->len + n >= r->cap) {
-        const size_t cap = 2 * r->cap > r->len + n ? 2 * r->cap : r->len + n + 1;
-        char *s = realloc(r->s, cap);
-        if (!s) {
-            fail(r, READ_IO, 0, ENOMEM);
-            return;
-        }
-        r->s = s;
-        r->cap = cap;
+    const locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    char *buf = malloc(cap), *row = NULL;
+    const int copy = dup(fd);
+    FILE *f = copy < 0 ? NULL : fdopen(copy, "r");
+    size_t row_cap = 0;
+    ssize_t len;
+    int64_t rows = 0, col = 0, what = 0, count = 0;
+    if (!c_locale || !buf || !f || setvbuf(f, buf, _IOFBF, cap) || fseeko(f, start, SEEK_SET)) {
+        what = READ_IO;
+        count = errno;
     }
-    memcpy(r->s + r->len, src, n);
-    r->len += n;
-}
-
-/* the field just read, as column col of the row being read */
-static void end_field(reader *r)
-{
-    if (r->col < r->n_cols) {
-        r->s[r->len] = '\0';
-        if (r->rows == r->max_rows) {
-            fail(r, READ_ROWS, r->col + 1, 0);
-        } else if (!parse_number(r->s, r->len, r->c_locale,
-                                 r->out + r->rows * r->n_cols + r->col)) {
-            const size_t n = r->len < FIELD_TEXT ? r->len : FIELD_TEXT;
-            memcpy(r->text, r->s, n);
-            fail(r, READ_FIELD, r->col + 1, (int64_t)n);
-        }
-    }
-    r->col++;
-    r->len = 0;
-}
-
-static void end_row(reader *r)
-{
-    end_field(r);
-    if (!r->err[0] && r->col != r->n_cols)
-        fail(r, READ_WIDTH, (r->col < r->n_cols ? r->col : r->n_cols) + 1, r->col);
-    r->rows++;
-    r->line++;
-    r->col = 0;
-}
-
-/* Parse bytes start .. size - 1 of fd, the rows after the header line, read
- * through one buffer of cap bytes, into out: rows of n_cols floats, at most
- * max_rows of them.  Returns the number of rows, or -1 with err = {what, line,
- * column, count}: READ_IO with count the errno; READ_FIELD with count the
- * length of the field's first bytes, copied to text (FIELD_TEXT bytes);
- * READ_WIDTH with count the row's fields; READ_ROWS; READ_END for a last row
- * with no line end.  Lines and columns count from 1, the header's line too. */
-int64_t vsg_table_read(int fd, int64_t start, int64_t size, int64_t n_cols, double *out,
-                       int64_t max_rows, int64_t cap, int64_t *err, char *text)
-{
-    reader r = {n_cols, max_rows, 0, 2, 0, out, err, text,
-                newlocale(LC_ALL_MASK, "C", (locale_t)0), malloc(64), 0, 64};
-    char *buf = malloc(cap);
-    err[0] = 0;
-    if (!buf || !r.s || !r.c_locale)
-        fail(&r, READ_IO, 0, ENOMEM);
-    for (int64_t off = start; off < size && !err[0];) {
-        const ssize_t got = pread(fd, buf, cap < size - off ? cap : size - off, off);
-        if (got == 0) /* the file shrank */
-            break;
-        if (got < 0) {
-            if (errno != EINTR)
-                fail(&r, READ_IO, 0, errno);
-            continue;
-        }
-        off += got;
-        for (const char *p = buf, *end = buf + got; p < end && !err[0];) {
-            const char *q = p;
-            while (q < end && *q != ',' && *q != '\n')
-                q++;
-            append(&r, p, q - p);
-            if (q == end)
+    while (!what && (len = getline(&row, &row_cap, f)) > 0) {
+        char *const end = row + len - (row[len - 1] == '\n');
+        char *s = row, *stop;
+        for (col = 0;; col++, s = stop + 1) { /* the field from s to stop */
+            stop = memchr(s, ',', end - s);
+            if (!stop)
+                stop = end;
+            *stop = '\0';
+            if (stop == row + len)
+                what = READ_END;
+            else if (col < n_cols && rows == max_rows)
+                what = READ_ROWS;
+            else if (col < n_cols
+                     && !parse_number(s, stop - s, c_locale, out + rows * n_cols + col)) {
+                count = stop - s < FIELD_TEXT ? stop - s : FIELD_TEXT;
+                memcpy(text, s, count);
+                what = READ_FIELD;
+            }
+            if (what || stop == end)
                 break;
-            if (*q == ',')
-                end_field(&r);
-            else
-                end_row(&r);
-            p = q + 1;
         }
+        if (!what && col + 1 != n_cols) {
+            what = READ_WIDTH;
+            count = col + 1;
+            col = count < n_cols ? count : n_cols;
+        }
+        rows += !what;
     }
-    if (!err[0] && (r.col || r.len))
-        fail(&r, READ_END, r.col + 1, 0);
+    if (!what && !feof(f)) {
+        what = READ_IO;
+        count = errno;
+    }
+    if (f)
+        fclose(f);
+    else if (copy >= 0)
+        close(copy);
     free(buf);
-    free(r.s);
-    if (r.c_locale)
-        freelocale(r.c_locale);
-    return err[0] ? -1 : r.rows;
+    free(row);
+    if (c_locale)
+        freelocale(c_locale);
+    err[0] = what;
+    err[1] = rows + 2;
+    err[2] = col + 1;
+    err[3] = count;
+    return what ? -1 : rows;
 }

@@ -5,15 +5,17 @@ per row.  Each field is `str()` of a Python scalar, so floats are written
 in their shortest round-trip form and load back exactly.
 
 The bodies are formatted and parsed in C (`tables.c`, built and loaded by
-`vsglab.rk4` on the first table read or write), streamed through one buffer
-of `CHUNK_BYTES`: `write_table` writes each float's shortest digits as
+`vsglab.rk4` on the first table read or write).  `write_table` streams them
+through one buffer of `CHUNK_BYTES`, writing each float's shortest digits as
 `repr()` lays them out, each int in decimal and each str as its UTF-8 bytes.
-`read_table` reads that grammar and no other: the header's bytes, then rows of
-`,`-separated fields with a `\\n` after every row, each field parsed whole
-with `strtod` as Python's float syntax without surrounding whitespace,
-underscores, hexadecimal or `nan(…)`.  A last row with no `\\n`, a cut file,
-is an error, and so are `\\r\\n` line ends, `#` comments and blank lines;
-each names the file, the line and the column.
+`read_table` takes one row at a time from a stdio buffer of `CHUNK_BYTES`, to
+the end of the file, and parses each field where it lies.  It reads that
+grammar and no other: the header's bytes, then rows of `,`-separated fields
+with a `\\n` after every row, each field parsed whole with `strtod` as
+Python's float syntax without surrounding whitespace, underscores,
+hexadecimal or `nan(…)`.  A last row with no `\\n`, a cut file, is an error,
+and so are `\\r\\n` line ends, `#` comments and blank lines; each names the
+file, the line and the column.
 
 `read_json` reads the JSON documents saved beside the tables, the model and
 scenario files, and names the file when it is not UTF-8 JSON.
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import rk4
 
-# the bytes a write or read holds at once
+# the bytes of the writer's buffer and of the reader's stdio buffer
 CHUNK_BYTES = 2**16
 
 # the kinds of column `tables.c` formats: float64, int64 and UTF-8 text
@@ -106,8 +108,9 @@ def read_table(path: str | Path, columns: Sequence[str]) -> np.ndarray:
     """(rows, columns) float array of a table whose header must be `columns`.
 
     A foreign header, no data row, a field that is not a float, rows of another
-    width or a last row with no line end raise `ValueError` naming the file, and
-    for all but the first two the line and the column.
+    width, more rows than fit the array sized from the file's size at opening,
+    or a last row with no line end raise `ValueError` naming the file, and for
+    all but the first two the line and the column.
     """
     read = rk4.library().vsg_table_read
     n = len(columns)
@@ -123,7 +126,7 @@ def read_table(path: str | Path, columns: Sequence[str]) -> np.ndarray:
         data = np.empty(((size - start) // max(1, 2 * n) + 1, n))
         err = np.zeros(4, dtype=np.int64)
         text = np.zeros(FIELD_TEXT, dtype=np.uint8)
-        rows = read(f.fileno(), start, size, n, data.ctypes.data, len(data), CHUNK_BYTES,
+        rows = read(f.fileno(), start, n, data.ctypes.data, len(data), CHUNK_BYTES,
                     err.ctypes.data, text.ctypes.data)
     what, line, column, count = err.tolist()
     where = f"{path}: line {line}, column {column}"

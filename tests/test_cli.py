@@ -171,6 +171,22 @@ def test_simulate_avsg_without_model_fails(tmp_path):
     assert main(["simulate", "--config", str(sc), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("mode, estimator_kind, run", [
+    ("cvsg", "oracle", "a cvsg run"),
+    ("avsg", "oracle", "an avsg run with the oracle estimator"),
+], ids=["cvsg", "avsg-oracle"])
+def test_simulate_rejects_a_model_the_run_does_not_read(tmp_path, capsys, mode, estimator_kind,
+                                                        run):
+    sc = tmp_path / "scenario.json"
+    short_scenario(sc, mode=mode, estimator_kind=estimator_kind)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"not json\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sc), "--model", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --model given, but {run} reads no model\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["train", "simulate", "simulate-avsg-no-model", "evaluate",
                                   "bode", "paper-repro"])
 def test_rejected_input_leaves_no_out_directory(tmp_path, case):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vsglab.ann import MlpModel, Normalizer, init_model
 from vsglab.estimator import (EstimateRecord, OnlineEstimator, OracleEstimator,
@@ -89,6 +92,19 @@ def test_push_window_gives_the_records_of_push_sample(tail, bad):
     assert len(one_by_one) == len(windowed) - (bad is not None)
     if bad is not None:
         assert windowed[bad // 100] is None
+
+
+# any finite sample, up to the largest double
+FINITE_WINDOW = hnp.arrays(np.float64, 100, elements=st.floats(allow_nan=False,
+                                                              allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(FINITE_WINDOW, FINITE_WINDOW)
+def test_every_finite_window_gives_a_non_negative_estimate(v, i):
+    # the network's outputs are log-targets, so R and L are exp() of them
+    rec = random_estimator().push_window(np.arange(1, 101) * DT, v, i)
+    assert rec.r_g_hat >= 0.0 and rec.l_g_hat >= 0.0
 
 
 @pytest.mark.parametrize("kind", ["ann", "oracle"])

@@ -77,15 +77,15 @@ def test_step_metrics_steady_state_error():
     assert m.steady_state_error_pct == pytest.approx(2.0, abs=0.1)
     # tail-mean final value sits a hair below the monotone curve's endpoint
     assert m.overshoot_pct < 1e-4
-    assert m.band == 0.02
 
 
 def test_oscillation_energy_of_sine():
     t = np.arange(0.0, 3.0, 1e-4)
     y = np.sin(2.0 * math.pi * t)
-    # integral of sin^2 over 2 s is exactly 1
-    assert oscillation_energy(t, y, 0.0, horizon=2.0, y_final=0.0) \
-        == pytest.approx(1.0, abs=1e-4)
+    # the final value is the mean of the last quarter of the 2 s window,
+    # c = mean(sin) over [1.5, 2] = -2/pi; the integral of (sin - c)^2 over
+    # 2 s is 1 - 2c * 0 + 2c^2 = 1 + 8/pi^2
+    assert oscillation_energy(t, y, 0.0) == pytest.approx(1.0 + 8.0 / math.pi**2, abs=1e-6)
 
 
 def make_rec(t, r, l):

@@ -77,9 +77,9 @@ def test_a_step_still_outside_its_band_at_the_next_event_reads_not_settled():
 
 def test_tables_hold_each_metric_at_full_precision_and_nan_where_none_exists(tmp_path):
     settled = StepMetrics(settling_time_s=0.1 + 0.2, overshoot_pct=1 / 3,
-                          steady_state_error_pct=2e-17, band=0.02)
+                          steady_state_error_pct=2e-17)
     unsettled = StepMetrics(settling_time_s=None, overshoot_pct=0.0,
-                            steady_state_error_pct=5.0, band=0.02)
+                            steady_state_error_pct=5.0)
     rep = ComparisonReport(
         events=[EventComparison(10.0, "set_p_ref", "p_pcc", settled, unsettled, 1e-300, 7.25),
                 EventComparison(20.0, "set_scr", "p_pcc", None, None, 0.5, 2 / 3)],

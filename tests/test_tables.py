@@ -5,6 +5,7 @@ import re
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -198,6 +199,43 @@ def test_read_table_quotes_the_bad_field_as_read(tmp_path, body, message):
     path.write_bytes(("a,b\n" + body).encode())
     with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         read_table(path, ["a", "b"])
+
+
+def test_a_field_holding_a_nul_byte_is_quoted_as_read(tmp_path):
+    # strtod stops at the NUL, so the field is not read whole
+    field = "1\x005"
+    path = tmp_path / "t.csv"
+    path.write_bytes(f"a,b\n2,{field}\n".encode())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 2, column 2: "
+                                                   f"{field!r} is not a float")):
+        read_table(path, ["a", "b"])
+
+
+def _under_reported_size(monkeypatch, short: int):
+    """`os.fstat` as if the file had grown by `short` bytes since it was sized."""
+    real = tables.os.fstat
+    monkeypatch.setattr(tables.os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=real(fd).st_size - short))
+
+
+def test_a_table_that_grows_after_it_is_sized_reads_to_its_last_row(tmp_path, monkeypatch):
+    names, cols = ["a", "b"], [[1.0, 3.0, 5.0, 7.0], [2.0, 4.0, 6.0, 8.0]]
+    path = tmp_path / "t.csv"
+    write_table(path, names, cols)
+    _under_reported_size(monkeypatch, 8)  # the last row, "7.0,8.0\n"
+    np.testing.assert_array_equal(read_table(path, names), np.array(cols).T)
+
+
+def test_a_table_that_grows_past_its_array_names_the_first_row_left_out(tmp_path,
+                                                                        monkeypatch):
+    names = ["a", "b"]
+    path = tmp_path / "t.csv"
+    write_table(path, names, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+    # as if only the header had been there: the array holds one row
+    _under_reported_size(monkeypatch, 24)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: line 3, column 1: more rows than the file's size allows")):
+        read_table(path, names)
 
 
 def test_every_cut_of_a_table_reads_its_whole_rows_or_raises(tmp_path):
