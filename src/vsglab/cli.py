@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
 
 from . import ann
 from .estimator import read_estimate_log_csv, write_estimate_log_csv
-from .grid import JacobianPQ, scr_to_impedance, solve_operating_point, jacobian
+from .grid import S_RATED, JacobianPQ, scr_to_impedance, solve_operating_point, jacobian
 from .report import ComparisonReport, build_comparison, render_text, write_tables
 from .sim import (BASELINE_GAINS, XR_RATIO_DEFAULT, SimConfig, ScenarioEvent, SimResult,
                   TimeSeries, benchmark_config, benchmark_events, run_scenario,
@@ -32,9 +33,14 @@ from .smallsignal import (DesignRegionError, DesignTargets, schedule_gains, bode
 
 
 def _jac_from_grid(scr: float, xr: float, p: float, q: float) -> tuple[JacobianPQ, str]:
-    """The Jacobian at the solved operating point, and a design error's prefix naming it."""
+    """The Jacobian at the solved operating point, and a design error's prefix naming it.
+
+    A set-point past the plant's rating, |P + jQ| > `S_RATED`, raises `ValueError`."""
     z = scr_to_impedance(scr, xr)
     op = solve_operating_point(p, q, z)
+    if (s := math.hypot(p, q)) > S_RATED:
+        raise ValueError(f"P = {p!r} W and Q = {q!r} var ask for {s:g} VA, "
+                         f"past the plant's {S_RATED:g} VA rating")
     return jacobian(op, z), (f"scr = {scr!r} and xr = {xr!r} at P = {p!r} W and Q = {q!r} var "
                              f"solve to delta = {op.delta0!r} rad and V = {op.v_pcc0!r} V, where ")
 

@@ -6,8 +6,14 @@
  * back to the same double, found by Ryu (Adams, "Ryu: fast float-to-string
  * conversion", PLDI 2018), in fixed or exponent form.  vsg_table_read parses
  * what vsg_table_write writes and nothing else: after the header, rows of
- * ','-separated fields, each row ended by '\n', each field read whole by strtod
- * in the "C" locale with no leading whitespace, hexadecimal or nan(chars).
+ * ','-separated fields, each row ended by '\n', each field read whole as
+ * strtod reads it in the "C" locale, but with no leading whitespace,
+ * hexadecimal or nan(chars).  A field of the form -?D+(.D+)?([eE][+-]?D+)? with
+ * at most 19 significant digits is read by Clinger's exact path (Clinger, "How
+ * to read floating point numbers accurately", PLDI 1990) or by Eisel-Lemire
+ * (Lemire, "Number parsing at a gigabyte per second", Software: Practice and
+ * Experience 2021), to the same double; strtod_l reads every other field, and
+ * those whose result neither path can decide.
  */
 
 #define _GNU_SOURCE
@@ -318,12 +324,120 @@ int vsg_table_write(int fd, int64_t n_rows, int64_t n_cols, const int64_t *spec,
 /* what vsg_table_read stopped at, in err[0] */
 enum { READ_IO = 1, READ_FIELD, READ_WIDTH, READ_ROWS, READ_END };
 enum { FIELD_TEXT = 64 }; /* the bytes of a bad field it copies out */
+enum { LEMIRE_Q_MIN = -342, LEMIRE_Q_MAX = 308 }; /* the rows of Eisel-Lemire's table */
 
-/* The NUL-terminated field s of len bytes as a float, in *v: 1 if strtod reads
-   all of it.  strtod also skips leading whitespace and reads hexadecimal and
-   nan(chars), none of which vsg_table_write writes. */
-static int parse_number(const char *s, size_t len, locale_t c_locale, double *v)
+/* w * 10^q correctly rounded, in *v, for w >= 1 and q in [LEMIRE_Q_MIN,
+   LEMIRE_Q_MAX], by Eisel-Lemire: 1, or 0 for a subnormal or infinite result and
+   for a product too near a rounding boundary to decide.  Row q - LEMIRE_Q_MIN of
+   pow5 is the (low, high) words of 5^q in 128 bits: its top 128 bits for q >= 0,
+   and for q < 0 a reciprocal rounded up. */
+static int eisel_lemire(uint64_t w, int32_t q, const uint64_t *pow5, double *v)
 {
+    const uint64_t *row = pow5 + 2 * (q - LEMIRE_Q_MIN);
+    const int lz = __builtin_clzll(w);
+    w <<= lz;
+    const u128 first = (u128)w * row[1];
+    uint64_t hi = (uint64_t)(first >> 64), lo = (uint64_t)first;
+    if ((hi & 0x1ff) == 0x1ff) { /* the low word's product may carry into the top 55 bits */
+        const uint64_t carry = (uint64_t)(((u128)w * row[0]) >> 64);
+        lo += carry;
+        hi += lo < carry;
+    }
+    if (lo == UINT64_MAX && (q < -27 || q > 55))
+        return 0;
+    const int upper = (int)(hi >> 63);
+    uint64_t m = hi >> (upper + 9); /* the 53 bits of the significand, then one to round */
+    /* the biased exponent: (217706 q) >> 16 is floor(q log2(10)) */
+    int32_t e = ((217706 * q) >> 16) + 63 + upper - lz + 1023;
+    if (e <= 0) /* subnormal */
+        return 0;
+    /* exactly halfway between two doubles, which happens only for these q: to even */
+    if (lo <= 1 && q >= -4 && q <= 23 && (m & 3) == 1 && m << (upper + 9) == hi)
+        m ^= 1;
+    m = (m + (m & 1)) >> 1;
+    if (m == UINT64_C(1) << 53) { /* rounded up to the next power of 2 */
+        m >>= 1;
+        e++;
+    }
+    if (e >= 0x7ff)
+        return 0;
+    const uint64_t bits = (uint64_t)e << 52 | (m & ((UINT64_C(1) << 52) - 1));
+    memcpy(v, &bits, sizeof bits);
+    return 1;
+}
+
+/* 10^k for k in [0, 22], exactly: each product is a 10^j = 5^j 2^j with 5^j < 2^53 */
+static double pow10_exact(int64_t k)
+{
+    double p = 1.0, b = 10.0;
+    for (; k; k >>= 1, b *= b)
+        if (k & 1)
+            p *= b;
+    return p;
+}
+
+/* The digits at p into w, each counted in *n from the first nonzero one; w wraps
+   past 19 of them, which the caller refuses.  Returns the end of the digits. */
+static const char *digit_run(const char *p, uint64_t *w, int64_t *n)
+{
+    for (; *p >= '0' && *p <= '9'; p++) {
+        *w = 10 * *w + (uint64_t)(*p - '0');
+        *n += *w != 0;
+    }
+    return p;
+}
+
+/* The NUL-terminated field s of len bytes as a float, in *v: 1 if it has the form
+   -?D+(.D+)?([eE][+-]?D+)? with at most 19 significant digits, and Clinger's exact
+   path or Eisel-Lemire reads it; else 0. */
+static int parse_decimal(const char *s, size_t len, const uint64_t *pow5, double *v)
+{
+    const int negative = *s == '-';
+    const char *const digits = s + negative;
+    uint64_t w = 0;
+    int64_t n = 0, q = 0; /* the value is w * 10^q, and w has n digits */
+    const char *p = digit_run(digits, &w, &n);
+    if (p == digits)
+        return 0;
+    if (*p == '.') {
+        const char *const fraction = p + 1;
+        p = digit_run(fraction, &w, &n);
+        if (p == fraction)
+            return 0;
+        q = fraction - p;
+    }
+    if (*p == 'e' || *p == 'E') {
+        const int minus = p[1] == '-';
+        const char *const exponent = p + 1 + (minus || p[1] == '+');
+        int64_t e = 0;
+        for (p = exponent; *p >= '0' && *p <= '9'; p++)
+            if (e < 100000) /* past it, q is out of every range below */
+                e = 10 * e + (*p - '0');
+        if (p == exponent)
+            return 0;
+        q += minus ? -e : e;
+    }
+    if (p != s + len || n > 19)
+        return 0;
+    double x;
+    if (w == 0)
+        x = 0.0;
+    else if (w <= UINT64_C(1) << 53 && q >= -22 && q <= 22) /* w and 10^|q| are exact */
+        x = q < 0 ? (double)w / pow10_exact(-q) : (double)w * pow10_exact(q);
+    else if (q < LEMIRE_Q_MIN || q > LEMIRE_Q_MAX || !eisel_lemire(w, (int32_t)q, pow5, &x))
+        return 0;
+    *v = negative ? -x : x;
+    return 1;
+}
+
+/* The NUL-terminated field s of len bytes as a float, in *v: 1 if parse_decimal
+   or else strtod reads all of it.  strtod also skips leading whitespace and reads
+   hexadecimal and nan(chars), none of which vsg_table_write writes. */
+static int parse_number(const char *s, size_t len, locale_t c_locale, const uint64_t *pow5,
+                        double *v)
+{
+    if (parse_decimal(s, len, pow5, v))
+        return 1;
     const char *digits = s + (*s == '+' || *s == '-');
     char *stop;
     if (len == 0 || *s == ' ' || (*s >= '\t' && *s <= '\r')
@@ -336,14 +450,15 @@ static int parse_number(const char *s, size_t len, locale_t c_locale, double *v)
 /* Parse the rows of fd after the header line, from byte start to the end of
  * the file, into out: rows of n_cols floats, at most max_rows of them.  Each
  * row is read whole by getline through a stdio buffer of cap bytes, and each
- * field is parsed where it lies.  Returns the number of rows, or -1 with err =
+ * field is parsed where it lies, with pow5 the LEMIRE_Q_MAX - LEMIRE_Q_MIN + 1
+ * rows of Eisel-Lemire's table.  Returns the number of rows, or -1 with err =
  * {what, line, column, count}: READ_IO with count the errno; READ_FIELD with
  * count the length of the field's first bytes, copied to text (FIELD_TEXT
  * bytes); READ_WIDTH with count the row's fields; READ_ROWS; READ_END for a
  * last row with no line end, once its ','-ended fields are parsed.  Lines and
  * columns count from 1, the header's line too. */
 int64_t vsg_table_read(int fd, int64_t start, int64_t n_cols, double *out, int64_t max_rows,
-                       int64_t cap, int64_t *err, char *text)
+                       const uint64_t *pow5, int64_t cap, int64_t *err, char *text)
 {
     const locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
     char *buf = malloc(cap), *row = NULL;
@@ -369,7 +484,7 @@ int64_t vsg_table_read(int fd, int64_t start, int64_t n_cols, double *out, int64
             else if (col < n_cols && rows == max_rows)
                 what = READ_ROWS;
             else if (col < n_cols
-                     && !parse_number(s, stop - s, c_locale, out + rows * n_cols + col)) {
+                     && !parse_number(s, stop - s, c_locale, pow5, out + rows * n_cols + col)) {
                 count = stop - s < FIELD_TEXT ? stop - s : FIELD_TEXT;
                 memcpy(text, s, count);
                 what = READ_FIELD;

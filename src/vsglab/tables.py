@@ -11,11 +11,15 @@ through one buffer of `CHUNK_BYTES`, writing each float's shortest digits as
 `read_table` takes one row at a time from a stdio buffer of `CHUNK_BYTES`, to
 the end of the file, and parses each field where it lies.  It reads that
 grammar and no other: the header's bytes, then rows of `,`-separated fields
-with a `\\n` after every row, each field parsed whole with `strtod` as
+with a `\\n` after every row, each field parsed whole as `strtod` parses
 Python's float syntax without surrounding whitespace, underscores,
-hexadecimal or `nan(…)`.  A last row with no `\\n`, a cut file, is an error,
-and so are `\\r\\n` line ends, `#` comments and blank lines; each names the
-file, the line and the column.
+hexadecimal or `nan(…)`.  A field of `write_table`'s decimal form with at
+most 19 significant digits is parsed by Clinger's exact path or by
+Eisel–Lemire, with the power-of-5 table `_lemire_table` derived on the first
+read; every other field, and one whose result neither path can decide, goes
+to `strtod`, so each field reads to the same bits either way.  A last row
+with no `\\n`, a cut file, is an error, and so are `\\r\\n` line ends, `#`
+comments and blank lines; each names the file, the line and the column.
 
 `read_json` reads the JSON documents saved beside the tables, the model and
 scenario files, and names the file when it is not UTF-8 JSON.
@@ -42,6 +46,8 @@ _TEXT = 2
 # what `vsg_table_read` stopped at, and the bytes of a bad field it copies out
 READ_IO, READ_FIELD, READ_WIDTH, READ_ROWS, READ_END = range(1, 6)
 FIELD_TEXT = 64
+# the decimal exponents of the first and last rows of `_lemire_table`
+LEMIRE_Q_MIN, LEMIRE_Q_MAX = -342, 308
 
 
 def _checked_columns(path, names: Sequence[str], columns: Sequence) -> list[np.ndarray]:
@@ -61,17 +67,44 @@ def _checked_columns(path, names: Sequence[str], columns: Sequence) -> list[np.n
     return cols
 
 
+def _top_bits(x: int, bits: int) -> int:
+    """The positive integer `x` shifted to exactly `bits` bits, cut or padded with zeros."""
+    shift = x.bit_length() - bits
+    return x >> shift if shift >= 0 else x << -shift
+
+
+def _words(rows: list[int]) -> np.ndarray:
+    """128-bit integers as rows of their (low, high) 64-bit words."""
+    return np.array([(r & (2**64 - 1), r >> 64) for r in rows], dtype=np.uint64)
+
+
 @functools.cache
 def _ryu_tables() -> np.ndarray:
     """Ryū's power-of-5 tables, each row the (low, high) 64-bit words of a 128-bit
     number: 5^i in its top 125 bits for i < 326, then
     floor(2^(bits(5^i) - 1 + 125) / 5^i) + 1 for i < 342."""
-    rows = []
-    for i in range(326):
-        shift = (5**i).bit_length() - 125
-        rows.append(5**i >> shift if shift >= 0 else 5**i << -shift)
+    rows = [_top_bits(5**i, 125) for i in range(326)]
     rows += [(1 << (5**i).bit_length() + 124) // 5**i + 1 for i in range(342)]
-    return np.array([(r & (2**64 - 1), r >> 64) for r in rows], dtype=np.uint64)
+    return _words(rows)
+
+
+@functools.cache
+def _lemire_table() -> np.ndarray:
+    """Eisel–Lemire's power-of-5 table, for q from `LEMIRE_Q_MIN` to `LEMIRE_Q_MAX`,
+    each row the (low, high) 64-bit words of a 128-bit number: 5^q in its top 128
+    bits for q >= 0, and for q < 0, with z = bits(5^-q),
+    floor(2^(z + 127) / 5^-q) + 1 for q >= -27, else floor(2^(2z + 128) / 5^-q) + 1
+    cut to its top 128 bits."""
+    rows = []
+    for q in range(LEMIRE_Q_MIN, LEMIRE_Q_MAX + 1):
+        p = 5**abs(q)
+        if q >= 0:
+            rows.append(_top_bits(p, 128))
+        elif q >= -27:
+            rows.append((1 << p.bit_length() + 127) // p + 1)
+        else:
+            rows.append(_top_bits((1 << 2 * p.bit_length() + 128) // p + 1, 128))
+    return _words(rows)
 
 
 def write_table(path: str | Path, names: Sequence[str], columns: Sequence) -> None:
@@ -126,8 +159,8 @@ def read_table(path: str | Path, columns: Sequence[str]) -> np.ndarray:
         data = np.empty(((size - start) // max(1, 2 * n) + 1, n))
         err = np.zeros(4, dtype=np.int64)
         text = np.zeros(FIELD_TEXT, dtype=np.uint8)
-        rows = read(f.fileno(), start, n, data.ctypes.data, len(data), CHUNK_BYTES,
-                    err.ctypes.data, text.ctypes.data)
+        rows = read(f.fileno(), start, n, data.ctypes.data, len(data),
+                    _lemire_table().ctypes.data, CHUNK_BYTES, err.ctypes.data, text.ctypes.data)
     what, line, column, count = err.tolist()
     where = f"{path}: line {line}, column {column}"
     if what == READ_IO:

@@ -115,6 +115,28 @@ def test_gains_and_bode_name_the_grid_they_cannot_design_at(tmp_path, capsys):
     assert "are beyond the maximum power transfer" in capsys.readouterr().err
 
 
+def test_gains_and_bode_reject_a_set_point_past_the_rating(tmp_path, capsys):
+    # four times the 5 kVA rating, and just past it on the 4:3 line, on a grid
+    # stiff enough to carry both
+    for p, q in ((20000.0, 0.0), (4000.0, 3000.001)):
+        named = f"error: P = {p!r} W and Q = {q!r} var ask for "
+        assert main(["gains", "--scr", "20", "--p", str(p), "--q", str(q)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(named) and "5000 VA rating" in captured.err
+        for scheduled in ([], ["--scheduled"]):
+            assert main(["bode", "--scr-list", "20", "--p", str(p), "--q", str(q), *scheduled,
+                         "--out", str(tmp_path / "bode")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(named) and "5000 VA rating" in captured.err
+    assert not (tmp_path / "bode").exists()
+    # the rating itself is within it
+    assert main(["gains", "--scr", "20", "--p", "4000", "--q", "3000"]) == 0
+    assert main(["bode", "--scr-list", "20", "--p", "4000", "--q", "3000",
+                 "--out", str(tmp_path / "bode")]) == 0
+
+
 @pytest.mark.parametrize("scheduled", [False, True], ids=["fixed", "scheduled"])
 def test_bode_prints_the_phase_margin_of_each_grid(tmp_path, capsys, scheduled):
     tag, flag = ("scheduled", ["--scheduled"]) if scheduled else ("fixed", [])

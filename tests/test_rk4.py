@@ -119,6 +119,30 @@ def test_c_sources_are_every_c_file_of_the_package():
     assert sorted(rk4.SOURCES) == sorted(Path(rk4.__file__).parent.glob("*.c"))
 
 
+def test_a_sweep_of_hard_floats_reads_back_bit_exact_under_ubsan(tmp_path, hard_floats):
+    # the library built with UBSan, which aborts at the first undefined shift,
+    # overflow or bad index in the reader's 128-bit products
+    table = tmp_path / "t.csv"
+    tables.write_table(table, ["x"], [hard_floats])
+    hard_floats.tofile(tmp_path / "want.f64")
+    probe = ("import pathlib, sys\n"
+             "import numpy as np\n"
+             "from vsglab import rk4, tables\n"
+             "rk4.CACHE_DIR = pathlib.Path(sys.argv[1])\n"
+             "rk4.FLAGS += ('-fsanitize=undefined', '-fno-sanitize-recover=all')\n"
+             "got = tables.read_table(rk4.CACHE_DIR / 't.csv', ['x'])[:, 0]\n"
+             "want = np.fromfile(rk4.CACHE_DIR / 'want.f64')\n"
+             "nan = np.isnan(want)\n"
+             "print('libubsan' in pathlib.Path('/proc/self/maps').read_text(),\n"
+             "      rk4.build().parent == rk4.CACHE_DIR, np.array_equal(np.isnan(got), nan),\n"
+             "      np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))")
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
+                          text=True, env={**os.environ,
+                                          "PYTHONPATH": str(Path(rk4.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"] * 4
+
+
 def c_enums(source: Path) -> dict[str, int]:
     """Each enumerator of the `enum { … }` blocks of a C source, with its value."""
     text = re.sub(r"/\*.*?\*/", "", source.read_text(), flags=re.S)

@@ -58,6 +58,13 @@ def written(names, cols, chunk_bytes: int) -> bytes:
         return path.read_bytes()
 
 
+def same_floats(got: np.ndarray, want: np.ndarray) -> bool:
+    """Whether `got` holds `want`'s bits, with any NaN for a NaN."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
 # buffers down to one byte (the writer takes at least 32), so that most rows
 # straddle two or more of them
 @settings(max_examples=80, deadline=None)
@@ -76,10 +83,7 @@ def test_read_table_returns_the_floats_bit_exact(tab, chunk_bytes):
         path = Path(d) / "t.csv"
         write_table(path, names, cols)
         got = read_table(path, names)
-    want = np.array(cols).T
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    assert same_floats(got, np.array(cols).T)
 
 
 def formatted(values: np.ndarray) -> list[bytes]:
@@ -96,23 +100,74 @@ def test_each_float_is_written_as_str_writes_it(values):
     assert formatted(np.array(values)) == [str(v).encode() for v in values]
 
 
-def test_a_sweep_of_hard_floats_is_written_as_str_writes_it():
-    rng = np.random.default_rng(21)
-    pow2 = np.ldexp(1.0, np.arange(-1074, 1024))
-    pow10 = np.array([float(f"1e{e}") for e in range(-323, 309)])
-    powers = np.concatenate([pow2, pow10])
-    subnormal = rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(np.float64)
-    integers = rng.integers(0, 2**63, 40_000, dtype=np.uint64) >> rng.integers(0, 63, 40_000,
-                                                                               dtype=np.uint64)
-    values = np.concatenate([
-        rng.integers(0, 2**64, 80_000, dtype=np.uint64).view(np.float64),  # any bits
-        subnormal, -subnormal,
-        powers, np.nextafter(powers, math.inf), np.nextafter(powers, -math.inf),
-        integers.astype(np.float64), np.ldexp(1.0, np.arange(64)) - 1.0,
-        np.arange(60_000) * 50e-6, np.arange(20_000) * 200e-6,  # the trace time grids
-    ])
-    assert len(values) >= 200_000
-    assert formatted(values) == [str(v).encode() for v in values.tolist()]
+def test_a_sweep_of_hard_floats_is_written_as_str_writes_it(hard_floats):
+    assert len(hard_floats) >= 200_000
+    assert formatted(hard_floats) == [str(v).encode() for v in hard_floats.tolist()]
+
+
+def test_a_sweep_of_hard_floats_reads_back_bit_exact(tmp_path, hard_floats):
+    path = tmp_path / "t.csv"
+    write_table(path, ["x"], [hard_floats])
+    assert same_floats(read_table(path, ["x"])[:, 0], hard_floats)
+
+
+# fields on either side of each bound of the reader's fast paths: at most 19
+# significant digits, w <= 2^53 and |q| <= 22 for w * 10^q, no subnormal or
+# infinite result, q in [-342, 308]; and forms that only strtod reads
+HARD_DECIMALS = [
+    "1234567890123456789", "12345678901234567891", "9999999999999999999e-10",
+    "12345678901234567890", "1.000000000000000000", "1.0000000000000000000",
+    "0.000000000000000000000000000000000000000000000000000000000000123456789",
+    "00000000000000000000000000000000000000000000000000000000000000000000001.5",
+    "9007199254740993", "9007199254740992e22", "9007199254740992e23", "9007199254740993e-22",
+    "9007199254740992e-22", "1e22", "1e23", "1e-22", "1e-23",
+    "2.2250738585072011e-308", "2.2250738585072014e-308", "4.9406564584124654e-324",
+    "2.4703282292062328e-324", "2.4703282292062327e-324", "1e-342", "1e-343",
+    "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+    "1e308", "1e309", "1e400", "1e-400", "-1e400",
+    "-0", "0e999", "-0.000e-999", "00012.5000", "1E5", "1e+005", "5e-0000000000000000000001",
+    "+1", ".5", "5.", "nan", "-inf", "Infinity",
+]
+
+
+def test_hard_decimals_read_back_as_float_reads_them(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x\n" + "".join(f"{s}\n" for s in HARD_DECIMALS))
+    got = read_table(path, ["x"])[:, 0]
+    want = np.array([float(s) for s in HARD_DECIMALS])
+    assert (list(zip(HARD_DECIMALS, got.view(np.uint64).tolist()))
+            == list(zip(HARD_DECIMALS, want.view(np.uint64).tolist())))
+
+
+def test_the_eisel_lemire_table_rows_are_their_definitions():
+    table = tables._lemire_table()
+    assert table.shape == (tables.LEMIRE_Q_MAX - tables.LEMIRE_Q_MIN + 1, 2) == (651, 2)
+
+    def row(q: int) -> int:
+        low, high = table[q - tables.LEMIRE_Q_MIN].tolist()
+        return high << 64 | low
+
+    def defined(q: int) -> int:
+        if q >= 0:  # 5^q with its leading bit moved to bit 127, then cut
+            r = 5**q
+            while r < 2**127:
+                r *= 2
+            while r >= 2**128:
+                r //= 2
+            return r
+        z = (5**-q).bit_length()
+        if q >= -27:
+            return 2**(z + 127) // 5**-q + 1
+        r = 2**(2 * z + 128) // 5**-q + 1
+        while r >= 2**128:
+            r //= 2
+        return r
+
+    assert row(0) == 2**127
+    for q in (0, 1, 27, 308, -1, -27, -28, -342):
+        assert row(q) == defined(q), q
+    assert row(-342) == 0xEEF453D6923BD65A_113FAA2906A13B3F
+    assert row(308) == 0x8E679C2F5E44FF8F_570F09EAA7EA7648
 
 
 def test_several_real_blocks_match_the_rowwise_join(tmp_path):
