@@ -9,11 +9,10 @@
  * ','-separated fields, each row ended by '\n', each field read whole as
  * strtod reads it in the "C" locale, but with no leading whitespace,
  * hexadecimal or nan(chars).  A field of the form -?D+(.D+)?([eE][+-]?D+)? with
- * at most 19 significant digits is read by Clinger's exact path (Clinger, "How
- * to read floating point numbers accurately", PLDI 1990) or by Eisel-Lemire
- * (Lemire, "Number parsing at a gigabyte per second", Software: Practice and
- * Experience 2021), to the same double; strtod_l reads every other field, and
- * those whose result neither path can decide.
+ * at most 19 significant digits is read by Eisel-Lemire (Lemire, "Number
+ * parsing at a gigabyte per second", Software: Practice and Experience 2021),
+ * to the same double; strtod_l reads every other field, and those whose result
+ * Eisel-Lemire cannot decide.
  */
 
 #define _GNU_SOURCE
@@ -366,30 +365,24 @@ static int eisel_lemire(uint64_t w, int32_t q, const uint64_t *pow5, double *v)
     return 1;
 }
 
-/* 10^k for k in [0, 22], exactly: each product is a 10^j = 5^j 2^j with 5^j < 2^53 */
-static double pow10_exact(int64_t k)
-{
-    double p = 1.0, b = 10.0;
-    for (; k; k >>= 1, b *= b)
-        if (k & 1)
-            p *= b;
-    return p;
-}
-
-/* The digits at p into w, each counted in *n from the first nonzero one; w wraps
-   past 19 of them, which the caller refuses.  Returns the end of the digits. */
+/* The digits at p into w, counted in *n from the first nonzero one, which skips
+   the zeros ahead of it while *n is 0; w wraps past 19 digits, which the caller
+   refuses.  Returns the end of the digits. */
 static const char *digit_run(const char *p, uint64_t *w, int64_t *n)
 {
-    for (; *p >= '0' && *p <= '9'; p++) {
+    if (*n == 0) /* no nonzero digit yet, and w is 0 */
+        while (*p == '0')
+            p++;
+    const char *const first = p;
+    for (; *p >= '0' && *p <= '9'; p++)
         *w = 10 * *w + (uint64_t)(*p - '0');
-        *n += *w != 0;
-    }
+    *n += p - first;
     return p;
 }
 
 /* The NUL-terminated field s of len bytes as a float, in *v: 1 if it has the form
-   -?D+(.D+)?([eE][+-]?D+)? with at most 19 significant digits, and Clinger's exact
-   path or Eisel-Lemire reads it; else 0. */
+   -?D+(.D+)?([eE][+-]?D+)? with at most 19 significant digits, and Eisel-Lemire
+   reads it; else 0. */
 static int parse_decimal(const char *s, size_t len, const uint64_t *pow5, double *v)
 {
     const int negative = *s == '-';
@@ -422,8 +415,6 @@ static int parse_decimal(const char *s, size_t len, const uint64_t *pow5, double
     double x;
     if (w == 0)
         x = 0.0;
-    else if (w <= UINT64_C(1) << 53 && q >= -22 && q <= 22) /* w and 10^|q| are exact */
-        x = q < 0 ? (double)w / pow10_exact(-q) : (double)w * pow10_exact(q);
     else if (q < LEMIRE_Q_MIN || q > LEMIRE_Q_MAX || !eisel_lemire(w, (int32_t)q, pow5, &x))
         return 0;
     *v = negative ? -x : x;

@@ -14,10 +14,10 @@ grammar and no other: the header's bytes, then rows of `,`-separated fields
 with a `\\n` after every row, each field parsed whole as `strtod` parses
 Python's float syntax without surrounding whitespace, underscores,
 hexadecimal or `nan(…)`.  A field of `write_table`'s decimal form with at
-most 19 significant digits is parsed by Clinger's exact path or by
-Eisel–Lemire, with the power-of-5 table `_lemire_table` derived on the first
-read; every other field, and one whose result neither path can decide, goes
-to `strtod`, so each field reads to the same bits either way.  A last row
+most 19 significant digits is parsed by Eisel–Lemire, with the power-of-5
+table `_lemire_table` derived on the first read; every other field, and one
+whose result Eisel–Lemire cannot decide, goes to `strtod`, so each field
+reads to the same bits either way.  A last row
 with no `\\n`, a cut file, is an error, and so are `\\r\\n` line ends, `#`
 comments and blank lines; each names the file, the line and the column.
 

@@ -111,12 +111,16 @@ def test_a_sweep_of_hard_floats_reads_back_bit_exact(tmp_path, hard_floats):
     assert same_floats(read_table(path, ["x"])[:, 0], hard_floats)
 
 
-# fields on either side of each bound of the reader's fast paths: at most 19
-# significant digits, w <= 2^53 and |q| <= 22 for w * 10^q, no subnormal or
-# infinite result, q in [-342, 308]; and forms that only strtod reads
+# fields on either side of each bound of the reader's fast path for w * 10^q: at
+# most 19 significant digits, no subnormal or infinite result, q in [-342, 308];
+# significands whose first 20 digits are a multiple of 2^64, which wrap a 64-bit
+# w to 0; w <= 2^53 and |q| <= 22, where w * 10^q is one exact double product;
+# and forms that only strtod reads
 HARD_DECIMALS = [
     "1234567890123456789", "12345678901234567891", "9999999999999999999e-10",
     "12345678901234567890", "1.000000000000000000", "1.0000000000000000000",
+    "18446744073709551616", "1.8446744073709551616", "184467440737095516160",
+    "1.8446744073709551616e19", "-18446744073709551616.0", "0.00092233720368547758080",
     "0.000000000000000000000000000000000000000000000000000000000000123456789",
     "00000000000000000000000000000000000000000000000000000000000000000000001.5",
     "9007199254740993", "9007199254740992e22", "9007199254740992e23", "9007199254740993e-22",
