@@ -322,19 +322,17 @@ def generate_dataset(cfg: DatasetConfig) -> Dataset:
     phasors = np.empty((n, 4))  # delta, V_pcc, R_g, X_g of each window
     targets = np.empty((n, 2))
     noise = np.empty((n, 2 * WINDOW_LEN)) if cfg.noise_std > 0.0 else None
-    todo = np.arange(n)
-    while todo.size:  # draw in window order, then redraw the windows with no operating point
-        for i in todo.tolist():
-            draws[i] = (rng.choice(DATASET_SCR_VALUES), rng.choice(DATASET_XR_VALUES),
-                        rng.uniform(*DATASET_P_FRAC_RANGE) * S_RATED,
-                        rng.uniform(*DATASET_Q_FRAC_RANGE) * S_RATED)
-            z = scr_to_impedance(*draws[i, :2].tolist())
-            phasors[i, 2:], targets[i] = (z.r_g, z.x_g), (z.r_g, z.l_g)
-            if noise is not None:  # voltage then current noise
-                noise[i] = rng.normal(0.0, cfg.noise_std, 2 * WINDOW_LEN)
-        delta, v = operating_points(*draws[todo, 2:].T, *phasors[todo, 2:].T)
-        phasors[todo, 0], phasors[todo, 1] = delta, v
-        todo = todo[np.isnan(v)]
+    for i in range(n):  # in window order
+        draws[i] = (rng.choice(DATASET_SCR_VALUES), rng.choice(DATASET_XR_VALUES),
+                    rng.uniform(*DATASET_P_FRAC_RANGE) * S_RATED,
+                    rng.uniform(*DATASET_Q_FRAC_RANGE) * S_RATED)
+        z = scr_to_impedance(*draws[i, :2].tolist())
+        phasors[i, 2:], targets[i] = (z.r_g, z.x_g), (z.r_g, z.l_g)
+        if noise is not None:  # voltage then current noise
+            noise[i] = rng.normal(0.0, cfg.noise_std, 2 * WINDOW_LEN)
+    # every draw of the recipe has an operating point; a NaN one would fail
+    # Dataset's check of finite inputs
+    phasors[:, 0], phasors[:, 1] = operating_points(*draws[:, 2:].T, *phasors[:, 2:].T)
     t = SAMPLE_DT + np.arange(WINDOW_LEN) * SAMPLE_DT
     inputs = np.empty((n, 2 * WINDOW_LEN))
     rk4.library().vsg_window_waveforms(n, WINDOW_LEN, t.ctypes.data, phasors.ctypes.data,

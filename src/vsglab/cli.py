@@ -37,12 +37,13 @@ def _jac_from_grid(scr: float, xr: float, p: float, q: float) -> tuple[JacobianP
 
     A set-point past the plant's rating, |P + jQ| > `S_RATED`, raises `ValueError`."""
     z = scr_to_impedance(scr, xr)
-    op = solve_operating_point(p, q, z)
+    delta, v = solve_operating_point(p, q, z)
     if (s := math.hypot(p, q)) > S_RATED:
         raise ValueError(f"P = {p!r} W and Q = {q!r} var ask for {s:g} VA, "
                          f"past the plant's {S_RATED:g} VA rating")
-    return jacobian(op, z), (f"scr = {scr!r} and xr = {xr!r} at P = {p!r} W and Q = {q!r} var "
-                             f"solve to delta = {op.delta0!r} rad and V = {op.v_pcc0!r} V, where ")
+    return jacobian(delta, v, z), (f"scr = {scr!r} and xr = {xr!r} at P = {p!r} W and "
+                                   f"Q = {q!r} var solve to delta = {delta!r} rad and "
+                                   f"V = {v!r} V, where ")
 
 
 def cmd_gains(args) -> int:
@@ -89,11 +90,6 @@ def cmd_bode(args) -> int:
     return 0
 
 
-def _truth_schedule(cfg: SimConfig, events: list[ScenarioEvent]):
-    """(time, R_g, L_g) rows of the impedance the simulator runs with."""
-    return [(t, z.r_g, z.l_g) for t, z in impedance_schedule(cfg, events)]
-
-
 def _dataset_stage(path: Path, n: int, seed: int, noise: float = 0.0) -> ann.Dataset:
     """Generate the dataset and write it to `path`, creating its directory."""
     ds = ann.generate_dataset(ann.DatasetConfig(n_samples=n, seed=seed, noise_std=noise))
@@ -126,7 +122,7 @@ def _simulate_stage(cfg: SimConfig, events: list[ScenarioEvent], model, norm,
 def _evaluate_stage(cvsg: TimeSeries, avsg: TimeSeries, estimates, cfg: SimConfig,
                     events: list[ScenarioEvent], out: Path) -> ComparisonReport:
     """Compare the two runs; write report.txt, report.csv and estimation.csv under `out`."""
-    rep = build_comparison(cvsg, avsg, events, estimates, _truth_schedule(cfg, events),
+    rep = build_comparison(cvsg, avsg, events, estimates, impedance_schedule(cfg, events),
                            cfg.targets)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(render_text(rep))

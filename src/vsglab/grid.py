@@ -1,10 +1,13 @@
 """Fundamental-frequency phasor model of the PCC-to-grid link.
 
-Active/reactive power flow across a series R+jX grid impedance, the
-analytic 2x2 Jacobian of that map, conversion between short-circuit
-ratio (SCR) and impedance, and operating points in closed form, as the
-roots of one quartic in the PCC voltage.  All quantities are per-phase
-RMS; powers are three-phase totals.
+Active/reactive power flow across a series R+jX grid impedance to the
+plant's grid voltage V_G, as a function of the PCC angle and voltage
+(`power_flow`), the analytic 2x2 Jacobian of that map (`jacobian`),
+conversion between short-circuit ratio (SCR) and impedance, and operating
+points (delta, V_pcc) in closed form, as the roots of one quartic in the PCC
+voltage.  These are the only power flow and Jacobian of the package; the
+simulator calls both.  All quantities are per-phase RMS; powers are
+three-phase totals.
 """
 
 from __future__ import annotations
@@ -57,31 +60,6 @@ class GridImpedance:
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
-    """Steady-state phasor state at which linearization happens."""
-
-    delta0: float   # phase angle difference PCC-grid, rad
-    v_pcc0: float   # PCC RMS phase voltage, V
-    v_g: float      # grid RMS phase voltage, V
-
-    def __post_init__(self) -> None:
-        if self.v_pcc0 <= 0.0 or self.v_g <= 0.0:
-            raise ValueError("voltages must be positive")
-        if abs(self.delta0) >= math.pi / 2:
-            raise ValueError("|delta0| must be < pi/2 (monotone P-delta region)")
-
-
-@dataclass(frozen=True)
-class PowerPair:
-    p: float  # W, three-phase
-    q: float  # var, three-phase
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise ValueError("powers must be finite")
-
-
-@dataclass(frozen=True)
 class JacobianPQ:
     """Partials of (P_pcc, Q_pcc) w.r.t. (delta, V_pcc)."""
 
@@ -91,44 +69,34 @@ class JacobianPQ:
     d: float  # dQ/dV,     var/V
 
 
-def _pf(delta: float, v: float, vg: float, r: float, x: float) -> tuple[float, float]:
-    """Scalar power-flow kernel shared by the public API and the simulator."""
+def power_flow(delta: float, v: float, z: GridImpedance) -> tuple[float, float]:
+    """Three-phase P_pcc, Q_pcc across the grid impedance from a PCC voltage of
+    RMS v at angle delta (rad) ahead of the grid's V_G."""
+    r, x = z.r_g, z.x_g
     den = r * r + x * x
     s = math.sin(delta)
     c = math.cos(delta)
     k = 3.0 / den
-    p = k * (r * v * v - r * v * vg * c + x * v * vg * s)
-    q = k * (x * v * v - x * v * vg * c - r * v * vg * s)
+    p = k * (r * v * v - r * v * V_G * c + x * v * V_G * s)
+    q = k * (x * v * v - x * v * V_G * c - r * v * V_G * s)
     return p, q
 
 
-def _pf_jac(delta: float, v: float, vg: float, r: float, x: float
-            ) -> tuple[float, float, float, float]:
-    den = r * r + x * x
-    s = math.sin(delta)
-    c = math.cos(delta)
-    k = 3.0 / den
-    a = k * (r * v * vg * s + x * v * vg * c)
-    b = k * (2.0 * r * v - r * vg * c + x * vg * s)
-    cc = k * (x * v * vg * s - r * v * vg * c)
-    d = k * (2.0 * x * v - x * vg * c - r * vg * s)
-    return a, b, cc, d
-
-
-def power_flow(op: OperatingPoint, z: GridImpedance) -> PowerPair:
-    """Three-phase P_pcc, Q_pcc across the grid impedance."""
-    p, q = _pf(op.delta0, op.v_pcc0, op.v_g, z.r_g, z.x_g)
-    return PowerPair(p=p, q=q)
-
-
-def jacobian(op: OperatingPoint, z: GridImpedance) -> JacobianPQ:
-    """Analytic partials of the power-flow map at the operating point.
+def jacobian(delta: float, v: float, z: GridImpedance) -> JacobianPQ:
+    """Analytic partials of `power_flow` w.r.t. (delta, v).
 
     All four entries are the true partials of the flow equations; in
     particular `d` is dQ/dV_pcc (validated against finite differences).
     """
-    a, b, c, d = _pf_jac(op.delta0, op.v_pcc0, op.v_g, z.r_g, z.x_g)
-    return JacobianPQ(a=a, b=b, c=c, d=d)
+    r, x = z.r_g, z.x_g
+    den = r * r + x * x
+    s = math.sin(delta)
+    c = math.cos(delta)
+    k = 3.0 / den
+    return JacobianPQ(a=k * (r * v * V_G * s + x * v * V_G * c),
+                      b=k * (2.0 * r * v - r * V_G * c + x * V_G * s),
+                      c=k * (x * v * V_G * s - r * v * V_G * c),
+                      d=k * (2.0 * x * v - x * V_G * c - r * V_G * s))
 
 
 def scr_to_impedance(scr: float, xr_ratio: float) -> GridImpedance:
@@ -181,9 +149,10 @@ def operating_points(p_target, q_target, r_g, x_g, *, d_q: float = 0.0) -> tuple
 
 
 def solve_operating_point(p_target: float, q_target: float, z: GridImpedance, *,
-                          d_q: float = 0.0) -> OperatingPoint:
-    """`operating_points` at one point: P = p_target and Q + d_q (V_pcc - V_G) = q_target,
-    the steady state of the VSG outer loops when the Q-V droop gain d_q is nonzero.
+                          d_q: float = 0.0) -> tuple[float, float]:
+    """`operating_points` at one point, as (delta, V_pcc): P = p_target and
+    Q + d_q (V_pcc - V_G) = q_target, the steady state of the VSG outer loops
+    when the Q-V droop gain d_q is nonzero.
     Where no root qualifies, InfeasibleOperatingPointError names the targets, the
     grid and the maximum power transfer (at Q = q_target)."""
     for name, value in (("p_target", p_target), ("q_target", q_target)):
@@ -200,4 +169,4 @@ def solve_operating_point(p_target: float, q_target: float, z: GridImpedance, *,
             + (f"they are beyond the maximum power transfer, (R Q - X P)^2 / 9 = {b * b:.6g} "
                f"V^4 > V_G^2 (V_G^2 / 4 + (R P + X Q) / 3) = {limit:.6g} V^4" if b * b > limit
                else "they are within the maximum power transfer, at a V_pcc outside that range"))
-    return OperatingPoint(delta0=float(delta), v_pcc0=float(v), v_g=V_G)
+    return float(delta), float(v)

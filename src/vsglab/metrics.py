@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import EstimateRecord
+from .grid import GridImpedance
 
 
 @dataclass(frozen=True)
@@ -121,26 +122,27 @@ class SegmentEstimationStats:
 
 
 def estimation_metrics(estimates: list[tuple[EstimateRecord, float, float, bool]],
-                       truth_schedule: list[tuple[float, float, float]],
+                       schedule: list[tuple[float, GridImpedance]],
                        t_end: float) -> list[SegmentEstimationStats]:
     """Per constant-impedance segment error statistics.
 
-    `truth_schedule` is a list of (segment start time, r_true, l_true);
-    steady-state errors use the median estimate over the second half of
+    `schedule` is `sim.impedance_schedule`'s list of (segment start time, true
+    impedance); steady-state errors use the median estimate over the second half of
     each segment (clean windows only: window fully inside the segment).
     The detection delay runs to the first estimate within 10 % in both R and L.
     """
     tolerance = 0.10
     stats = []
-    for si, (t0, r_true, l_true) in enumerate(truth_schedule):
-        t1 = truth_schedule[si + 1][0] if si + 1 < len(truth_schedule) else t_end
-        clean = [(rec, ap) for rec, _, _, ap in estimates
+    for si, (t0, z) in enumerate(schedule):
+        t1 = schedule[si + 1][0] if si + 1 < len(schedule) else t_end
+        clean = [rec for rec, *_ in estimates
                  if rec.window_start >= t0 and rec.window_end <= t1]
         if not clean:
             continue
-        err_r = np.array([abs(rec.r_g_hat - r_true) / abs(r_true) for rec, _ in clean])
-        err_l = np.array([abs(rec.l_g_hat - l_true) / abs(l_true) for rec, _ in clean])
-        times = np.array([rec.t for rec, _ in clean])
+        r_true, l_true = z.r_g, z.l_g
+        err_r = np.array([abs(rec.r_g_hat - r_true) / abs(r_true) for rec in clean])
+        err_l = np.array([abs(rec.l_g_hat - l_true) / abs(l_true) for rec in clean])
+        times = np.array([rec.t for rec in clean])
         late = times >= (t0 + t1) / 2.0
         delay = None
         ok = np.nonzero((err_r <= tolerance) & (err_l <= tolerance))[0]

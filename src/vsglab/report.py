@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .estimator import EstimateRecord
+from .grid import GridImpedance
 from .metrics import (StepMetrics, step_metrics, oscillation_energy,
                       estimation_metrics, SegmentEstimationStats)
 from .sim import TimeSeries, ScenarioEvent
@@ -36,17 +37,17 @@ class ComparisonReport:
 
 
 def _event_window_end(events: list[ScenarioEvent], i: int, duration: float) -> float:
-    if i + 1 >= len(events):
-        return duration
-    # stop just short of the next event: the sample logged at its exact time
-    # already reflects the new grid/setpoint
-    return events[i + 1].time - 1e-9
+    """The end of the metric window of events[i], in time order: just short of the
+    first later event, as the sample logged at its exact time already reflects the
+    new grid/setpoint, or the run's end.  An event at the same time ends nothing."""
+    return next((ev.time - 1e-9 for ev in events[i + 1:] if ev.time > events[i].time),
+                duration)
 
 
 def build_comparison(cvsg: TimeSeries, avsg: TimeSeries,
                      events: list[ScenarioEvent],
                      estimates: list[tuple[EstimateRecord, float, float, bool]],
-                     truth_schedule: list[tuple[float, float, float]],
+                     schedule: list[tuple[float, GridImpedance]],
                      targets: DesignTargets = DesignTargets()) -> ComparisonReport:
     """Per-event metrics for both modes plus estimation statistics.
 
@@ -54,8 +55,9 @@ def build_comparison(cvsg: TimeSeries, avsg: TimeSeries,
     settles within 10 % of its weak-grid P-step value, Q-steps settle within
     the same fraction of the analytic first-order value, and overshoot is
     consistent to 1 percentage point per loop.  Oscillation energy is
-    reported per event but does not gate the verdict.  A trace that ends
-    before an event raises ValueError.
+    reported per event but does not gate the verdict.  The estimation
+    statistics take `sim.impedance_schedule`'s (time, impedance) list as the
+    truth.  A trace that ends before an event raises ValueError.
     """
     band, settling_tol_frac, overshoot_tol_pp = 0.02, 0.10, 1.0
     events = sorted(events, key=lambda e: e.time)
@@ -80,7 +82,7 @@ def build_comparison(cvsg: TimeSeries, avsg: TimeSeries,
         rows.append(EventComparison(time=ev.time, kind=ev.kind, channel=channel,
                                     cvsg=m_c, avsg=m_a, ise_cvsg=ise_c, ise_avsg=ise_a))
 
-    est_stats = estimation_metrics(estimates, truth_schedule, duration)
+    est_stats = estimation_metrics(estimates, schedule, duration)
 
     # pass/fail against the design targets
     failures: list[str] = []

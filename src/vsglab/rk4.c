@@ -149,7 +149,7 @@ int vsg_rk4_run(double *y, const double *par, const double *row, int64_t *ix,
         }
 
         if (k % dec_out == 0) {
-            /* the logged P and Q as grid._pf computes them */
+            /* the logged P and Q as grid.power_flow computes them */
             const double den = r * r + x * x;
             const double sn = sin(d);
             const double cs = cos(d);

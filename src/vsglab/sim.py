@@ -10,10 +10,13 @@ window, or the end of the run.  On the way it writes the decimated output
 rows and, in adaptive mode, the instantaneous PCC voltage and grid current of
 every estimator sample into the one estimator buffer.  Inner voltage/current
 loops are modeled as ideal (the PCC voltage magnitude tracks the command
-instantly).  At the stops, this module steps the SCR or the power set-points of
-the scenario's events, and hands each full window to the estimator whole;
-accepted estimates reschedule the gains.  A step that leaves the finite range stops
-the run with one `NumericFailureError`, naming the step's time.
+instantly).  A run starts at `grid.solve_operating_point`'s equilibrium, with
+the power `grid.power_flow` gives there.  At the stops, this module steps the
+SCR or the power set-points of the scenario's events, and hands each full
+window to the estimator whole; accepted estimates reschedule the gains from
+`grid.jacobian` at the present state and the estimated impedance.  A step
+that leaves the finite range stops the run with one `NumericFailureError`,
+naming the step's time.
 
 The plant is the one the estimator was trained at, no scenario's setting:
 `grid.V_G`, `S_RATED` and `OMEGA0_DEFAULT` (110 V, 5 kVA, 50 Hz), which are
@@ -34,8 +37,8 @@ import numpy as np
 
 from . import rk4
 from .ann import SAMPLE_DT, WINDOW_LEN
-from .grid import (GridImpedance, JacobianPQ, scr_to_impedance,
-                   solve_operating_point, _pf, _pf_jac, OMEGA0_DEFAULT, S_RATED, V_G)
+from .grid import (GridImpedance, scr_to_impedance, solve_operating_point, power_flow,
+                   jacobian, OMEGA0_DEFAULT, S_RATED, V_G)
 from .smallsignal import VsgGains, DesignTargets, schedule_gains, SchedulingError
 from .estimator import (GATE_THRESHOLD, OnlineEstimator, OracleEstimator, EstimateRecord,
                         gate_gain_update)
@@ -202,8 +205,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
 
     sp = cfg.setpoints
     gains = cfg.gains
-    op = solve_operating_point(sp.p_ref, sp.q_ref, z, d_q=gains.d_q)
-    d, v = op.delta0, op.v_pcc0
+    d, v = solve_operating_point(sp.p_ref, sp.q_ref, z, d_q=gains.d_q)
 
     estimator = None
     if cfg.mode == "avsg":
@@ -227,7 +229,7 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
     # each estimator sample into `window`, the one estimator buffer: every
     # SAMPLE_DT after t = 0, so each window of WINDOW_LEN samples opens on the
     # cycle grid.
-    y = np.array([d, OMEGA0_DEFAULT, v, *_pf(d, v, V_G, z.r_g, z.x_g)])
+    y = np.array([d, OMEGA0_DEFAULT, v, *power_flow(d, v, z)])
     par = np.array([h, V_G, OMEGA0_DEFAULT, cfg.meas_lpf_cutoff or 0.0, z.x_g,
                     sp.p_ref, sp.q_ref, events[0].time if events else math.inf])
     row = np.array([z.r_g, z.l_g, math.nan, math.nan,
@@ -271,10 +273,9 @@ def run_scenario(cfg: SimConfig, events: list[ScenarioEvent],
                 # both estimators give R, L >= 0; the floor keeps X > 0 where the
                 # network's exp() underflows to L = 0
                 z_hat = GridImpedance(rec.r_g_hat, max(OMEGA0_DEFAULT * rec.l_g_hat, 1e-9))
-                d, v = float(y[rk4.Y_DELTA]), float(y[rk4.Y_V])
-                ja, jb, jc, jd = _pf_jac(d, v, V_G, z_hat.r_g, z_hat.x_g)
+                jac = jacobian(float(y[rk4.Y_DELTA]), float(y[rk4.Y_V]), z_hat)
                 try:
-                    gains = schedule_gains(JacobianPQ(ja, jb, jc, jd), cfg.targets)
+                    gains = schedule_gains(jac, cfg.targets)
                     row[rk4.ROW_DP:] = gains.d_p, gains.k_ip, gains.d_q, gains.k_iq
                     prev_applied = rec
                 except SchedulingError:

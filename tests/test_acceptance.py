@@ -17,12 +17,12 @@ import pytest
 from scipy.optimize import brentq
 
 from vsglab import ann
-from vsglab.cli import run_paper_repro, _truth_schedule
-from vsglab.grid import (GridImpedance, OperatingPoint, JacobianPQ, power_flow,
-                         jacobian, scr_to_impedance, solve_operating_point)
+from vsglab.cli import run_paper_repro
+from vsglab.grid import (GridImpedance, JacobianPQ, power_flow, jacobian, scr_to_impedance,
+                         solve_operating_point)
 from vsglab.metrics import settling_time, percent_overshoot, estimation_metrics
 from vsglab.report import build_comparison
-from vsglab.sim import benchmark_config
+from vsglab.sim import benchmark_config, impedance_schedule
 from vsglab.smallsignal import (VsgGains, schedule_gains,
                                 p_loop_info, q_loop_info, phase_margin)
 
@@ -33,18 +33,16 @@ def test_jacobian_matches_finite_differences_on_1000_points():
     rng = np.random.default_rng(42)
     t0 = time.perf_counter()
     for _ in range(1000):
-        op = OperatingPoint(delta0=rng.uniform(-1.4, 1.4),
-                            v_pcc0=rng.uniform(60.0, 160.0),
-                            v_g=rng.uniform(90.0, 130.0))
+        delta, v = rng.uniform(-1.4, 1.4), rng.uniform(60.0, 160.0)
         z = GridImpedance(rng.uniform(0.0, 5.0), rng.uniform(0.05, 10.0))
-        j = jacobian(op, z)
+        j = jacobian(delta, v, z)
         h_d, h_v = 1e-5, 1e-4
-        pp = power_flow(OperatingPoint(op.delta0 + h_d, op.v_pcc0, op.v_g), z)
-        pm = power_flow(OperatingPoint(op.delta0 - h_d, op.v_pcc0, op.v_g), z)
-        vp = power_flow(OperatingPoint(op.delta0, op.v_pcc0 + h_v, op.v_g), z)
-        vm = power_flow(OperatingPoint(op.delta0, op.v_pcc0 - h_v, op.v_g), z)
-        fd = ((pp.p - pm.p) / (2 * h_d), (vp.p - vm.p) / (2 * h_v),
-              (pp.q - pm.q) / (2 * h_d), (vp.q - vm.q) / (2 * h_v))
+        pp = power_flow(delta + h_d, v, z)
+        pm = power_flow(delta - h_d, v, z)
+        vp = power_flow(delta, v + h_v, z)
+        vm = power_flow(delta, v - h_v, z)
+        fd = ((pp[0] - pm[0]) / (2 * h_d), (vp[0] - vm[0]) / (2 * h_v),
+              (pp[1] - pm[1]) / (2 * h_d), (vp[1] - vm[1]) / (2 * h_v))
         for got, ref in zip((j.a, j.b, j.c, j.d), fd):
             assert abs(got - ref) <= 1e-6 * max(1.0, abs(ref))
     assert time.perf_counter() - t0 < 1.0
@@ -69,7 +67,7 @@ def test_phase_margin_drops_with_grid_strength_unless_rescheduled():
     fixed, scheduled = [], []
     for scr in (2.0, 8.0, 20.0):
         z = scr_to_impedance(scr, 5.0)
-        j = jacobian(solve_operating_point(2000.0, 1000.0, z), z)
+        j = jacobian(*solve_operating_point(2000.0, 1000.0, z), z)
         fixed.append(phase_margin(BASELINE, j.a))
         g = schedule_gains(j)
         scheduled.append(phase_margin(g, j.a))
@@ -80,7 +78,7 @@ def test_phase_margin_drops_with_grid_strength_unless_rescheduled():
 
 def test_design_rule_step_response():
     z = scr_to_impedance(2.0, 5.0)
-    j = jacobian(solve_operating_point(2000.0, 1000.0, z), z)
+    j = jacobian(*solve_operating_point(2000.0, 1000.0, z), z)
     g = schedule_gains(j)
     info = p_loop_info(g, j.a)
     assert info.t_s_rule == pytest.approx(1.000, rel=1e-12)
@@ -155,7 +153,7 @@ def test_every_estimate_arrives_one_cycle_after_its_window_opens(benchmark_runs)
 def test_estimation_accuracy_across_grid_strengths(benchmark_runs):
     _, res_a, events, _ = benchmark_runs
     cfg = benchmark_config("avsg")
-    stats = estimation_metrics(res_a.estimates, _truth_schedule(cfg, events), 60.0)
+    stats = estimation_metrics(res_a.estimates, impedance_schedule(cfg, events), 60.0)
     assert len(stats) == 3
     for s in stats:
         print(f"\nsegment {s.t_start:g}-{s.t_end:g}s: steady err R {s.steady_rel_err_r:.3%} "
@@ -174,7 +172,7 @@ def test_adaptive_mode_keeps_step_response_constant(benchmark_runs):
     assert elapsed < 120.0
     cfg = benchmark_config("avsg")
     rep = build_comparison(res_c.series, res_a.series, events, res_a.estimates,
-                           _truth_schedule(cfg, events))
+                           impedance_schedule(cfg, events))
 
     p_steps = [r for r in rep.events if r.kind == "set_p_ref"]
     q_steps = [r for r in rep.events if r.kind == "set_q_ref"]
@@ -200,7 +198,7 @@ def test_fixed_gains_accumulate_more_oscillation_energy_when_grid_stiffens(bench
     res_c, res_a, events, _ = benchmark_runs
     cfg = benchmark_config("avsg")
     rep = build_comparison(res_c.series, res_a.series, events, res_a.estimates,
-                           _truth_schedule(cfg, events))
+                           impedance_schedule(cfg, events))
     # setpoint steps after the grid first stiffens (SCR 8 at t=20, SCR 20 at t=40)
     for r in rep.events:
         if r.kind != "set_scr" and r.time > 20.0:

@@ -11,6 +11,7 @@ from vsglab.ann import (MlpModel, Normalizer, NormalizationError,
                         lm_step, train, train_on_dataset, generate_dataset,
                         split_dataset, save_model, load_model,
                         save_dataset_csv, load_dataset_csv, SAMPLE_DT)
+from vsglab.grid import S_RATED, operating_points, scr_to_impedance
 from vsglab.tables import read_table
 
 
@@ -307,6 +308,18 @@ def test_generate_dataset_invariants():
     assert set(np.unique(ds.scr)) <= set(ann.DATASET_SCR_VALUES)
     assert set(np.unique(ds.xr_ratio)) <= set(ann.DATASET_XR_VALUES)
     assert np.all(ds.t0 == SAMPLE_DT)  # every window starts where the online buffer does
+
+
+def test_every_corner_draw_of_the_recipe_has_an_operating_point():
+    # the dataset draws once, with no redraw: the extreme P and Q on every grid
+    # of the recipe solve to a V_pcc and an angle well inside the power flow's range
+    p = np.array(ann.DATASET_P_FRAC_RANGE).reshape(2, 1, 1) * S_RATED
+    q = np.array(ann.DATASET_Q_FRAC_RANGE).reshape(1, 2, 1) * S_RATED
+    zs = [scr_to_impedance(scr, xr) for scr in ann.DATASET_SCR_VALUES
+          for xr in ann.DATASET_XR_VALUES]
+    delta, v = operating_points(p, q, [z.r_g for z in zs], [z.x_g for z in zs])
+    assert v.shape == (2, 2, len(zs))
+    assert np.all(np.abs(delta) < 0.5) and np.all((105.0 < v) & (v < 135.0))
 
 
 def test_dataset_config_validation():

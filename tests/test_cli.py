@@ -100,9 +100,9 @@ def test_gains_rejects_bad_inputs(capsys):
 def test_gains_and_bode_name_the_grid_they_cannot_design_at(tmp_path, capsys):
     # a nearly resistive grid solves to an operating point where A < 0: the error
     # names the grid, the targets and the solved point
-    op = solve_operating_point(2000.0, 1000.0, scr_to_impedance(2.0, 1e-3))
+    delta, v = solve_operating_point(2000.0, 1000.0, scr_to_impedance(2.0, 1e-3))
     named = (f"scr = 2.0 and xr = 0.001 at P = 2000.0 W and Q = 1000.0 var solve to "
-             f"delta = {op.delta0!r} rad and V = {op.v_pcc0!r} V, where ")
+             f"delta = {delta!r} rad and V = {v!r} V, where ")
     assert main(["gains", "--xr", "1e-3"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {named}Jacobian entry A must be > 0")
     for scheduled in ([], ["--scheduled"]):
@@ -144,7 +144,7 @@ def test_bode_prints_the_phase_margin_of_each_grid(tmp_path, capsys, scheduled):
     lines = capsys.readouterr().out.splitlines()
     for scr, line in zip((2, 8, 20), lines, strict=True):
         z = scr_to_impedance(scr, 5.0)
-        j = jacobian(solve_operating_point(2000.0, 1000.0, z), z)
+        j = jacobian(*solve_operating_point(2000.0, 1000.0, z), z)
         g = schedule_gains(j) if scheduled else BASELINE_GAINS
         assert line == f"SCR {scr}: phase margin {phase_margin(g, j.a):.3f} deg"
         assert (tmp_path / f"bode_p_{tag}_scr{scr}.csv").exists()

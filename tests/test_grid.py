@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsglab.grid import (OMEGA0_DEFAULT, GridImpedance, OperatingPoint,
+from vsglab.grid import (OMEGA0_DEFAULT, V_G, GridImpedance,
                          DegenerateImpedanceError, InfeasibleOperatingPointError,
                          power_flow, jacobian, operating_points,
                          scr_to_impedance, solve_operating_point)
@@ -18,14 +18,10 @@ def z_rx(r, x):
     return GridImpedance(r, x)
 
 
-def op(delta, v, vg=110.0):
-    return OperatingPoint(delta0=delta, v_pcc0=v, v_g=vg)
-
-
-def phasor_oracle(o, z):
+def phasor_oracle(delta, v, z):
     # S = 3 V conj(I), I = (V - Vg) / Z, all phasors per phase RMS
-    vbar = o.v_pcc0 * complex(math.cos(o.delta0), math.sin(o.delta0))
-    ibar = (vbar - o.v_g) / complex(z.r_g, z.x_g)
+    vbar = v * complex(math.cos(delta), math.sin(delta))
+    ibar = (vbar - V_G) / complex(z.r_g, z.x_g)
     s = 3.0 * vbar * ibar.conjugate()
     return s.real, s.imag
 
@@ -33,25 +29,26 @@ def phasor_oracle(o, z):
 # --- worked examples ---------------------------------------------------------
 
 def test_power_flow_zero_angle_equal_voltages():
-    pq = power_flow(op(0.0, 110.0), z_rx(0.5, 2.0))
-    assert pq.p == 0.0 and pq.q == 0.0
+    p, q = power_flow(0.0, 110.0, z_rx(0.5, 2.0))
+    assert p == 0.0 and q == 0.0
 
 
 def test_power_flow_resistive_divider():
-    # purely resistive limit, x_g = 0 allowed when r_g > 0
-    pq = power_flow(op(0.0, 110.0, vg=100.0), z_rx(1.0, 0.0))
-    assert pq.p == pytest.approx(3300.0, rel=1e-12)
-    assert pq.q == pytest.approx(0.0, abs=1e-9)
+    # purely resistive limit, x_g = 0 allowed when r_g > 0: 11 V across 1.21 ohm
+    # carries 9.09 A from 121 V per phase
+    p, q = power_flow(0.0, 121.0, z_rx(1.21, 0.0))
+    assert p == pytest.approx(3300.0, rel=1e-12)
+    assert q == pytest.approx(0.0, abs=1e-9)
 
 
 def test_power_flow_reactive_line():
-    pq = power_flow(op(0.1, 110.0), z_rx(0.0, 3.63))
-    assert pq.p == pytest.approx(998.33, abs=0.01)
-    assert pq.q == pytest.approx(49.96, abs=0.01)
+    p, q = power_flow(0.1, 110.0, z_rx(0.0, 3.63))
+    assert p == pytest.approx(998.33, abs=0.01)
+    assert q == pytest.approx(49.96, abs=0.01)
 
 
 def test_jacobian_reactive_line_values():
-    j = jacobian(op(0.0, 110.0), z_rx(0.0, 3.63))
+    j = jacobian(0.0, 110.0, z_rx(0.0, 3.63))
     assert j.a == pytest.approx(3.0 * 110.0 ** 2 / 3.63, rel=1e-12)  # 10000 W/rad
     assert j.d == pytest.approx(3.0 * 110.0 / 3.63, rel=1e-12)       # 90.91 var/V
 
@@ -65,16 +62,16 @@ def test_scr_to_impedance_weak_grid():
 
 
 def test_solve_operating_point_null():
-    o = solve_operating_point(0.0, 0.0, z_rx(0.5, 3.0))
-    assert o.delta0 == pytest.approx(0.0, abs=1e-12)
-    assert o.v_pcc0 == pytest.approx(110.0, abs=1e-9)
+    delta, v = solve_operating_point(0.0, 0.0, z_rx(0.5, 3.0))
+    assert delta == pytest.approx(0.0, abs=1e-12)
+    assert v == pytest.approx(110.0, abs=1e-9)
 
 
 def test_solve_operating_point_inverse_of_power_flow():
     z = z_rx(0.0, 3.63)
-    o = solve_operating_point(998.33, 49.96, z)
-    assert o.delta0 == pytest.approx(0.1, abs=1e-4)
-    assert o.v_pcc0 == pytest.approx(110.0, abs=0.01)
+    delta, v = solve_operating_point(998.33, 49.96, z)
+    assert delta == pytest.approx(0.1, abs=1e-4)
+    assert v == pytest.approx(110.0, abs=0.01)
 
 
 # --- invariants --------------------------------------------------------------
@@ -86,13 +83,6 @@ def test_impedance_requires_consistent_reactance():
         GridImpedance(0.0, 0.0)
     with pytest.raises(ValueError):
         GridImpedance(-0.1, 1.0)
-
-
-def test_operating_point_domain():
-    with pytest.raises(ValueError):
-        OperatingPoint(delta0=math.pi / 2, v_pcc0=110.0, v_g=110.0)
-    with pytest.raises(ValueError):
-        OperatingPoint(delta0=0.0, v_pcc0=-1.0, v_g=110.0)
 
 
 def test_infeasible_target_raises():
@@ -118,21 +108,17 @@ def test_solves_a_grid_at_the_edge_of_double_precision():
     # one ulp of V_pcc moves P by 6e-3 W, so no double meets a 1e-9 relative
     # residual: the solved point is as close as a few ulps of V_pcc allow
     z = scr_to_impedance(1e10, 1e-300)
-    o = solve_operating_point(2000.0, 1000.0, z)
-    pq, j = power_flow(o, z), jacobian(o, z)
-    ulps = 4.0 * (abs(j.a) * math.ulp(o.delta0) + abs(j.b) * math.ulp(o.v_pcc0))
-    assert abs(pq.p - 2000.0) <= 1e-9 * 2000.0 + ulps
-    assert abs(pq.q - 1000.0) <= 1e-9 * 2000.0
+    delta, v = solve_operating_point(2000.0, 1000.0, z)
+    (p, q), j = power_flow(delta, v, z), jacobian(delta, v, z)
+    ulps = 4.0 * (abs(j.a) * math.ulp(delta) + abs(j.b) * math.ulp(v))
+    assert abs(p - 2000.0) <= 1e-9 * 2000.0 + ulps
+    assert abs(q - 1000.0) <= 1e-9 * 2000.0
 
 
 # --- properties --------------------------------------------------------------
 
-valid_ops = st.builds(
-    op,
-    st.floats(-1.4, 1.4),
-    st.floats(60.0, 160.0),
-    st.floats(90.0, 130.0),
-)
+valid_deltas = st.floats(-1.4, 1.4)
+valid_vs = st.floats(60.0, 160.0)
 valid_z = st.builds(
     z_rx,
     st.floats(0.0, 5.0),
@@ -140,25 +126,25 @@ valid_z = st.builds(
 )
 
 
-@given(valid_ops, valid_z)
-def test_power_flow_matches_phasor_oracle(o, z):
-    pq = power_flow(o, z)
-    p_ref, q_ref = phasor_oracle(o, z)
+@given(valid_deltas, valid_vs, valid_z)
+def test_power_flow_matches_phasor_oracle(delta, v, z):
+    p, q = power_flow(delta, v, z)
+    p_ref, q_ref = phasor_oracle(delta, v, z)
     scale = max(abs(p_ref), abs(q_ref), 1.0)
-    assert abs(pq.p - p_ref) <= 1e-9 * scale
-    assert abs(pq.q - q_ref) <= 1e-9 * scale
+    assert abs(p - p_ref) <= 1e-9 * scale
+    assert abs(q - q_ref) <= 1e-9 * scale
 
 
-@given(valid_ops, valid_z)
-def test_jacobian_matches_finite_differences(o, z):
-    j = jacobian(o, z)
+@given(valid_deltas, valid_vs, valid_z)
+def test_jacobian_matches_finite_differences(delta, v, z):
+    j = jacobian(delta, v, z)
     h_d, h_v = 1e-5, 1e-4
-    pp = power_flow(OperatingPoint(o.delta0 + h_d, o.v_pcc0, o.v_g), z)
-    pm = power_flow(OperatingPoint(o.delta0 - h_d, o.v_pcc0, o.v_g), z)
-    qp = power_flow(OperatingPoint(o.delta0, o.v_pcc0 + h_v, o.v_g), z)
-    qm = power_flow(OperatingPoint(o.delta0, o.v_pcc0 - h_v, o.v_g), z)
-    fd = ((pp.p - pm.p) / (2 * h_d), (qp.p - qm.p) / (2 * h_v),
-          (pp.q - pm.q) / (2 * h_d), (qp.q - qm.q) / (2 * h_v))
+    pp = power_flow(delta + h_d, v, z)
+    pm = power_flow(delta - h_d, v, z)
+    qp = power_flow(delta, v + h_v, z)
+    qm = power_flow(delta, v - h_v, z)
+    fd = ((pp[0] - pm[0]) / (2 * h_d), (qp[0] - qm[0]) / (2 * h_v),
+          (pp[1] - pm[1]) / (2 * h_d), (qp[1] - qm[1]) / (2 * h_v))
     # all four partials share the 3/|Z|^2 factor, so central-difference
     # truncation error scales with the Jacobian as a whole, not per entry
     scale = max(1.0, abs(j.a), abs(j.b), abs(j.c), abs(j.d))
@@ -187,12 +173,14 @@ def test_solve_is_right_inverse_of_power_flow(points, d_q):
                                   [z.r_g for z in zs], [z.x_g for z in zs], d_q=d_q)
     for (p, q, _), z, delta, v in zip(points, zs, deltas, vs):
         try:
-            o = solve_operating_point(p, q, z, d_q=d_q)
+            point = solve_operating_point(p, q, z, d_q=d_q)
         except InfeasibleOperatingPointError:
             assert math.isnan(delta) and math.isnan(v)
             continue
-        assert np.array([o.delta0, o.v_pcc0]).tobytes() == np.array([delta, v]).tobytes()
-        pq = power_flow(o, z)
+        assert np.array(point).tobytes() == np.array([delta, v]).tobytes()
+        # the domain every solved point lies in
+        assert abs(delta) < math.pi / 2 and 0.5 * 110.0 < v < 1.5 * 110.0
+        p_got, q_got = power_flow(delta, v, z)
         scale = max(abs(p), abs(q), 1.0)
-        assert abs(pq.p - p) <= 1e-9 * scale
-        assert abs(pq.q + d_q * (o.v_pcc0 - 110.0) - q) <= 1e-9 * scale
+        assert abs(p_got - p) <= 1e-9 * scale
+        assert abs(q_got + d_q * (v - 110.0) - q) <= 1e-9 * scale

@@ -1,6 +1,7 @@
 """Every module of the package and of its tests uses each name it imports (no linter needed),
-no module of the package forks, README's module table names every module, and the suite's
-pytest settings let a failing property test fail alone."""
+no module of the package forks or imports an underscore name from another, README's module
+table names every module, and the suite's pytest settings let a failing property test fail
+alone."""
 
 import ast
 import re
@@ -50,12 +51,35 @@ def os_forks(source: str) -> list[int]:
             and any(alias.name == "fork" for alias in node.names)]
 
 
+def private_imports(source: str) -> list[str]:
+    """Underscore names imported from a module of the package: by a relative import
+    or one from `vsglab`."""
+    return [f"{alias.name} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "vsglab")
+            for alias in node.names if alias.name.startswith("_")]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
                          ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
     # the package runs in one process: no module of it forks
     assert path.parent != PACKAGE or os_forks(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another(path):
+    # what one module shares with another is public: an underscore name stays in its module
+    assert private_imports(path.read_text()) == []
+
+
+def test_a_private_import_is_reported():
+    source = ("from __future__ import annotations\nfrom os import _exit\n"
+              "from .grid import V_G, _kernel\nfrom . import _tables as t\n"
+              "from vsglab.sim import _fields_checked\n")
+    assert private_imports(source) == ["_kernel (line 3)", "_tables (line 4)",
+                                       "_fields_checked (line 5)"]
 
 
 def test_unused_import_is_reported():

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from vsglab.estimator import EstimateRecord
+from vsglab.grid import OMEGA0_DEFAULT, GridImpedance
 from vsglab.metrics import (settling_time, percent_overshoot, steady_value,
                             step_metrics, oscillation_energy, estimation_metrics)
 
@@ -93,8 +94,13 @@ def make_rec(t, r, l):
                           window_start=t - 0.02, window_end=t)
 
 
+def grid(r, l):
+    """The grid impedance of resistance r and inductance l."""
+    return GridImpedance(r, OMEGA0_DEFAULT * l)
+
+
 def test_estimation_metrics_segments():
-    truth = [(0.0, 1.0, 0.010), (1.0, 0.5, 0.005)]
+    truth = [(0.0, grid(1.0, 0.010)), (1.0, grid(0.5, 0.005))]
     ests = []
     for k in range(1, 100):
         t = round(0.02 * k, 10)
@@ -118,7 +124,7 @@ def test_estimation_metrics_segments():
 
 
 def test_estimation_metrics_out_of_tolerance_segment():
-    truth = [(0.0, 1.0, 0.010)]
+    truth = [(0.0, grid(1.0, 0.010))]
     ests = [(make_rec(0.02 * k, 2.0, 0.02), 0.0, 0.0, False) for k in range(1, 20)]
     (s,) = estimation_metrics(ests, truth, t_end=0.4)
     assert s.detection_delay_s is None

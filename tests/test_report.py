@@ -75,6 +75,21 @@ def test_a_step_still_outside_its_band_at_the_next_event_reads_not_settled():
     assert "not-settled" in render_text(rep).splitlines()[4]
 
 
+def test_events_at_one_time_each_measure_up_to_the_first_later_event():
+    # a P-step and a Q-step at once: the window of each runs to the P-step at
+    # t = 11, not to the other event at t = 1, so the P row is the one the P-step
+    # gets alone
+    events = [ScenarioEvent(time=1.0, kind="set_p_ref", value=2500.0),
+              ScenarioEvent(time=1.0, kind="set_q_ref", value=1400.0),
+              ScenarioEvent(time=11.0, kind="set_p_ref", value=3000.0)]
+    trace = series([(1.0, 500.0, TAU, 0.0), (11.0, 500.0, TAU, 0.0)],
+                   [(1.0, 400.0, TAU, 0.0)])
+    rep = build_comparison(trace, trace, events, [], [])
+    assert rep.passed, rep.failures
+    assert rep.events[0] == comparison().events[0]
+    assert rep.events[1].avsg.settling_time_s == pytest.approx(TAU * math.log(50.0), rel=1e-3)
+
+
 def test_tables_hold_each_metric_at_full_precision_and_nan_where_none_exists(tmp_path):
     settled = StepMetrics(settling_time_s=0.1 + 0.2, overshoot_pct=1 / 3,
                           steady_state_error_pct=2e-17)

@@ -13,13 +13,11 @@ from vsglab import rk4, sim
 from vsglab.ann import WINDOW_LEN
 from vsglab.grid import (scr_to_impedance, power_flow, solve_operating_point,
                          InfeasibleOperatingPointError)
-from vsglab.grid import _pf
 from vsglab.sim import (RETIRED_SCENARIO_KEYS, TIMESERIES_COLUMNS, Setpoints, ScenarioEvent,
                         SimConfig, TimeSeries, NumericFailureError,
                         impedance_schedule, run_scenario, scenario_to_dict,
                         scenario_from_dict, save_scenario, load_scenario, benchmark_config,
                         benchmark_events)
-from vsglab.cli import _truth_schedule
 from vsglab.smallsignal import DesignTargets, VsgGains
 
 GAINS = VsgGains(d_p=2087.0, k_ip=0.00767, d_q=0.687, k_iq=0.115)
@@ -78,7 +76,7 @@ def textbook_rk4(cfg, events, gains=None):
     z = scr_to_impedance(cfg.scr, xr)
     r, x = z.r_g, z.x_g
     kz = 3.0 / (r * r + x * x)
-    op = solve_operating_point(cfg.setpoints.p_ref, cfg.setpoints.q_ref, z, d_q=g.d_q)
+    d0, v0 = solve_operating_point(cfg.setpoints.p_ref, cfg.setpoints.q_ref, z, d_q=g.d_q)
     pref, qref, wc = cfg.setpoints.p_ref, cfg.setpoints.q_ref, cfg.meas_lpf_cutoff
 
     def rates(d, w, v, pf, qf):
@@ -93,7 +91,7 @@ def textbook_rk4(cfg, events, gains=None):
                 kiq * (qref - q - dq * (v - vg)), dpf, dqf)
 
     h = cfg.dt_sim
-    y = (op.delta0, OMEGA0, op.v_pcc0, *_pf(op.delta0, op.v_pcc0, vg, r, x))
+    y = (d0, OMEGA0, v0, *power_flow(d0, v0, z))
     n_steps, dec_out = round(cfg.duration / h), round(cfg.out_period / h)
     rows = []
     for k in range(n_steps + 1):
@@ -212,11 +210,11 @@ def window_waveforms(t, phasors):
 
 def test_window_waveforms_rms_and_power():
     z = scr_to_impedance(2.0, 5.0)
-    op = solve_operating_point(2000.0, 1000.0, z)
+    delta, v_pcc = solve_operating_point(2000.0, 1000.0, z)
     # one full cycle at the estimator rate
     v, i = window_waveforms(200e-6 * np.arange(1, 101),
-                            [(op.delta0, op.v_pcc0, z.r_g, z.x_g)]).reshape(2, 100)
-    assert math.sqrt(np.mean(v ** 2)) == pytest.approx(op.v_pcc0, rel=1e-9)
+                            [(delta, v_pcc, z.r_g, z.x_g)]).reshape(2, 100)
+    assert math.sqrt(np.mean(v ** 2)) == pytest.approx(v_pcc, rel=1e-9)
     # mean instantaneous single-phase power equals P/3
     assert np.mean(v * i) == pytest.approx(2000.0 / 3.0, rel=1e-6)
 
@@ -293,10 +291,10 @@ def test_each_estimator_sample_is_the_scalar_sample_of_its_row(monkeypatch, h):
 def test_solve_equilibrium_satisfies_loop_balance():
     z = scr_to_impedance(2.0, 5.0)
     sp = Setpoints(2000.0, 1000.0)
-    op = solve_operating_point(sp.p_ref, sp.q_ref, z, d_q=GAINS.d_q)
-    pq = power_flow(op, z)
-    assert pq.p == pytest.approx(2000.0, abs=1e-5)
-    assert pq.q + GAINS.d_q * (op.v_pcc0 - 110.0) == pytest.approx(1000.0, abs=1e-5)
+    delta, v = solve_operating_point(sp.p_ref, sp.q_ref, z, d_q=GAINS.d_q)
+    p, q = power_flow(delta, v, z)
+    assert p == pytest.approx(2000.0, abs=1e-5)
+    assert q + GAINS.d_q * (v - 110.0) == pytest.approx(1000.0, abs=1e-5)
     # every (SCR, P, Q) the 60 s benchmark settles at, as a run would start there
     cfg, segments = benchmark_config("cvsg"), []
     scr, p, q = cfg.scr, cfg.setpoints.p_ref, cfg.setpoints.q_ref
@@ -308,10 +306,10 @@ def test_solve_equilibrium_satisfies_loop_balance():
     assert len(set(segments)) == 6
     for scr, p, q in segments:
         z = scr_to_impedance(scr, cfg.xr_ratio)
-        op = solve_operating_point(p, q, z, d_q=cfg.gains.d_q)
-        pq, scale = power_flow(op, z), max(abs(p), abs(q), 1.0)
-        assert abs(pq.p - p) <= 1e-9 * scale
-        assert abs(pq.q + cfg.gains.d_q * (op.v_pcc0 - 110.0) - q) <= 1e-9 * scale
+        delta, v = solve_operating_point(p, q, z, d_q=cfg.gains.d_q)
+        (p_got, q_got), scale = power_flow(delta, v, z), max(abs(p), abs(q), 1.0)
+        assert abs(p_got - p) <= 1e-9 * scale
+        assert abs(q_got + cfg.gains.d_q * (v - 110.0) - q) <= 1e-9 * scale
 
 
 def test_solve_equilibrium_infeasible():
@@ -335,7 +333,7 @@ def test_logged_power_matches_power_flow_bit_identical():
     z = scr_to_impedance(2.0, 5.0)
     s = res.series
     for k in range(len(s)):
-        p, q = _pf(s.delta[k], s.v_cmd[k], 110.0, z.r_g, z.x_g)
+        p, q = power_flow(s.delta[k], s.v_cmd[k], z)
         assert s.p_pcc[k] == p and s.q_pcc[k] == q
 
 
@@ -377,7 +375,7 @@ def test_set_scr_without_ratio_keeps_last_explicit_ratio():
     z = scr_to_impedance(20.0, 10.0)
     assert (res.series.r_g_true[-1], res.series.l_g_true[-1]) == (z.r_g, z.l_g)
     # the truth the estimation statistics use is the impedance the run used
-    assert _truth_schedule(cfg, events)[-1] == (0.4, z.r_g, z.l_g)
+    assert impedance_schedule(cfg, events)[-1] == (0.4, z)
 
 
 def test_bad_scr_event_fails_before_integration():
